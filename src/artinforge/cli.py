@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--pair-cap",
-        type=int,
         default=None,
         help="S-pair queue bound (default: ARTINFORGE_PAIR_CAP or 10^6)",
     )
@@ -120,18 +119,25 @@ def _check_n(parser, args, values) -> bool:
     return True
 
 
-def _resolve_cap(args) -> "int | None":
-    if args.pair_cap is not None:
-        return args.pair_cap
-    env = os.environ.get("ARTINFORGE_PAIR_CAP")
-    return int(env) if env else None
+def _resolve_cap(parser, args) -> int:
+    """``--pair-cap``, else ``ARTINFORGE_PAIR_CAP``, else the default;
+    anything but a positive integer is a usage error."""
+    source, text = "--pair-cap", args.pair_cap
+    if text is None:
+        source, text = "ARTINFORGE_PAIR_CAP", os.environ.get("ARTINFORGE_PAIR_CAP")
+        if not text:
+            return DEFAULT_PAIR_CAP
+    if not text.strip().isdecimal() or int(text) < 1:
+        msg = f"{source} must be a positive integer, got {text!r}"
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {msg}\n")
+    return int(text)
 
 
 def _named_gb(name: str, n: int, order, cap):
     if name == "I":
         return buchberger(paperlab.build_ideal("I", n), order, cap)
     if name == "J":
-        init = paperlab._gb_J(n, cap if cap is not None else DEFAULT_PAIR_CAP)
+        init = paperlab._gb_J(n, cap)
         if order is GREVLEX:
             return init
         return buchberger(Ideal(init.ring, init.elements), order, cap)
@@ -160,12 +166,11 @@ def _cmd_verify(parser, args) -> int:
             if c not in paperlab.CLAIMS:
                 parser.error(f"unknown claim id {c!r}")
         claims = sorted(set(claims))
-    cap = _resolve_cap(args)
     jobs = [(claim, n) for claim in claims for n in range(lo, hi + 1)]
 
     def run_one(job):
         claim, n = job
-        return paperlab.verify(claim, n, cap)
+        return paperlab.verify(claim, n, args.pair_cap)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -199,7 +204,7 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_groebner(parser, args) -> int:
     _check_n(parser, args, (args.n,))
-    gb = _named_gb(args.ideal, args.n, _ORDERS[args.order], _resolve_cap(args))
+    gb = _named_gb(args.ideal, args.n, _ORDERS[args.order], args.pair_cap)
     rendered = [gb.ring.fmt(g, gb.order) for g in gb.elements]
     if args.format == "json":
         _emit(
@@ -222,8 +227,7 @@ def _cmd_groebner(parser, args) -> int:
 
 def _cmd_hilbert(parser, args) -> int:
     _check_n(parser, args, (args.n,))
-    cap = _resolve_cap(args)
-    gb = _named_gb(args.ideal, args.n, GREVLEX, cap)
+    gb = _named_gb(args.ideal, args.n, GREVLEX, args.pair_cap)
     series = quotient.hilbert_series(quotient.standard_monomials(gb))
     if args.format == "json":
         _emit(
@@ -270,12 +274,10 @@ def _cmd_character(parser, args) -> int:
 
 def _cmd_socle(parser, args) -> int:
     _check_n(parser, args, (args.n,))
-    cap = _resolve_cap(args)
-    eff = cap if cap is not None else DEFAULT_PAIR_CAP
     q = (
-        paperlab._quotient_J(args.n, eff)
+        paperlab._quotient_J(args.n, args.pair_cap)
         if args.ideal == "J"
-        else paperlab._quotient_K(args.n, eff)
+        else paperlab._quotient_K(args.n, args.pair_cap)
     )
     dim, gorenstein = quotient.socle_dimension(q)
     if args.format == "json":
@@ -299,7 +301,7 @@ def _cmd_socle(parser, args) -> int:
 
 def _cmd_challenge(parser, args) -> int:
     _check_n(parser, args, (args.n,))
-    series = paperlab.challenge_series(args.n, _resolve_cap(args))
+    series = paperlab.challenge_series(args.n, args.pair_cap)
     if args.format == "json":
         _emit([json.dumps(series.to_dict(), sort_keys=True)])
     else:
@@ -371,6 +373,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.pair_cap = _resolve_cap(parser, args)
         return _COMMANDS[args.command](parser, args)
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code

@@ -10,7 +10,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class NotArtinianError(RuntimeError):
-    """A staircase enumeration ran past its degree bound."""
+    """Some variable has no pure power among the leading monomials."""
 
 
 class EquivarianceError(ValueError):

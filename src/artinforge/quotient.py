@@ -24,6 +24,7 @@ from .polyarith import (
     Polynomial,
     _normal_form,
     _reducer_info,
+    mono_div,
     mono_divides,
     monomials_of_degree,
     xring,
@@ -46,44 +47,41 @@ class StandardBasis:
         return iter(self.monomials)
 
 
-def standard_monomials(
-    gb: GroebnerBasis, max_degree: "int | None" = None
-) -> StandardBasis:
+def _next_level(level, lms, key) -> list:
+    """The standard monomials one degree above ``level``, sorted by ``key``:
+    the staircase is closed under division, so each one is a variable times
+    a member of ``level``."""
+    nxt = set()
+    for m in level:
+        for i in range(len(m)):
+            up = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if up not in nxt and not any(mono_divides(lm, up) for lm in lms):
+                nxt.add(up)
+    return sorted(nxt, key=key)
+
+
+def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
     """Enumerate the staircase complement of a reduced basis by degree.
 
-    The complement is closed under divisibility, so the first empty degree
-    level ends the enumeration; if levels are still non-empty past the
-    safety bound (default ``4 * nvars``) the quotient is not Artinian and
-    :class:`NotArtinianError` is raised.
+    The quotient is Artinian exactly when every variable has a pure power
+    among the leading monomials; otherwise :class:`NotArtinianError` is
+    raised.  The complement is closed under divisibility, so the first
+    empty degree level ends the enumeration.
     """
     if not gb.reduced:
         raise NonReducedBasisError("standard_monomials requires a reduced basis")
     nv = gb.ring.nvars
-    bound = 4 * nv if max_degree is None else max_degree
     lms = gb.leading_monomials()
-    key = gb.order.key
-
-    def is_standard(m: Monomial) -> bool:
-        return not any(mono_divides(lm, m) for lm in lms)
-
-    levels = []
-    level = [m for m in [(0,) * nv] if is_standard(m)]
-    degree = 0
-    while level:
-        levels.append(sorted(level, key=key))
-        if degree >= bound:
+    for i in range(nv):
+        if not any(sum(lm) == lm[i] for lm in lms):
             raise NotArtinianError(
-                f"standard monomials still appear at degree {degree}; "
-                f"bound {bound} exceeded"
+                f"no leading monomial is a pure power of variable {i + 1}"
             )
-        nxt = set()
-        for m in level:
-            for i in range(nv):
-                up = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                if up not in nxt and is_standard(up):
-                    nxt.add(up)
-        level = list(nxt)
-        degree += 1
+    level = [] if (0,) * nv in lms else [(0,) * nv]
+    levels = []
+    while level:
+        levels.append(level)
+        level = _next_level(level, lms, gb.order.key)
     return StandardBasis(levels)
 
 
@@ -99,9 +97,9 @@ class QuotientAlgebra:
     between threads.
     """
 
-    def __init__(self, gb: GroebnerBasis, max_degree: "int | None" = None):
+    def __init__(self, gb: GroebnerBasis):
         self.gb = gb
-        self.basis = standard_monomials(gb, max_degree)
+        self.basis = standard_monomials(gb)
         self._index = {m: i for i, m in enumerate(self.basis.monomials)}
         self._info = _reducer_info(gb.elements, gb.order) if gb.elements else []
         self._mult: dict[int, tuple] = {}
@@ -275,53 +273,52 @@ def contract(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def annihilator(
-    g: Polynomial,
-    n: "int | None" = None,
-    pair_cap: "int | None" = None,
-    check_cutoff: bool = False,
+    g: Polynomial, pair_cap: "int | None" = None, check_cutoff: bool = False
 ) -> Ideal:
     """The apolar ideal Ann(g) of a nonzero homogeneous dual polynomial.
 
-    For each degree d from 1 to deg(g)+1 the kernel of the catalecticant map
-    (degree-d forms f -> f contracted into g) is computed by exact
-    nullspace; degrees beyond deg(g) consist of all monomials, so deg(g)+1
-    suffices to generate.  Kernel elements already in the ideal generated so
-    far are dropped, which leaves a small generating set of the same ideal.
-    With ``check_cutoff`` the run asserts that degree deg(g)+2 contributes
-    nothing new.
+    Degree by degree, Ann(g)_d = I_d + ker C_d, where I is generated by the
+    lower degrees and the catalecticant C_d (f -> f contracted into g) acts
+    on the degree-d standard monomials of I only.  These are independent
+    modulo I, so every kernel vector is a new minimal generator, and one
+    Groebner basis update per degree follows.  Past deg(g) the catalecticant
+    vanishes and every standard monomial is a generator; deg(g)+1 suffices.
+
+    R/Ann(g) is Gorenstein, so its Hilbert function must be symmetric with
+    h_deg(g) = 1; a staircase that breaks this raises AssertionError.  With
+    ``check_cutoff`` the run also asserts that degree deg(g)+2 adds nothing.
     """
     if not g:
         raise ValueError("annihilator of the zero polynomial")
     if not g.is_homogeneous():
         raise ValueError("annihilator requires a homogeneous dual polynomial")
-    nv = g.nvars if n is None else n
-    if nv != g.nvars:
-        raise ValueError("variable count does not match the dual polynomial")
+    nv, deg = g.nvars, g.total_degree()
     ring = xring(nv)
-    deg = g.total_degree()
     gens: list[Polynomial] = []
-    gb = None
-
-    def admit(p: Polynomial):
-        nonlocal gb
-        if gb is not None and ideal_member(p, gb):
-            return
-        gens.append(p)
-        gb = buchberger(Ideal(ring, tuple(gens)), GREVLEX, pair_cap)
-
+    lms: tuple = ()
+    level = [(0,) * nv]
+    hilbert = [1]
     for d in range(1, deg + 2):
-        cols = monomials_of_degree(nv, d)
-        if d > deg:
-            for m in cols:
-                admit(Polynomial.monomial(m))
-            continue
-        targets = monomials_of_degree(nv, deg - d)
-        rows = [
-            [g.terms.get(tuple(t + a for t, a in zip(tm, cm)), 0) for cm in cols]
-            for tm in targets
+        cols = _next_level(level, lms, GREVLEX.key)
+        rows: dict[Monomial, list] = {}
+        for j, a in enumerate(cols):
+            for b, c in g.terms.items():
+                if mono_divides(a, b):
+                    rows.setdefault(mono_div(b, a), [0] * len(cols))[j] = c
+        new = [
+            Polynomial(nv, {m: c for m, c in zip(cols, vec) if c})
+            for vec in linalg.kernel_basis(list(rows.values()), len(cols))
         ]
-        for vec in linalg.kernel_basis(rows, len(cols)):
-            admit(Polynomial(nv, {m: c for m, c in zip(cols, vec) if c}))
+        if new:
+            gens += new
+            gb = buchberger(Ideal(ring, tuple(gens)), GREVLEX, pair_cap)
+            lms = gb.leading_monomials()
+        level = [m for m in cols if not any(mono_divides(lm, m) for lm in lms)]
+        hilbert.append(len(level))
+        if d <= deg <= 2 * d and hilbert[d] != hilbert[deg - d]:
+            raise AssertionError(
+                f"Hilbert function {hilbert} of R/Ann(g) is not symmetric"
+            )
     if check_cutoff:
         for m in monomials_of_degree(nv, deg + 2):
             if not ideal_member(Polynomial.monomial(m), gb):

@@ -71,6 +71,22 @@ def test_verify_rejects_out_of_range_n(capsys):
     assert run(capsys, "verify", "--n", "8", "--claims", "thm1")[0] == 2
 
 
+def test_non_positive_pair_cap_is_usage_error(capsys):
+    for value in ("0", "-5", "abc"):
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--claims", "thm1", "--pair-cap", value
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--pair-cap" in err
+
+
+def test_malformed_pair_cap_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ARTINFORGE_PAIR_CAP", "abc")
+    code, out, err = run(capsys, "verify", "--n", "3", "--claims", "thm1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "ARTINFORGE_PAIR_CAP" in err
+
+
 def test_pair_cap_exhaustion_exits_3(capsys):
     code, _, err = run(
         capsys,

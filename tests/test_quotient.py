@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from artinforge import linalg
 from artinforge.errors import (
     AmbientMismatchError,
     EquivarianceError,
@@ -10,7 +13,14 @@ from artinforge.errors import (
 from artinforge.groebner import buchberger, ideal_equal, ideal_member
 from artinforge.paperlab import _gb_J, _gb_K, build_ideal, expected_codimension
 from artinforge.groebner import DEFAULT_PAIR_CAP as CAP
-from artinforge.polyarith import Ideal, Polynomial, xring, yring
+from artinforge.polyarith import (
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    monomials_of_degree,
+    xring,
+    yring,
+)
 from artinforge.quotient import (
     QuotientAlgebra,
     annihilator,
@@ -59,6 +69,13 @@ def test_standard_monomials_requires_artinian():
     gb = buchberger(Ideal(xring(2), (xring(2).poly("x1"),)))
     with pytest.raises(NotArtinianError):
         standard_monomials(gb)
+
+
+def test_standard_monomials_past_four_times_nvars():
+    ring = xring(2)
+    gb = buchberger(Ideal(ring, (ring.poly("x1^9"), ring.poly("x2^2"))))
+    assert hilbert_series(standard_monomials(gb)) == [1, 2, 2, 2, 2, 2, 2, 2, 2, 1]
+    assert len(QuotientAlgebra(gb).basis) == 18
 
 
 def test_hilbert_series_examples():
@@ -237,11 +254,115 @@ def test_contract_bilinear_and_dimension_error():
         contract(Polynomial.variable(3, 0), g)
 
 
+# The original per-generator construction: a full catalecticant in every
+# degree, a membership test per kernel vector and a fresh basis per admitted
+# one.  Kept verbatim as the reference for the staircase-restricted version.
+def reference_annihilator(
+    g: Polynomial,
+    n: "int | None" = None,
+    pair_cap: "int | None" = None,
+    check_cutoff: bool = False,
+) -> Ideal:
+    """The apolar ideal Ann(g) of a nonzero homogeneous dual polynomial.
+
+    For each degree d from 1 to deg(g)+1 the kernel of the catalecticant map
+    (degree-d forms f -> f contracted into g) is computed by exact
+    nullspace; degrees beyond deg(g) consist of all monomials, so deg(g)+1
+    suffices to generate.  Kernel elements already in the ideal generated so
+    far are dropped, which leaves a small generating set of the same ideal.
+    With ``check_cutoff`` the run asserts that degree deg(g)+2 contributes
+    nothing new.
+    """
+    if not g:
+        raise ValueError("annihilator of the zero polynomial")
+    if not g.is_homogeneous():
+        raise ValueError("annihilator requires a homogeneous dual polynomial")
+    nv = g.nvars if n is None else n
+    if nv != g.nvars:
+        raise ValueError("variable count does not match the dual polynomial")
+    ring = xring(nv)
+    deg = g.total_degree()
+    gens: list[Polynomial] = []
+    gb = None
+
+    def admit(p: Polynomial):
+        nonlocal gb
+        if gb is not None and ideal_member(p, gb):
+            return
+        gens.append(p)
+        gb = buchberger(Ideal(ring, tuple(gens)), GREVLEX, pair_cap)
+
+    for d in range(1, deg + 2):
+        cols = monomials_of_degree(nv, d)
+        if d > deg:
+            for m in cols:
+                admit(Polynomial.monomial(m))
+            continue
+        targets = monomials_of_degree(nv, deg - d)
+        rows = [
+            [g.terms.get(tuple(t + a for t, a in zip(tm, cm)), 0) for cm in cols]
+            for tm in targets
+        ]
+        for vec in linalg.kernel_basis(rows, len(cols)):
+            admit(Polynomial(nv, {m: c for m, c in zip(cols, vec) if c}))
+    if check_cutoff:
+        for m in monomials_of_degree(nv, deg + 2):
+            if not ideal_member(Polynomial.monomial(m), gb):
+                raise AssertionError(
+                    "annihilator generation degree bound deg(g)+1 failed"
+                )
+    return Ideal(ring, tuple(gens), homogeneous=True)
+
+
 def test_annihilator_matches_K():
-    for n in (3, 4):
+    for n in range(3, 8):
         ann = annihilator(build_ideal("g_dual", n))
         k = build_ideal("K_expected", n)
         assert ideal_equal(ann, k)
+
+
+def test_annihilator_matches_reference():
+    for n in (3, 4, 5):
+        g = build_ideal("g_dual", n)
+        assert ideal_equal(annihilator(g), reference_annihilator(g))
+
+
+@st.composite
+def homogeneous_duals(draw):
+    nv = draw(st.integers(2, 3))
+    monos = monomials_of_degree(nv, draw(st.integers(0, 4)))
+    coeffs = draw(
+        st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+    )
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, len(monos) - 1))] = 1
+    return Polynomial(nv, dict(zip(monos, coeffs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_duals())
+def test_annihilator_matches_reference_on_random_duals(g):
+    ann = annihilator(g, check_cutoff=True)
+    assert ideal_equal(ann, reference_annihilator(g))
+    assert socle_dimension(QuotientAlgebra(buchberger(ann))) == (1, True)
+
+
+def test_annihilator_certificate_catches_a_dropped_kernel_vector(monkeypatch):
+    real = linalg.kernel_basis
+    dropped = []
+
+    def lossy(rows, ncols):
+        basis = real(rows, ncols)
+        if basis and not dropped:
+            dropped.append(basis.pop())
+        return basis
+
+    monkeypatch.setattr(linalg, "kernel_basis", lossy)
+    # g_5 has degree 6; the vector goes missing in degree 2 and the count
+    # of standard monomials no longer matches degree 4
+    with pytest.raises(AssertionError, match="not symmetric"):
+        annihilator(build_ideal("g_dual", 5))
+    assert dropped
 
 
 def test_annihilator_principal():
