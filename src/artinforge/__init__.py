@@ -28,10 +28,10 @@ from .groebner import (
 )
 from .paperlab import (
     CLAIMS,
-    BernoulliTriangle,
     CyclotomicElement,
     SymbolicPoint,
     VerificationReport,
+    Workbench,
     bernoulli,
     build_ideal,
     challenge_series,
@@ -64,10 +64,8 @@ from .quotient import (
     StandardBasis,
     annihilator,
     contract,
-    coords,
     equivariant_graded_trace,
     hilbert_series,
-    mult_matrix,
     socle_dimension,
     standard_monomials,
 )

@@ -2,8 +2,9 @@
 
 Subcommands: verify, groebner, hilbert, character, socle, challenge, points,
 triangle.  All numeric output is exact (integers or rational strings) and
-byte-identical across runs and parallelism settings: jobs may race, but
-reports are emitted in sorted key order.
+byte-identical across runs: ``verify`` runs the claims one n at a time on
+one :class:`paperlab.Workbench` per n and emits the reports sorted by claim
+and n.
 
 Exit codes: 0 all selected checks pass, 1 at least one failure, 2 usage
 error, 3 resource limit hit.  ``ARTINFORGE_PAIR_CAP`` is the fallback for
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import paperlab, quotient, reptheory
 from .errors import ResourceLimitError
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run registered claims")
     p.add_argument("--n", type=_parse_n_range, default=(2, 6), metavar="A..B")
     p.add_argument("--claims", default="all", help="comma list of claim ids or 'all'")
-    p.add_argument("--jobs", type=int, default=1, help="parallel claim jobs")
     p.add_argument(
         "--timings", action="store_true", help="include millis in JSON reports"
     )
@@ -110,13 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_n(parser, args, values) -> bool:
+def _check_n(parser, args, values) -> None:
+    lo, hi = paperlab.SUPPORTED_RANGE
     for n in values:
-        if not 2 <= n <= 8:
-            parser.error(f"n={n} outside the supported range 2..8")
-        if n == 8 and not args.allow_large_n:
-            parser.error("n=8 requires --allow-large-n")
-    return True
+        if not lo <= n <= hi:
+            parser.error(f"n={n} outside the supported range {lo}..{hi}")
+        if n == hi and not args.allow_large_n:
+            parser.error(f"n={n} requires --allow-large-n")
 
 
 def _resolve_cap(parser, args) -> int:
@@ -134,20 +133,12 @@ def _resolve_cap(parser, args) -> int:
 
 
 def _named_gb(name: str, n: int, order, cap):
-    if name == "I":
-        return buchberger(paperlab.build_ideal("I", n), order, cap)
-    if name == "J":
-        init = paperlab._gb_J(n, cap)
-        if order is GREVLEX:
-            return init
-        return buchberger(Ideal(init.ring, init.elements), order, cap)
-    if name == "K":
-        return buchberger(paperlab._ideal_K(n), order, cap)
-    if name == "L":
-        return buchberger(paperlab.build_ideal("L", n), order, cap)
-    if name == "Q":
-        return buchberger(paperlab.build_ideal("Q", n), order, cap)
-    raise ValueError(name)
+    wb = paperlab.Workbench(n, cap)
+    if name != "J":
+        return buchberger(getattr(wb, f"ideal_{name}"), order, cap)
+    if order is GREVLEX:
+        return wb.gb_J
+    return buchberger(Ideal(wb.gb_J.ring, wb.gb_J.elements), order, cap)
 
 
 def _emit(lines) -> None:
@@ -166,17 +157,10 @@ def _cmd_verify(parser, args) -> int:
             if c not in paperlab.CLAIMS:
                 parser.error(f"unknown claim id {c!r}")
         claims = sorted(set(claims))
-    jobs = [(claim, n) for claim in claims for n in range(lo, hi + 1)]
-
-    def run_one(job):
-        claim, n = job
-        return paperlab.verify(claim, n, args.pair_cap)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_one, jobs))
-    else:
-        reports = [run_one(job) for job in jobs]
+    reports = []
+    for n in range(lo, hi + 1):
+        wb = paperlab.Workbench(n, args.pair_cap)
+        reports += [paperlab.verify(claim, n, wb) for claim in claims]
     reports.sort(key=lambda r: (r.claim, r.n))
 
     if args.format == "json":
@@ -274,11 +258,8 @@ def _cmd_character(parser, args) -> int:
 
 def _cmd_socle(parser, args) -> int:
     _check_n(parser, args, (args.n,))
-    q = (
-        paperlab._quotient_J(args.n, args.pair_cap)
-        if args.ideal == "J"
-        else paperlab._quotient_K(args.n, args.pair_cap)
-    )
+    wb = paperlab.Workbench(args.n, args.pair_cap)
+    q = wb.quotient_J if args.ideal == "J" else wb.quotient_K
     dim, gorenstein = quotient.socle_dimension(q)
     if args.format == "json":
         _emit(
@@ -301,7 +282,7 @@ def _cmd_socle(parser, args) -> int:
 
 def _cmd_challenge(parser, args) -> int:
     _check_n(parser, args, (args.n,))
-    series = paperlab.challenge_series(args.n, args.pair_cap)
+    series = paperlab.challenge_series(paperlab.Workbench(args.n, args.pair_cap))
     if args.format == "json":
         _emit([json.dumps(series.to_dict(), sort_keys=True)])
     else:

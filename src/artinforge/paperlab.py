@@ -30,14 +30,16 @@ machine-checked verdict:
     challenge          graded S_n-character of R_n/K_n, gated by thm1/thm2
 
 Checks either pass, fail with a finite witness, or are skipped below the
-claim's minimum n.
+claim's minimum n.  A claim is a function of one :class:`Workbench`, which
+builds the ideals, bases and quotients that the claims at its n share, each
+at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
 from time import perf_counter
@@ -96,37 +98,21 @@ def expected_codimension(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the symmetrised triangle of partial binomial sums
 
-class BernoulliTriangle:
-    """b_{n,k} = sum_{j<=k} C(n, j) and its symmetrised re-indexing a_{n,k}.
-
-    The a-row for n has entries for 0 <= k <= 2n-4: the first half copies
-    b_{n-1,k}, the second half mirrors it, so the row is palindromic and
-    strictly increasing up to its middle entry 2^(n-1) - 1.
-    """
-
-    def __init__(self, nmax: int):
-        if nmax < 2:
-            raise ValueError("triangle rows start at n = 2")
-        self.nmax = nmax
-
-    @staticmethod
-    def b(n: int, k: int) -> int:
-        if not 0 <= k <= n:
-            raise ValueError(f"b({n},{k}) out of range")
-        return sum(comb(n, j) for j in range(k + 1))
-
-    def a(self, n: int, k: int) -> int:
-        if not (2 <= n <= self.nmax and 0 <= k <= 2 * n - 4):
-            raise ValueError(f"a({n},{k}) out of range")
-        return self.b(n - 1, k if k <= n - 2 else 2 * n - 4 - k)
-
-    def a_row(self, n: int) -> list[int]:
-        return [self.a(n, k) for k in range(2 * n - 3)]
+def partial_binomial_sum(n: int, k: int) -> int:
+    """b_{n,k} = C(n, 0) + C(n, 1) + ... + C(n, k)."""
+    return sum(comb(n, j) for j in range(k + 1))
 
 
 def bernoulli(n: int) -> list[int]:
-    """The symmetrised triangle row (a_{n,0}, ..., a_{n,2n-4})."""
-    return BernoulliTriangle(n).a_row(n)
+    """The symmetrised triangle row a_{n,k} = b_{n-1, min(k, 2n-4-k)} for
+    0 <= k <= 2n-4: the first half copies b_{n-1,k} and the second half
+    mirrors it, so the row is palindromic and strictly increasing up to its
+    middle entry 2^(n-1) - 1."""
+    if n < 2:
+        raise ValueError("triangle rows start at n = 2")
+    return [
+        partial_binomial_sum(n - 1, min(k, 2 * n - 4 - k)) for k in range(2 * n - 3)
+    ]
 
 
 def row_sum_check(n: int) -> "VerificationReport":
@@ -490,59 +476,70 @@ def _k_homogeneous(n: int) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# cached building blocks
+# the per-n workbench
 
-@lru_cache(maxsize=None)
-def _ideal_I(n: int) -> Ideal:
-    return build_ideal("I", n)
+class Workbench:
+    """The artefacts that the claims at one n share, each built at most once.
+
+    Every attribute below is computed on first read and kept for the life of
+    the workbench; the Groebner runs obey ``pair_cap`` (default
+    ``DEFAULT_PAIR_CAP``).  Make one workbench per n and drop it when that n
+    is done, so nothing outlives its n.
+    """
+
+    def __init__(self, n: int, pair_cap: "int | None" = None):
+        lo, hi = SUPPORTED_RANGE
+        if not lo <= n <= hi:
+            raise ValueError(f"n={n} outside the supported range {lo}..{hi}")
+        self.n = n
+        self.pair_cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
+
+    @cached_property
+    def ideal_I(self) -> Ideal:
+        return build_ideal("I", self.n)
+
+    @cached_property
+    def ideal_K(self) -> Ideal:
+        if self.n == 2:
+            ring = xring(2)
+            return Ideal(ring, (ring.var("x1"), ring.var("x2")), homogeneous=True)
+        return _k_homogeneous(self.n)
+
+    @cached_property
+    def ideal_L(self) -> Ideal:
+        return build_ideal("L", self.n)
+
+    @cached_property
+    def ideal_Q(self) -> Ideal:
+        return build_ideal("Q", self.n)
+
+    @cached_property
+    def gb_I(self) -> GroebnerBasis:
+        return buchberger(self.ideal_I, GREVLEX, self.pair_cap)
+
+    @cached_property
+    def gb_J(self) -> GroebnerBasis:
+        """J_n = in(I_n); its minimal monomial generators are a reduced basis."""
+        init = initial_ideal(self.gb_I)
+        elems = tuple(Polynomial.monomial(m) for m in init.gens)
+        return GroebnerBasis(init.ring, GREVLEX, elems, True)
+
+    @cached_property
+    def gb_K(self) -> GroebnerBasis:
+        return buchberger(self.ideal_K, GREVLEX, self.pair_cap)
+
+    @cached_property
+    def quotient_J(self) -> QuotientAlgebra:
+        return QuotientAlgebra(self.gb_J)
+
+    @cached_property
+    def quotient_K(self) -> QuotientAlgebra:
+        return QuotientAlgebra(self.gb_K)
 
 
-@lru_cache(maxsize=None)
-def _ideal_K(n: int) -> Ideal:
-    if n == 2:
-        ring = xring(2)
-        return Ideal(ring, (ring.var("x1"), ring.var("x2")), homogeneous=True)
-    return _k_homogeneous(n)
-
-
-@lru_cache(maxsize=None)
-def _gb_I(n: int, cap: int) -> GroebnerBasis:
-    return buchberger(_ideal_I(n), GREVLEX, cap)
-
-
-@lru_cache(maxsize=None)
-def _gb_J(n: int, cap: int) -> GroebnerBasis:
-    """J_n = in(I_n); its minimal monomial generators are a reduced basis."""
-    init = initial_ideal(_gb_I(n, cap))
-    elems = tuple(Polynomial.monomial(m) for m in init.gens)
-    return GroebnerBasis(init.ring, GREVLEX, elems, True)
-
-
-@lru_cache(maxsize=None)
-def _gb_K(n: int, cap: int) -> GroebnerBasis:
-    return buchberger(_ideal_K(n), GREVLEX, cap)
-
-
-@lru_cache(maxsize=None)
-def _quotient_J(n: int, cap: int) -> QuotientAlgebra:
-    return QuotientAlgebra(_gb_J(n, cap))
-
-
-@lru_cache(maxsize=None)
-def _quotient_K(n: int, cap: int) -> QuotientAlgebra:
-    return QuotientAlgebra(_gb_K(n, cap))
-
-
-@lru_cache(maxsize=None)
-def _annihilator_g(n: int, cap: int) -> Ideal:
-    return annihilator(build_ideal("g_dual", n), pair_cap=cap)
-
-
-@lru_cache(maxsize=None)
-def challenge_series(n: int, pair_cap: "int | None" = None) -> GradedClassFunction:
+def challenge_series(wb: Workbench) -> GradedClassFunction:
     """The graded S_n-character of R_n/K_n as a class-function polynomial."""
-    cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
-    q = _quotient_K(n, cap)
+    n, q = wb.n, wb.quotient_K
     traces = {}
     for lam, _, rep in conjugacy_classes(n):
         traces[lam] = equivariant_graded_trace(q, rep)
@@ -573,9 +570,9 @@ class VerificationReport:
         return out
 
 
-@lru_cache(maxsize=None)
-def _claim_prop2_codim(n: int, cap: int):
-    dim = len(standard_monomials(_gb_I(n, cap)))
+def _claim_prop2_codim(wb: Workbench):
+    n = wb.n
+    dim = len(standard_monomials(wb.gb_I))
     c = expected_codimension(n)
     if dim != c:
         return False, f"quotient dimension {dim} != {c}"
@@ -589,8 +586,8 @@ def _claim_prop2_codim(n: int, cap: int):
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_thm1(n: int, cap: int):
+def _claim_thm1(wb: Workbench):
+    n = wb.n
     chi = xn_character(n)
     lhs = 2 * chi
     rhs = 2 * trivial_character(n) + (n - 2) * powerset_character(n)
@@ -604,9 +601,9 @@ def _claim_thm1(n: int, cap: int):
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_prop3_generators(n: int, cap: int):
-    got = set(initial_ideal(_gb_I(n, cap)).gens)
+def _claim_prop3_generators(wb: Workbench):
+    n = wb.n
+    got = set(initial_ideal(wb.gb_I).gens)
     expected = {g.leading_monomial() for g in build_ideal("J_expected", n).gens}
     if got != expected:
         ring = xring(n)
@@ -634,9 +631,9 @@ def _expected_standard_monomials(n: int) -> set:
     return out
 
 
-@lru_cache(maxsize=None)
-def _claim_prop3_basis(n: int, cap: int):
-    basis = standard_monomials(_gb_I(n, cap))
+def _claim_prop3_basis(wb: Workbench):
+    n = wb.n
+    basis = standard_monomials(wb.gb_I)
     got = set(basis.monomials)
     expected = _expected_standard_monomials(n)
     if got != expected:
@@ -646,24 +643,22 @@ def _claim_prop3_basis(n: int, cap: int):
         )
     census = [len(level) for level in basis.by_degree]
     for k, count in enumerate(census):
-        predicted = sum(comb(n - 1, l) for l in range(min(k, 2 * n - 4 - k) + 1))
+        predicted = partial_binomial_sum(n - 1, min(k, 2 * n - 4 - k))
         if count != predicted:
             return False, f"degree {k} census {count} != {predicted}"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_thm2(n: int, cap: int):
-    series = hilbert_series(standard_monomials(_gb_I(n, cap)))
-    row = bernoulli(n)
+def _claim_thm2(wb: Workbench):
+    series = hilbert_series(standard_monomials(wb.gb_I))
+    row = bernoulli(wb.n)
     if series != row:
         return False, f"Hilbert series {series} != triangle row {row}"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_thm3(n: int, cap: int):
-    q = _quotient_J(n, cap)
+def _claim_thm3(wb: Workbench):
+    n, q = wb.n, wb.quotient_J
     chars = [subset_character(n - 1, l) for l in range(n)]
     for lam, _, rep in conjugacy_classes(n - 1):
         perm = rep.extend(n)
@@ -677,37 +672,33 @@ def _claim_thm3(n: int, cap: int):
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_prop4_generators(n: int, cap: int):
-    top = top_form_ideal(_ideal_I(n), cap)
-    if not ideal_equal(top, _ideal_K(n), GREVLEX, cap):
+def _claim_prop4_generators(wb: Workbench):
+    top = top_form_ideal(wb.ideal_I, wb.pair_cap)
+    if not ideal_equal(top, wb.ideal_K, GREVLEX, wb.pair_cap):
         return False, "top-form ideal differs from the closed-form generators"
-    hj = hilbert_series(_quotient_J(n, cap).basis)
-    hk = hilbert_series(_quotient_K(n, cap).basis)
+    hj = hilbert_series(wb.quotient_J.basis)
+    hk = hilbert_series(wb.quotient_K.basis)
     if hj != hk:
         return False, f"Hilbert series differ: {hj} vs {hk}"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_thmG(n: int, cap: int):
-    dim, gorenstein = socle_dimension(_quotient_K(n, cap))
+def _claim_thmG(wb: Workbench):
+    dim, gorenstein = socle_dimension(wb.quotient_K)
     if not gorenstein:
         return False, f"socle dimension {dim}"
-    return True, f"socle dimension 1; embedding dimension {n}"
+    return True, f"socle dimension 1; embedding dimension {wb.n}"
 
 
-@lru_cache(maxsize=None)
-def _claim_inverse_system(n: int, cap: int):
-    ann = _annihilator_g(n, cap)
-    if not ideal_equal(ann, _ideal_K(n), GREVLEX, cap):
+def _claim_inverse_system(wb: Workbench):
+    ann = annihilator(build_ideal("g_dual", wb.n), pair_cap=wb.pair_cap)
+    if not ideal_equal(ann, wb.ideal_K, GREVLEX, wb.pair_cap):
         return False, "Ann(g_n) differs from K_n"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_not_gorenstein_J(n: int, cap: int):
-    q = _quotient_J(n, cap)
+def _claim_not_gorenstein_J(wb: Workbench):
+    n, q = wb.n, wb.quotient_J
     dim, gorenstein = socle_dimension(q)
     lms = q.gb.leading_monomials()
     socle_monos = [
@@ -733,15 +724,9 @@ def _claim_not_gorenstein_J(n: int, cap: int):
     return True, f"socle dimension {dim}, spanned by {witness}"
 
 
-@lru_cache(maxsize=None)
-def _appendix_L(n: int) -> Ideal:
-    return build_ideal("L", n)
-
-
-@lru_cache(maxsize=None)
-def _claim_appendix_colon(n: int, cap: int):
-    m = n - 1
-    lid = _appendix_L(n)
+def _claim_appendix_colon(wb: Workbench):
+    m, cap = wb.n - 1, wb.pair_cap
+    lid = wb.ideal_L
     kid = _k_homogeneous(m)
     colon = colon_ideal(lid, kid, cap)
     last_sq = Polynomial.monomial(tuple(2 if j == m - 1 else 0 for j in range(m)))
@@ -769,53 +754,39 @@ def _claim_appendix_colon(n: int, cap: int):
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _ideal_Q(n: int) -> Ideal:
-    return build_ideal("Q", n)
-
-
-@lru_cache(maxsize=None)
-def _claim_appendix_unprojection(n: int, cap: int):
-    q = _ideal_Q(n)
-    substituted = substitute_ideal(q, "z", q.ring.var(f"x{n}"))
+def _claim_appendix_unprojection(wb: Workbench):
+    q, k = wb.ideal_Q, wb.ideal_K
+    substituted = substitute_ideal(q, "z", q.ring.var(f"x{wb.n}"))
     lifted_k = Ideal(
-        q.ring,
-        tuple(q.ring.lift(g, _ideal_K(n).ring) for g in _ideal_K(n).gens),
-        homogeneous=True,
+        q.ring, tuple(q.ring.lift(g, k.ring) for g in k.gens), homogeneous=True
     )
-    if not ideal_equal(substituted, lifted_k, GREVLEX, cap):
+    if not ideal_equal(substituted, lifted_k, GREVLEX, wb.pair_cap):
         return False, "Q at z -> xn does not equal K"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_appendix_regularity(n: int, cap: int):
-    q = _ideal_Q(n)
-    f = q.ring.var("z") - q.ring.var(f"x{n}")
-    if not is_regular_element(q, f, cap):
+def _claim_appendix_regularity(wb: Workbench):
+    q = wb.ideal_Q
+    f = q.ring.var("z") - q.ring.var(f"x{wb.n}")
+    if not is_regular_element(q, f, wb.pair_cap):
         return False, "z - xn is a zero divisor on R[z]/Q"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_appendix_krull(n: int, cap: int):
-    m = n - 1
-    dims = (
-        krull_dim_monomial(initial_ideal(buchberger(_appendix_L(n), GREVLEX, cap))),
-        krull_dim_monomial(initial_ideal(buchberger(_k_homogeneous(m), GREVLEX, cap))),
-        krull_dim_monomial(initial_ideal(buchberger(_ideal_Q(n), GREVLEX, cap))),
-    )
+def _claim_appendix_krull(wb: Workbench):
+    ideals = (wb.ideal_L, _k_homogeneous(wb.n - 1), wb.ideal_Q)
+    gbs = [buchberger(i, GREVLEX, wb.pair_cap) for i in ideals]
+    dims = tuple(krull_dim_monomial(initial_ideal(gb)) for gb in gbs)
     if dims != (0, 0, 1):
         return False, f"Krull dimensions of in(L), in(K), in(Q) are {dims}"
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _claim_challenge(n: int, cap: int):
-    series = challenge_series(n, cap)
-    if series.at_t1() != xn_character(n):
+def _claim_challenge(wb: Workbench):
+    series = challenge_series(wb)
+    if series.at_t1() != xn_character(wb.n):
         return False, "t = 1 does not recover the point-set character"
-    if series.identity_vector() != hilbert_series(_quotient_K(n, cap).basis):
+    if series.identity_vector() != hilbert_series(wb.quotient_K.basis):
         return False, "identity class does not recover the Hilbert series"
     return True, None
 
@@ -845,20 +816,22 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def verify(claim: str, n: int, pair_cap: "int | None" = None) -> VerificationReport:
-    """Run one registered claim at one n; resource errors propagate."""
+def verify(
+    claim: str, n: int, workbench: "Workbench | None" = None
+) -> VerificationReport:
+    """Run one registered claim at one n on ``workbench`` (default: a fresh
+    ``Workbench(n)``); resource errors propagate."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    lo, hi = SUPPORTED_RANGE
-    if not lo <= n <= hi:
-        raise ValueError(f"n={n} outside the supported range {lo}..{hi}")
+    wb = Workbench(n) if workbench is None else workbench
+    if wb.n != n:
+        raise ValueError(f"workbench for n={wb.n} used to verify n={n}")
     entry = CLAIMS[claim]
     if n < entry.min_n:
         return VerificationReport(
             claim, n, "skipped", f"defined for n >= {entry.min_n}"
         )
-    cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
     start = perf_counter()
-    ok, witness = entry.fn(n, cap)
+    ok, witness = entry.fn(wb)
     millis = int((perf_counter() - start) * 1000)
     return VerificationReport(claim, n, "pass" if ok else "fail", witness, millis)

@@ -91,11 +91,7 @@ def hilbert_series(basis: StandardBasis) -> list[int]:
 
 
 class QuotientAlgebra:
-    """R/I with a fixed monomial basis and cached multiplication data.
-
-    All caches are write-once and idempotent, so instances are safe to share
-    between threads.
-    """
+    """R/I with a fixed monomial basis and cached multiplication matrices."""
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
@@ -103,8 +99,6 @@ class QuotientAlgebra:
         self._index = {m: i for i, m in enumerate(self.basis.monomials)}
         self._info = _reducer_info(gb.elements, gb.order) if gb.elements else []
         self._mult: dict[int, tuple] = {}
-        self._socle: "tuple[int, bool] | None" = None
-        self._traces: dict[tuple, list] = {}
 
     @property
     def ring(self):
@@ -146,14 +140,6 @@ class QuotientAlgebra:
         return matrix
 
 
-def coords(f: Polynomial, quotient: QuotientAlgebra) -> list:
-    return quotient.coords(f)
-
-
-def mult_matrix(quotient: QuotientAlgebra, i: int) -> tuple:
-    return quotient.mult_matrix(i)
-
-
 def _graded_socle_dimension(q: QuotientAlgebra) -> int:
     """Per-degree kernels; the socle of a graded Artinian algebra is graded,
     and multiplication by a variable raises degree by one."""
@@ -177,8 +163,6 @@ def _graded_socle_dimension(q: QuotientAlgebra) -> int:
 def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:
     """Dimension of the annihilator of (x_1, ..., x_n) in R/I, plus the
     Gorenstein verdict (socle dimension one)."""
-    if q._socle is not None:
-        return q._socle
     if q.is_graded():
         dim = _graded_socle_dimension(q)
     else:
@@ -202,8 +186,7 @@ def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:
                 for cmb in combos
             ]
         dim = len(current)
-    q._socle = (dim, dim == 1)
-    return q._socle
+    return dim, dim == 1
 
 
 def _perm_image(perm, nvars: int) -> tuple[int, ...]:
@@ -222,9 +205,6 @@ def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
     preserves degree, so the map is block diagonal over the degree levels.
     """
     image = _perm_image(perm, q.ring.nvars)
-    cached = q._traces.get(image)
-    if cached is not None:
-        return list(cached)
 
     def act(m: Monomial) -> Monomial:
         out = [0] * len(m)
@@ -245,7 +225,6 @@ def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
             nf = q.normal_form(Polynomial.monomial(act(m)))
             t += nf.terms.get(m, 0)
         traces.append(t)
-    q._traces[image] = tuple(traces)
     return traces
 
 

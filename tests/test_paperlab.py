@@ -1,10 +1,11 @@
 import pytest
 
+from artinforge import paperlab
 from artinforge.paperlab import (
     CLAIMS,
-    BernoulliTriangle,
     CyclotomicElement,
     SymbolicPoint,
+    Workbench,
     bernoulli,
     build_ideal,
     challenge_series,
@@ -12,6 +13,7 @@ from artinforge.paperlab import (
     enumerate_points,
     expected_codimension,
     identity_check,
+    partial_binomial_sum,
     row_sum_check,
     verify,
     verify_points_satisfy_ideal,
@@ -166,14 +168,16 @@ TRIANGLE_ROWS = {
 def test_triangle_rows():
     for n, row in TRIANGLE_ROWS.items():
         assert bernoulli(n) == row
+    with pytest.raises(ValueError):
+        bernoulli(1)
 
 
 def test_triangle_recursion_symmetry_increase():
-    tri = BernoulliTriangle(12)
+    b = partial_binomial_sum
     for n in range(2, 13):
         for k in range(1, n - 1):
-            assert tri.b(n - 1, k) == tri.b(n - 2, k - 1) + tri.b(n - 2, k)
-        row = tri.a_row(n)
+            assert b(n - 1, k) == b(n - 2, k - 1) + b(n - 2, k)
+        row = bernoulli(n)
         assert row == row[::-1]
         mid = n - 2
         assert all(row[k] < row[k + 1] for k in range(mid))
@@ -187,7 +191,7 @@ def test_row_sum_and_identity_checks():
 
 
 def test_middle_term_example():
-    assert BernoulliTriangle(5).a(5, 3) == 15
+    assert bernoulli(5)[3] == 15
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,25 @@ def test_verify_input_validation():
         verify("thm1", 1)
     with pytest.raises(ValueError):
         verify("thm1", 9)
+    with pytest.raises(ValueError):
+        verify("thm1", 3, Workbench(4))
+    with pytest.raises(ValueError):
+        Workbench(9)
+
+
+def test_claims_on_one_workbench_share_one_basis_of_I(monkeypatch):
+    wb = Workbench(5)
+    inputs = []
+    real = paperlab.buchberger
+
+    def counting(ideal, *args, **kwargs):
+        inputs.append(ideal)
+        return real(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(paperlab, "buchberger", counting)
+    for claim in ("prop2_codim", "prop3_basis", "prop3_generators", "thm2"):
+        assert verify(claim, 5, wb).status == "pass"
+    assert len(inputs) == 1 and inputs[0] is wb.ideal_I
 
 
 def test_verify_skips_below_minimum():
@@ -247,7 +270,7 @@ def test_every_claim_passes_for_small_n():
 
 
 def test_challenge_series_n3_exact():
-    series = challenge_series(3)
+    series = challenge_series(Workbench(3))
     values = {
         d: [cf(lam) for lam in partitions(3)] for d, cf in series.terms
     }

@@ -11,8 +11,7 @@ from artinforge.errors import (
     NotArtinianError,
 )
 from artinforge.groebner import buchberger, ideal_equal, ideal_member
-from artinforge.paperlab import _gb_J, _gb_K, build_ideal, expected_codimension
-from artinforge.groebner import DEFAULT_PAIR_CAP as CAP
+from artinforge.paperlab import Workbench, build_ideal, expected_codimension
 from artinforge.polyarith import (
     GREVLEX,
     Ideal,
@@ -25,10 +24,8 @@ from artinforge.quotient import (
     QuotientAlgebra,
     annihilator,
     contract,
-    coords,
     equivariant_graded_trace,
     hilbert_series,
-    mult_matrix,
     socle_dimension,
     standard_monomials,
 )
@@ -38,18 +35,18 @@ R3 = xring(3)
 
 
 def quotient_J(n):
-    return QuotientAlgebra(_gb_J(n, CAP))
+    return Workbench(n).quotient_J
 
 
 def quotient_K(n):
-    return QuotientAlgebra(_gb_K(n, CAP))
+    return Workbench(n).quotient_K
 
 
 # ---------------------------------------------------------------------------
 # standard monomials and Hilbert series
 
 def test_standard_monomials_J3():
-    basis = standard_monomials(_gb_J(3, CAP))
+    basis = standard_monomials(Workbench(3).gb_J)
     assert set(basis.monomials) == {
         (0, 0, 0),
         (1, 0, 0),
@@ -79,22 +76,24 @@ def test_standard_monomials_past_four_times_nvars():
 
 
 def test_hilbert_series_examples():
-    assert hilbert_series(standard_monomials(_gb_J(3, CAP))) == [1, 3, 1]
-    assert hilbert_series(standard_monomials(_gb_J(6, CAP))) == [
+    assert hilbert_series(standard_monomials(Workbench(3).gb_J)) == [1, 3, 1]
+    assert hilbert_series(standard_monomials(Workbench(6).gb_J)) == [
         1, 6, 16, 26, 31, 26, 16, 6, 1,
     ]
     for n in range(3, 6):
-        assert hilbert_series(standard_monomials(_gb_K(n, CAP))) == hilbert_series(
-            standard_monomials(_gb_J(n, CAP))
+        wb = Workbench(n)
+        assert hilbert_series(standard_monomials(wb.gb_K)) == hilbert_series(
+            standard_monomials(wb.gb_J)
         )
 
 
 def test_hilbert_palindromy_and_total_dimension():
     for n in range(2, 6):
-        h = hilbert_series(standard_monomials(_gb_K(n, CAP)))
+        wb = Workbench(n)
+        h = hilbert_series(standard_monomials(wb.gb_K))
         assert h == h[::-1]
         assert sum(h) == expected_codimension(n)
-        assert sum(hilbert_series(standard_monomials(_gb_J(n, CAP)))) == sum(h)
+        assert sum(hilbert_series(standard_monomials(wb.gb_J))) == sum(h)
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +101,17 @@ def test_hilbert_palindromy_and_total_dimension():
 
 def test_coords_examples():
     qk = quotient_K(3)
-    vec = coords(R3.poly("x1^2"), qk)
+    vec = qk.coords(R3.poly("x1^2"))
     x3sq = qk.basis.monomials.index((0, 0, 2))
     assert vec[x3sq] == 1 and sum(map(abs, vec)) == 1
-    assert coords(Polynomial.zero(3), qk) == [0] * 5
+    assert qk.coords(Polynomial.zero(3)) == [0] * 5
     qj = quotient_J(3)
-    assert coords(R3.poly("x3^3"), qj) == [0] * 5
+    assert qj.coords(R3.poly("x3^3")) == [0] * 5
 
 
 def test_mult_matrix_J3_by_x3():
     q = quotient_J(3)
-    m = mult_matrix(q, 2)
+    m = q.mult_matrix(2)
     idx = {mono: i for i, mono in enumerate(q.basis.monomials)}
     one, x3, x3sq = idx[(0, 0, 0)], idx[(0, 0, 1)], idx[(0, 0, 2)]
     x1, x2 = idx[(1, 0, 0)], idx[(0, 1, 0)]
@@ -127,7 +126,7 @@ def test_mult_matrices_commute():
     for q in (quotient_K(3), quotient_K(4), quotient_J(4)):
         n = q.ring.nvars
         d = q.dimension
-        mats = [mult_matrix(q, i) for i in range(n)]
+        mats = [q.mult_matrix(i) for i in range(n)]
 
         def mul(a, b):
             return [
@@ -142,8 +141,8 @@ def test_mult_matrices_commute():
 
 def test_trivial_quotient_mult_matrix():
     q = QuotientAlgebra(buchberger(build_ideal("I", 2)))
-    assert mult_matrix(q, 0) == ((0,),)
-    assert mult_matrix(q, 1) == ((0,),)
+    assert q.mult_matrix(0) == ((0,),)
+    assert q.mult_matrix(1) == ((0,),)
 
 
 # ---------------------------------------------------------------------------
