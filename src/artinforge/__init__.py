@@ -38,8 +38,6 @@ from .paperlab import (
     cyclotomic_poly,
     enumerate_points,
     expected_codimension,
-    identity_check,
-    row_sum_check,
     verify,
     verify_points_satisfy_ideal,
 )

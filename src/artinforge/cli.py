@@ -188,6 +188,9 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_groebner(parser, args) -> int:
     _check_n(parser, args, (args.n,))
+    if args.ideal in ("L", "Q") and args.n < 3:
+        msg = f"--ideal {args.ideal} requires n >= 3"
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {msg}\n")
     gb = _named_gb(args.ideal, args.n, _ORDERS[args.order], args.pair_cap)
     rendered = [gb.ring.fmt(g, gb.order) for g in gb.elements]
     if args.format == "json":

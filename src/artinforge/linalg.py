@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Forward elimination is fraction-free (Bareiss condensation on integer rows,
-so every intermediate entry is a minor of the input matrix), and only the
-final back-substitution for kernel vectors touches Fractions.  Matrices are
-plain lists of rows; an explicit column count allows empty matrices.
+Kernels use dense Bareiss condensation: forward elimination is fraction-free
+on integer rows, so every intermediate entry is a minor of the input
+matrix, and only the final back-substitution touches Fractions.  These
+matrices are plain lists of rows; an explicit column count allows empty
+ones.  :func:`rank` works on sparse rows instead, for matrices with few
+nonzeros per row, such as stacked multiplication matrices.
 """
 
 from __future__ import annotations
@@ -16,12 +18,8 @@ def _int_rows(rows):
     """Scale each row by the lcm of its denominators; kernels are unchanged."""
     out = []
     for row in rows:
-        denoms = [c.denominator for c in row if isinstance(c, Fraction)]
-        if denoms:
-            scale = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-            out.append([int(c * scale) if isinstance(c, Fraction) else c * scale for c in row])
-        else:
-            out.append(list(row))
+        scale = lcm(*(c.denominator for c in row))
+        out.append([int(c * scale) for c in row])
     return out
 
 
@@ -54,18 +52,51 @@ def _echelon(rows, ncols):
     return m[:r], pivots
 
 
-def rank(rows, ncols: int) -> int:
-    return len(_echelon(rows, ncols)[1])
+def rank(rows) -> int:
+    """Rank of a sparse matrix given as rows ``{column: value}``; columns
+    may be any hashable keys.
+
+    Fraction-free elimination: each row is scaled to integers first, and a
+    pivot clears its column only from the rows that have an entry there.
+    The pivot column of a row is the one fewest other rows touch, and every
+    combined row is divided by its content, which keeps entries small.
+    """
+    live: dict = {}
+    touching: dict = {}
+    for k, row in enumerate(rows):
+        scale = lcm(*(v.denominator for v in row.values()))
+        live[k] = {c: int(v * scale) for c, v in row.items() if v}
+        for c in live[k]:
+            touching.setdefault(c, set()).add(k)
+    found = 0
+    while live:
+        k, row = live.popitem()
+        if not row:
+            continue
+        found += 1
+        for c in row:
+            touching[c].discard(k)
+        col = min(row, key=lambda c: len(touching[c]))
+        for j in sorted(touching[col]):
+            other = live[j]
+            new = {c: row[col] * v for c, v in other.items()}
+            for c, v in row.items():
+                new[c] = new.get(c, 0) - other[col] * v
+            new = {c: v for c, v in new.items() if v}
+            for c in other.keys() - new.keys():
+                touching[c].discard(j)
+            for c in new.keys() - other.keys():
+                touching[c].add(j)
+            content = gcd(*new.values())
+            live[j] = {c: v // content for c, v in new.items()}
+    return found
 
 
 def _primitive(vec):
     """Clear denominators and divide by the content; first nonzero entry > 0."""
-    denoms = [c.denominator for c in vec if isinstance(c, Fraction)]
-    scale = lcm(*denoms) if len(denoms) > 1 else (denoms[0] if denoms else 1)
+    scale = lcm(*(c.denominator for c in vec))
     ints = [int(c * scale) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     lead = next((c for c in ints if c), 0)

@@ -115,34 +115,6 @@ def bernoulli(n: int) -> list[int]:
     ]
 
 
-def row_sum_check(n: int) -> "VerificationReport":
-    start = perf_counter()
-    total = sum(bernoulli(n))
-    expected = expected_codimension(n)
-    ok = total == expected
-    return VerificationReport(
-        "row_sum",
-        n,
-        "pass" if ok else "fail",
-        None if ok else f"row sum {total} != {expected}",
-        int((perf_counter() - start) * 1000),
-    )
-
-
-def identity_check(n: int) -> "VerificationReport":
-    start = perf_counter()
-    lhs = sum((2 * j + 1) * comb(n - 1, n - 2 - j) for j in range(n - 1))
-    expected = expected_codimension(n)
-    ok = lhs == expected
-    return VerificationReport(
-        "identity",
-        n,
-        "pass" if ok else "fail",
-        None if ok else f"weighted binomial sum {lhs} != {expected}",
-        int((perf_counter() - start) * 1000),
-    )
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 

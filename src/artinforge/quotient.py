@@ -1,10 +1,12 @@
 """Artinian quotient toolkit.
 
 Everything here works inside R/I presented by a reduced Groebner basis: the
-staircase complement (standard monomials) is the vector-space basis, normal
-forms give coordinates, and multiplication matrices feed the socle and
-equivariant trace computations.  The dual side (contraction action and
-annihilators of dual polynomials) realises Macaulay's inverse systems.
+staircase complement (standard monomials) is the vector-space basis, and one
+lazily filled table of normal forms per :class:`QuotientAlgebra`, built from
+the border NF(x_i * b), gives coordinates, multiplication matrices, the
+socle (by sparse exact rank) and the equivariant traces.  The dual side
+(contraction action and annihilators of dual polynomials) realises
+Macaulay's inverse systems.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .polyarith import (
     Ideal,
     Monomial,
     Polynomial,
+    _norm_coeff,
     _normal_form,
     _reducer_info,
     mono_div,
@@ -47,6 +50,10 @@ class StandardBasis:
         return iter(self.monomials)
 
 
+def _shift(m: Monomial, i: int, step: int) -> Monomial:
+    return m[:i] + (m[i] + step,) + m[i + 1 :]
+
+
 def _next_level(level, lms, key) -> list:
     """The standard monomials one degree above ``level``, sorted by ``key``:
     the staircase is closed under division, so each one is a variable times
@@ -54,7 +61,7 @@ def _next_level(level, lms, key) -> list:
     nxt = set()
     for m in level:
         for i in range(len(m)):
-            up = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            up = _shift(m, i, 1)
             if up not in nxt and not any(mono_divides(lm, up) for lm in lms):
                 nxt.add(up)
     return sorted(nxt, key=key)
@@ -91,14 +98,23 @@ def hilbert_series(basis: StandardBasis) -> list[int]:
 
 
 class QuotientAlgebra:
-    """R/I with a fixed monomial basis and cached multiplication matrices."""
+    """R/I with a fixed monomial basis and one table of normal forms.
+
+    ``_table`` maps a monomial to its normal form as a sparse coordinate
+    vector ``{basis index: coeff}`` and fills on demand.  A standard
+    monomial is its own unit vector.  A border monomial (some m/x_i is
+    standard) is divided once, through :meth:`normal_form`.  Any other
+    monomial m is reduced through its last variable x_i with m_i > 0:
+    NF(m) = sum of c_b NF(x_i b) over the terms c_b b of NF(m/x_i), and each
+    x_i b is standard or on the border, so no further division happens.
+    """
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.basis = standard_monomials(gb)
         self._index = {m: i for i, m in enumerate(self.basis.monomials)}
         self._info = _reducer_info(gb.elements, gb.order) if gb.elements else []
-        self._mult: dict[int, tuple] = {}
+        self._table = {m: {i: 1} for m, i in self._index.items()}
 
     @property
     def ring(self):
@@ -108,84 +124,65 @@ class QuotientAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def is_graded(self) -> bool:
-        return all(g.is_homogeneous() for g in self.gb.elements)
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         nf, _ = _normal_form(f.terms, self._info, self.gb.order)
         return Polynomial(f.nvars, nf)
 
+    def vector(self, m: Monomial) -> dict:
+        """NF(m) as ``{basis index: coeff}``; shared, do not mutate."""
+        table, index = self._table, self._index
+        chain = []  # (m, i) down to a known or border monomial, no recursion
+        while m not in table:
+            support = [i for i, e in enumerate(m) if e]
+            if not support or any(_shift(m, i, -1) in index for i in support):
+                nf = self.normal_form(Polynomial.monomial(m))
+                table[m] = {index[t]: c for t, c in nf.terms.items()}
+                break
+            chain.append((m, support[-1]))
+            m = _shift(m, support[-1], -1)
+        basis = self.basis.monomials
+        for up, i in reversed(chain):
+            below = table[m].items()
+            table[up] = self.combine((_shift(basis[b], i, 1), c) for b, c in below)
+            m = up
+        return table[m]
+
+    def combine(self, terms) -> dict:
+        """NF of the sum of c*m over (m, c) in ``terms``, as a vector."""
+        out: dict = {}
+        for m, c in terms:
+            for r, v in self.vector(m).items():
+                out[r] = out.get(r, 0) + c * v
+        return {r: _norm_coeff(v) for r, v in out.items() if v}
+
     def coords(self, f: Polynomial) -> list:
         """Coefficient vector of the normal form in the standard basis."""
-        nf = self.normal_form(f)
-        vec = [0] * self.dimension
-        for m, c in nf.terms.items():
-            vec[self._index[m]] = c
-        return vec
+        vec = self.combine(f.terms.items())
+        return [vec.get(r, 0) for r in range(self.dimension)]
 
     def mult_matrix(self, i: int) -> tuple:
         """Multiplication by the i-th variable; column j holds the
-        coordinates of x_i * basis_j.  Rows of the returned tuple are
-        immutable tuples."""
-        cached = self._mult.get(i)
-        if cached is not None:
-            return cached
-        n = self.dimension
-        cols = []
-        for m in self.basis.monomials:
-            up = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            cols.append(self.coords(Polynomial.monomial(up)))
-        matrix = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-        self._mult[i] = matrix
-        return matrix
-
-
-def _graded_socle_dimension(q: QuotientAlgebra) -> int:
-    """Per-degree kernels; the socle of a graded Artinian algebra is graded,
-    and multiplication by a variable raises degree by one."""
-    levels = q.basis.by_degree
-    nv = q.ring.nvars
-    total = 0
-    for d, level in enumerate(levels):
-        target = levels[d + 1] if d + 1 < len(levels) else ()
-        target_index = {m: r for r, m in enumerate(target)}
-        rows = [[0] * len(level) for _ in range(nv * len(target))]
-        for j, m in enumerate(level):
-            for i in range(nv):
-                up = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                nf = q.normal_form(Polynomial.monomial(up))
-                for mono, c in nf.terms.items():
-                    rows[i * len(target) + target_index[mono]][j] = c
-        total += len(linalg.kernel_basis(rows, len(level)))
-    return total
+        coordinates of x_i * basis_j.  Rows are immutable tuples."""
+        cols = [self.vector(_shift(m, i, 1)) for m in self.basis.monomials]
+        return tuple(
+            tuple(col.get(r, 0) for col in cols) for r in range(self.dimension)
+        )
 
 
 def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:
     """Dimension of the annihilator of (x_1, ..., x_n) in R/I, plus the
-    Gorenstein verdict (socle dimension one)."""
-    if q.is_graded():
-        dim = _graded_socle_dimension(q)
-    else:
-        # intersect the kernels of the multiplication matrices iteratively
-        n = q.dimension
-        current = [[1 if r == s else 0 for r in range(n)] for s in range(n)]
-        for i in range(q.ring.nvars):
-            if not current:
-                break
-            m = q.mult_matrix(i)
-            rows = [
-                [sum(m[r][k] * v[k] for k in range(n) if v[k]) for v in current]
-                for r in range(n)
-            ]
-            combos = linalg.kernel_basis(rows, len(current))
-            current = [
-                [
-                    sum(cmb[s] * current[s][r] for s in range(len(current)))
-                    for r in range(n)
-                ]
-                for cmb in combos
-            ]
-        dim = len(current)
+    Gorenstein verdict (socle dimension one).
+
+    The socle is the kernel of the stacked multiplication matrices
+    [M_1; ...; M_n], so its dimension is dim - rank of the vectors
+    {(i, r): NF(x_i b)_r}, one per basis element b.
+    """
+    nv = q.ring.nvars
+    rows = [
+        {(i, r): c for i in range(nv) for r, c in q.vector(_shift(b, i, 1)).items()}
+        for b in q.basis.monomials
+    ]
+    dim = q.dimension - linalg.rank(rows)
     return dim, dim == 1
 
 
@@ -201,7 +198,7 @@ def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
     permuting the variables.
 
     The permutation must leave the defining ideal invariant (checked by
-    reducing the image of every basis element); permuting variables
+    reducing the image of every Groebner basis element); permuting variables
     preserves degree, so the map is block diagonal over the degree levels.
     """
     image = _perm_image(perm, q.ring.nvars)
@@ -213,19 +210,14 @@ def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
         return tuple(out)
 
     for g in q.gb.elements:
-        moved = Polynomial(g.nvars, {act(m): c for m, c in g.terms.items()})
-        if q.normal_form(moved):
+        if q.combine((act(m), c) for m, c in g.terms.items()):
             raise EquivarianceError(
                 "defining ideal is not invariant under the permutation"
             )
-    traces = []
-    for level in q.basis.by_degree:
-        t = 0
-        for m in level:
-            nf = q.normal_form(Polynomial.monomial(act(m)))
-            t += nf.terms.get(m, 0)
-        traces.append(t)
-    return traces
+    return [
+        sum(q.vector(act(m)).get(q._index[m], 0) for m in level)
+        for level in q.basis.by_degree
+    ]
 
 
 # ---------------------------------------------------------------------------

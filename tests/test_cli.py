@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from artinforge import cli, paperlab
 
@@ -176,6 +177,13 @@ def test_groebner_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 3 and len(payload["basis"]) == 6
+
+
+@pytest.mark.parametrize("ideal", ["L", "Q"])
+def test_groebner_below_n3_is_usage_error(capsys, ideal):
+    code, out, err = run(capsys, "groebner", "--ideal", ideal, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"artinforge: error: --ideal {ideal} requires n >= 3\n"
 
 
 def test_socle_subcommand(capsys):

@@ -41,10 +41,25 @@ def matrices(draw):
     return rows, ncols
 
 
+def sparse(rows):
+    """Dense rows as ``{column: value}`` dicts, zero entries left out."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
 @given(matrices())
 def test_rank_matches_gauss(mat):
     rows, ncols = mat
-    assert rank(rows, ncols) == gauss_rank(rows, ncols)
+    assert rank(sparse(rows)) == gauss_rank(rows, ncols)
+    # explicit zeros and empty rows change nothing
+    padded = [dict(enumerate(row)) for row in rows] + [{}]
+    assert rank(padded) == gauss_rank(rows, ncols)
+
+
+def test_rank_with_fractions_empty_rows_and_tuple_columns():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert rank([{0: half, 1: third}, {}, {0: 3, 1: 2}]) == 1
+    assert rank([{(0, 1): half}, {(1, 0): third}, {(0, 1): 1, (1, 0): 1}]) == 2
+    assert rank([{}, {}]) == 0
 
 
 @given(matrices())
@@ -65,10 +80,10 @@ def test_kernel_vectors_annihilate_and_span(mat):
 def test_identity_has_trivial_kernel():
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert kernel_basis(eye, 4) == []
-    assert rank(eye, 4) == 4
+    assert rank(sparse(eye)) == 4
 
 
 def test_zero_and_empty_matrices():
     assert kernel_basis([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
     assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rank([], 3) == 0
+    assert rank([]) == 0

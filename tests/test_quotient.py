@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,8 +15,10 @@ from artinforge.groebner import buchberger, ideal_equal, ideal_member
 from artinforge.paperlab import Workbench, build_ideal, expected_codimension
 from artinforge.polyarith import (
     GREVLEX,
+    LEX,
     Ideal,
     Polynomial,
+    mono_divides,
     monomials_of_degree,
     xring,
     yring,
@@ -29,7 +32,7 @@ from artinforge.quotient import (
     socle_dimension,
     standard_monomials,
 )
-from artinforge.reptheory import Permutation
+from artinforge.reptheory import Permutation, conjugacy_classes
 
 R3 = xring(3)
 
@@ -158,22 +161,15 @@ def test_socle_examples():
     )
 
 
-def test_socle_generic_path_matches_graded_path(monkeypatch):
-    fresh = quotient_K(4)
-    graded = socle_dimension(QuotientAlgebra(fresh.gb))
-    q = QuotientAlgebra(fresh.gb)
-    monkeypatch.setattr(QuotientAlgebra, "is_graded", lambda self: False)
-    assert socle_dimension(q) == graded
-
-
 def test_socle_of_reduced_points_is_the_origin_line():
-    # inhomogeneous case exercises the mult-matrix intersection path
+    # an inhomogeneous ideal: the socle rank sees no grading either way
     q = QuotientAlgebra(buchberger(build_ideal("I", 3)))
-    assert not q.is_graded()
+    assert not all(g.is_homogeneous() for g in q.gb.elements)
     assert socle_dimension(q) == (1, True)
 
 
-def test_socle_invariant_under_variable_relabelling():
+def relabelled_K4():
+    """R/K_4 with x1 <-> x2 and x3 <-> x4 swapped in the generators."""
     base = build_ideal("K_expected", 4)
     ring = base.ring
     relabel = {0: 1, 1: 0, 2: 3, 3: 2}
@@ -187,8 +183,11 @@ def test_socle_invariant_under_variable_relabelling():
         )
         for g in base.gens
     )
-    q = QuotientAlgebra(buchberger(Ideal(ring, gens)))
-    assert socle_dimension(q) == socle_dimension(quotient_K(4))
+    return QuotientAlgebra(buchberger(Ideal(ring, gens)))
+
+
+def test_socle_invariant_under_variable_relabelling():
+    assert socle_dimension(relabelled_K4()) == socle_dimension(quotient_K(4))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +227,235 @@ def test_trace_depends_only_on_conjugacy_class():
         tau = Permutation(tuple(image))
         conj = tau * sigma * tau.inverse()
         assert equivariant_graded_trace(q, conj) == base
+
+
+# ---------------------------------------------------------------------------
+# the border table against the per-call normal forms it replaced
+
+# The original consumers, one division per monomial asked for, kept verbatim
+# (with q.normal_form and q.mult_matrix spelled as reference calls) as the
+# reference for the table-driven versions.
+def reference_coords(q, f: Polynomial) -> list:
+    """Coefficient vector of the normal form in the standard basis."""
+    nf = q.normal_form(f)
+    vec = [0] * q.dimension
+    for m, c in nf.terms.items():
+        vec[q._index[m]] = c
+    return vec
+
+
+def reference_mult_matrix(q, i: int) -> tuple:
+    """Multiplication by the i-th variable; column j holds the
+    coordinates of x_i * basis_j.  Rows of the returned tuple are
+    immutable tuples."""
+    n = q.dimension
+    cols = []
+    for m in q.basis.monomials:
+        up = m[:i] + (m[i] + 1,) + m[i + 1 :]
+        cols.append(reference_coords(q, Polynomial.monomial(up)))
+    return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
+
+
+def reference_graded_socle_dimension(q) -> int:
+    """Per-degree kernels; the socle of a graded Artinian algebra is graded,
+    and multiplication by a variable raises degree by one."""
+    levels = q.basis.by_degree
+    nv = q.ring.nvars
+    total = 0
+    for d, level in enumerate(levels):
+        target = levels[d + 1] if d + 1 < len(levels) else ()
+        target_index = {m: r for r, m in enumerate(target)}
+        rows = [[0] * len(level) for _ in range(nv * len(target))]
+        for j, m in enumerate(level):
+            for i in range(nv):
+                up = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                nf = q.normal_form(Polynomial.monomial(up))
+                for mono, c in nf.terms.items():
+                    rows[i * len(target) + target_index[mono]][j] = c
+        total += len(linalg.kernel_basis(rows, len(level)))
+    return total
+
+
+def reference_intersection_socle_dimension(q) -> int:
+    """Intersect the kernels of the multiplication matrices iteratively."""
+    n = q.dimension
+    current = [[1 if r == s else 0 for r in range(n)] for s in range(n)]
+    for i in range(q.ring.nvars):
+        if not current:
+            break
+        m = reference_mult_matrix(q, i)
+        rows = [
+            [sum(m[r][k] * v[k] for k in range(n) if v[k]) for v in current]
+            for r in range(n)
+        ]
+        combos = linalg.kernel_basis(rows, len(current))
+        current = [
+            [
+                sum(cmb[s] * current[s][r] for s in range(len(current)))
+                for r in range(n)
+            ]
+            for cmb in combos
+        ]
+    return len(current)
+
+
+def reference_equivariant_graded_trace(q, perm) -> list:
+    image = tuple(getattr(perm, "image", perm))
+
+    def act(m):
+        out = [0] * len(m)
+        for i, e in enumerate(m):
+            out[image[i]] = e
+        return tuple(out)
+
+    for g in q.gb.elements:
+        moved = Polynomial(g.nvars, {act(m): c for m, c in g.terms.items()})
+        if q.normal_form(moved):
+            raise EquivarianceError(
+                "defining ideal is not invariant under the permutation"
+            )
+    traces = []
+    for level in q.basis.by_degree:
+        t = 0
+        for m in level:
+            nf = q.normal_form(Polynomial.monomial(act(m)))
+            t += nf.terms.get(m, 0)
+        traces.append(t)
+    return traces
+
+
+def assert_matches_reference(q, polys=(), perms=()):
+    """Every table-driven consumer equals its per-call reference on q."""
+    nv = q.ring.nvars
+    for i in range(nv):
+        assert q.mult_matrix(i) == reference_mult_matrix(q, i)
+    for f in polys:
+        assert q.coords(f) == reference_coords(q, f)
+    dim = reference_intersection_socle_dimension(q)
+    if all(g.is_homogeneous() for g in q.gb.elements):
+        assert reference_graded_socle_dimension(q) == dim
+    assert socle_dimension(q) == (dim, dim == 1)
+    for perm in perms:
+        try:
+            expected = reference_equivariant_graded_trace(q, perm)
+        except EquivarianceError:
+            with pytest.raises(EquivarianceError):
+                equivariant_graded_trace(q, perm)
+        else:
+            assert equivariant_graded_trace(q, perm) == expected
+
+
+def _sample_polys(q, rng, count=6):
+    """Random polynomials over monomials up to one degree past the top."""
+    nv = q.ring.nvars
+    top = len(q.basis.by_degree)
+    monos = [m for d in range(top + 1) for m in monomials_of_degree(nv, d)]
+    return [
+        Polynomial(nv, {rng.choice(monos): rng.randint(-3, 3) for _ in range(4)})
+        for _ in range(count)
+    ]
+
+
+def _sample_perms(nv, rng, count=3):
+    out = [Permutation.identity(nv)]
+    for _ in range(count):
+        image = list(range(nv))
+        rng.shuffle(image)
+        out.append(Permutation(tuple(image)))
+    return out
+
+
+def test_table_matches_reference_on_J_and_K():
+    rng = random.Random(4)
+    for n in range(2, 7):
+        wb = Workbench(n)
+        for q in (wb.quotient_J, wb.quotient_K):
+            perms = [rep.extend(n) for _, _, rep in conjugacy_classes(n - 1)]
+            perms += [rep for _, _, rep in conjugacy_classes(n)]
+            assert_matches_reference(q, _sample_polys(q, rng), perms)
+
+
+def test_table_matches_reference_on_points_and_relabelled_K4():
+    rng = random.Random(5)
+    for n in (3, 4):
+        q = QuotientAlgebra(buchberger(build_ideal("I", n)))
+        assert not all(g.is_homogeneous() for g in q.gb.elements)
+        # far past the recursion limit: the table fills by a loop
+        deep = Polynomial(n, {(1500,) + (1,) * (n - 1): 1})
+        polys = _sample_polys(q, rng) + [deep]
+        assert_matches_reference(q, polys, _sample_perms(n, rng))
+    assert_matches_reference(
+        relabelled_K4(), _sample_polys(relabelled_K4(), rng), _sample_perms(4, rng)
+    )
+
+
+def test_table_divides_each_border_monomial_once():
+    q = quotient_K(5)
+    calls = []
+    real = q.normal_form
+    q.normal_form = lambda f: calls.append(f) or real(f)
+    socle_dimension(q)
+    for lam, _, rep in conjugacy_classes(5):
+        equivariant_graded_trace(q, rep)
+    divided = [next(iter(f.terms)) for f in calls]
+    assert len(divided) == len(set(divided)) <= q.dimension * 5
+    assert all(
+        m not in q.basis.monomials
+        and any(
+            e and m[:i] + (m[i] - 1,) + m[i + 1 :] in q.basis.monomials
+            for i, e in enumerate(m)
+        )
+        for m in divided
+    )
+
+
+coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -3]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
+)
+
+
+@st.composite
+def artinian_ideals(draw):
+    """Pure powers of every variable plus one to three binomials in two
+    incomparable monomials, with integer or Fraction coefficients."""
+    nv = draw(st.integers(2, 3))
+    ring = xring(nv)
+    monos = list(itertools.product(range(3), repeat=nv))
+    pairs = [
+        (a, b)
+        for a in monos
+        for b in monos
+        if not mono_divides(a, b) and not mono_divides(b, a)
+    ]
+    random.Random(nv).shuffle(pairs)  # no bias towards small exponents
+    gens = [
+        Polynomial.monomial(
+            tuple(draw(st.integers(2, 4)) if j == i else 0 for j in range(nv))
+        )
+        for i in range(nv)
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.sampled_from(pairs))
+        gens.append(Polynomial(nv, {a: draw(coefficients), b: draw(coefficients)}))
+    order = draw(st.sampled_from([GREVLEX, LEX]))
+    return buchberger(Ideal(ring, tuple(g for g in gens if g)), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_ideals(), st.randoms(use_true_random=False))
+def test_table_matches_reference_on_random_artinian_ideals(gb, rng):
+    q = QuotientAlgebra(gb)
+    nv = q.ring.nvars
+    assert_matches_reference(q, _sample_polys(q, rng), _sample_perms(nv, rng))
+
+
+def test_table_handles_a_non_monic_binomial():
+    ring = xring(2)
+    gens = (ring.poly("x1*x2 + 2*x2^2"), ring.poly("x1^3"), ring.poly("x2^3"))
+    for order in (GREVLEX, LEX):
+        q = QuotientAlgebra(buchberger(Ideal(ring, gens), order))
+        assert_matches_reference(q, [ring.poly("x1^2*x2 + 1/3*x2^2")])
 
 
 # ---------------------------------------------------------------------------
