@@ -16,6 +16,7 @@ from .groebner import (
     buchberger,
     colon_ideal,
     eliminate,
+    hilbert_numerator,
     ideal_equal,
     ideal_member,
     initial_ideal,

@@ -6,13 +6,15 @@ elements are fully tail-reduced, and the final basis is minimalised,
 interreduced, made monic and sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
+Colon ideals go through elimination; regular-element tests do not, they
+compare Hilbert series numerators of initial ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .errors import AmbientMismatchError, NonReducedBasisError, ResourceLimitError
 from .polyarith import (
@@ -61,12 +63,11 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        uniq = sorted(set(self.gens), key=GREVLEX.key)
-        minimal = [
-            m
-            for m in uniq
-            if not any(o != m and mono_divides(o, m) for o in uniq)
-        ]
+        # a proper divisor has lower degree, so it sorts first
+        minimal: list[Monomial] = []
+        for m in sorted(set(self.gens), key=GREVLEX.key):
+            if not any(mono_divides(o, m) for o in minimal):
+                minimal.append(m)
         object.__setattr__(self, "gens", tuple(minimal))
 
     def contains_monomial(self, m: Monomial) -> bool:
@@ -197,17 +198,13 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal(gb.ring, gb.leading_monomials())
 
 
-def top_form_ideal(ideal: Ideal, pair_cap: "int | None" = None) -> Ideal:
-    """The ideal of top-degree forms of all elements.
-
-    GRevLex refines the degree filtration, so the top forms of a GRevLex
-    Groebner basis generate it.
-    """
-    if ideal.is_zero:
-        return Ideal(ideal.ring, (), homogeneous=True)
-    gb = buchberger(ideal, GREVLEX, pair_cap)
+def top_form_ideal(gb: GroebnerBasis) -> Ideal:
+    """The top-degree forms of the ideal with GRevLex basis ``gb``: GRevLex
+    refines the degree filtration, so the top forms of the basis generate it."""
+    if gb.order != GREVLEX:
+        raise ValueError("top_form_ideal needs a GRevLex basis")
     tops = tuple(g.top_degree_part() for g in gb.elements)
-    return Ideal(ideal.ring, tops, homogeneous=True)
+    return Ideal(gb.ring, tops, homogeneous=True)
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -330,13 +327,22 @@ def substitute_ideal(ideal: Ideal, name: str, value: Polynomial) -> Ideal:
 
 
 def is_regular_element(
-    ideal: Ideal, f: Polynomial, pair_cap: "int | None" = None
+    gb: GroebnerBasis, f: Polynomial, pair_cap: "int | None" = None
 ) -> bool:
-    """True when f is a non zero-divisor on R/I, i.e. (I : f) = I."""
+    """True when the form f of degree d is a non zero-divisor on S/I, for
+    ``gb`` a reduced basis of the homogeneous ideal I.  By the exact sequence
+    0 -> ((I:f)/I)(-d) -> (S/I)(-d) -> S/I -> S/(I+f) -> 0 that holds exactly
+    when HS(S/(I+f)) = (1 - t^d) HS(S/I), read off the initial ideals.  f goes
+    first into the completion of I + f, so the basis enters reduced by it.
+    """
     if not f:
         raise ValueError("regularity of the zero element is undefined")
-    quotient = colon_ideal(ideal, Ideal(ideal.ring, (f,)), pair_cap)
-    return ideal_equal(quotient, ideal, GREVLEX, pair_cap)
+    if not all(g.is_homogeneous() for g in gb.elements + (f,)):
+        raise ValueError("the Hilbert-series regularity test needs homogeneous input")
+    joint = buchberger(Ideal(gb.ring, (f,) + gb.elements), gb.order, pair_cap)
+    num = hilbert_numerator(initial_ideal(gb))
+    shifted = [0] * f.total_degree() + [-c for c in num]
+    return hilbert_numerator(initial_ideal(joint)) == _add(num, shifted)
 
 
 def krull_dim_monomial(m_ideal: MonomialIdeal) -> int:
@@ -353,3 +359,32 @@ def krull_dim_monomial(m_ideal: MonomialIdeal) -> int:
             if all(not sup <= s for sup in supports):
                 return size
     return 0
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """a + b for ascending coefficient lists, without trailing zeros."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def hilbert_numerator(m_ideal: MonomialIdeal) -> list[int]:
+    """The K(t) with HS(S/M) = K(t)/(1-t)^nvars, as ascending integer
+    coefficients without trailing zeros ([] for the unit ideal).  Following
+    Bayer-Stillman, if x_i divides two generators and e is its least exponent
+    there, N(M) = N(M + <x_i^e>) + t^e N(M : x_i^e); pairwise coprime
+    generators give prod (1 - t^deg g)."""
+    ring, gens = m_ideal.ring, m_ideal.gens
+    counts = [sum(1 for g in gens if g[i]) for i in range(ring.nvars)]
+    if max(counts, default=0) < 2:
+        num = [1]
+        for g in gens:
+            num = _add(num, [0] * sum(g) + [-c for c in num])
+        return num
+    i = counts.index(max(counts))
+    e = min(g[i] for g in gens if g[i])
+    plus = gens + (tuple(e if j == i else 0 for j in range(ring.nvars)),)
+    colon = tuple(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    rest = [0] * e + hilbert_numerator(MonomialIdeal(ring, colon))
+    return _add(hilbert_numerator(MonomialIdeal(ring, plus)), rest)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from artinforge.errors import (
     AmbientMismatchError,
@@ -15,6 +17,7 @@ from artinforge.groebner import (
     colon_ideal,
     eliminate,
     exact_divide,
+    hilbert_numerator,
     ideal_equal,
     ideal_member,
     initial_ideal,
@@ -137,12 +140,19 @@ def test_top_form_ideal_of_I3():
         "x1^2 - x3^2", "x2^2 - x3^2", "x2*x3", "x1*x3", "x1*x2",
         homogeneous=True,
     )
-    assert ideal_equal(top_form_ideal(build_ideal("I", 3)), expected)
+    top = top_form_ideal(buchberger(build_ideal("I", 3)))
+    assert ideal_equal(top, expected)
 
 
 def test_top_form_fixes_homogeneous_ideals():
     ideal = ideal3("x1^2 - x2*x3", "x3^3", homogeneous=True)
-    assert ideal_equal(top_form_ideal(ideal), ideal)
+    assert ideal_equal(top_form_ideal(buchberger(ideal)), ideal)
+
+
+def test_top_form_ideal_needs_a_grevlex_basis():
+    assert top_form_ideal(buchberger(Ideal(R3, ()))).is_zero
+    with pytest.raises(ValueError):
+        top_form_ideal(buchberger(build_ideal("I", 3), LEX))
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +350,115 @@ def test_exact_divide():
 # ---------------------------------------------------------------------------
 # regularity and Krull dimension
 
+def reference_is_regular_element(
+    ideal: Ideal, f: Polynomial, pair_cap: "int | None" = None
+) -> bool:
+    """True when f is a non zero-divisor on R/I, i.e. (I : f) = I."""
+    if not f:
+        raise ValueError("regularity of the zero element is undefined")
+    quotient = colon_ideal(ideal, Ideal(ideal.ring, (f,)), pair_cap)
+    return ideal_equal(quotient, ideal, GREVLEX, pair_cap)
+
+
 def test_regularity_examples():
     q4 = build_ideal("Q", 4)
     f = q4.ring.var("z") - q4.ring.var("x4")
-    assert is_regular_element(q4, f)
-    assert not is_regular_element(ideal3("x1^2"), R3.poly("x1"))
-    assert is_regular_element(Ideal(R3, ()), R3.poly("x1"))
+    assert is_regular_element(buchberger(q4), f)
+    assert not is_regular_element(buchberger(ideal3("x1^2")), R3.poly("x1"))
+    assert is_regular_element(buchberger(Ideal(R3, ())), R3.poly("x1"))
+    assert is_regular_element(buchberger(ideal3("1")), R3.poly("x1"))
     with pytest.raises(ValueError):
-        is_regular_element(ideal3("x1"), Polynomial.zero(3))
+        is_regular_element(buchberger(ideal3("x1")), Polynomial.zero(3))
+
+
+def test_regularity_rejects_inhomogeneous_input():
+    with pytest.raises(ValueError):
+        is_regular_element(buchberger(ideal3("x1^2")), R3.poly("x1 + 1"))
+    with pytest.raises(ValueError):
+        is_regular_element(buchberger(build_ideal("I", 3)), R3.poly("x1"))
+
+
+@st.composite
+def regularity_cases(draw):
+    """A homogeneous ideal of monomials and binomials of degree <= 3 in two
+    or three variables, and a linear or quadratic form f.  A third of the
+    time f is a variable of a monomial generator (almost always a
+    zero-divisor); overall about half the cases are zero-divisors."""
+    nv = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(nv, draw(st.integers(1, 3)))
+        a, b = draw(st.sampled_from(monos)), draw(st.sampled_from(monos))
+        c = draw(st.sampled_from([0, 0, -1, 1, 2]))
+        gens.append(Polynomial(nv, {a: 1} if a == b else {a: 1, b: c}))
+    monomial_gens = [g for g in gens if len(g.terms) == 1]
+    if monomial_gens and draw(st.integers(0, 2)) == 0:
+        (mono,) = draw(st.sampled_from(monomial_gens)).terms
+        i = draw(st.sampled_from([i for i, e in enumerate(mono) if e]))
+        f = Polynomial.variable(nv, i)
+    else:
+        monos = monomials_of_degree(nv, draw(st.integers(1, 2)))
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos))
+        f = Polynomial(nv, dict(zip(monos, draw(coeffs.filter(any)))))
+    return Ideal(xring(nv), tuple(gens), homogeneous=True), f
+
+
+@given(regularity_cases())
+def test_regularity_matches_colon_reference(case):
+    ideal, f = case
+    assert is_regular_element(buchberger(ideal), f) == reference_is_regular_element(
+        ideal, f
+    )
+
+
+def times_one_minus_t(p, power):
+    for _ in range(power):
+        p = [c - (p[k - 1] if k else 0) for k, c in enumerate(p + [0])]
+    return p
+
+
+def brute_force_numerator(m_ideal, top):
+    """(1-t)^nvars times the count of monomials outside M, degrees 0..top."""
+    nv = m_ideal.ring.nvars
+    series = [
+        sum(not m_ideal.contains_monomial(m) for m in monomials_of_degree(nv, d))
+        for d in range(top + 1)
+    ]
+    return times_one_minus_t(series, nv)[: top + 1]
+
+
+@st.composite
+def monomial_ideals(draw):
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    gens = draw(st.lists(exps, max_size=4))
+    if draw(st.booleans()):  # Artinian: a pure power of every variable
+        gens += [
+            tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(nv))
+            for i in range(nv)
+        ]
+    return MonomialIdeal(xring(nv), tuple(gens))
+
+
+@given(monomial_ideals())
+def test_hilbert_numerator_matches_brute_force(m_ideal):
+    from artinforge.quotient import hilbert_series, standard_monomials
+
+    nv = m_ideal.ring.nvars
+    num = hilbert_numerator(m_ideal)
+    top = max(len(num) - 1, 0) + nv + 2
+    assert num + [0] * (top + 1 - len(num)) == brute_force_numerator(m_ideal, top)
+    if all(any(sum(g) == g[i] for g in m_ideal.gens) for i in range(nv)):
+        gens = tuple(Polynomial.monomial(g) for g in m_ideal.gens)
+        basis = standard_monomials(buchberger(Ideal(m_ideal.ring, gens)))
+        series = times_one_minus_t(hilbert_series(basis), nv) if len(basis) else []
+        assert series == num
+
+
+def test_hilbert_numerator_of_zero_and_unit_ideals():
+    assert hilbert_numerator(MonomialIdeal(R3, ())) == [1]
+    assert hilbert_numerator(MonomialIdeal(R3, ((0, 0, 0),))) == []
+    assert hilbert_numerator(MonomialIdeal(R3, ((1, 1, 0), (0, 1, 1)))) == [1, 0, -2, 1]
 
 
 def test_krull_examples():

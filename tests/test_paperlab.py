@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from artinforge import paperlab
+from artinforge import groebner, paperlab, quotient
 from artinforge.paperlab import (
     CLAIMS,
     CyclotomicElement,
@@ -18,7 +18,7 @@ from artinforge.paperlab import (
     verify,
     verify_points_satisfy_ideal,
 )
-from artinforge.polyarith import xring, yring
+from artinforge.polyarith import GREVLEX, xring, yring
 from artinforge.reptheory import partitions, xn_character
 
 
@@ -245,6 +245,36 @@ def test_claims_on_one_workbench_share_one_basis_of_I(monkeypatch):
     for claim in ("prop2_codim", "prop3_basis", "prop3_generators", "thm2"):
         assert verify(claim, 5, wb).status == "pass"
     assert len(inputs) == 1 and inputs[0] is wb.ideal_I
+
+
+def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
+    wb = Workbench(6)
+    inputs = []
+    in_colon = []
+    real_buchberger, real_colon = groebner.buchberger, groebner.colon_ideal
+
+    def counting(ideal, order=GREVLEX, pair_cap=None):
+        if not in_colon:
+            gens = tuple(tuple(sorted(g.terms.items())) for g in ideal.gens)
+            inputs.append((ideal.ring, order, gens))
+        return real_buchberger(ideal, order, pair_cap)
+
+    def colon(*args):
+        in_colon.append(True)
+        try:
+            return real_colon(*args)
+        finally:
+            in_colon.pop()
+
+    for module in (groebner, paperlab, quotient):
+        monkeypatch.setattr(module, "buchberger", counting)
+    monkeypatch.setattr(paperlab, "colon_ideal", colon)
+    for claim in CLAIMS:
+        if claim != "inverse_system":
+            assert verify(claim, 6, wb).status == "pass", claim
+    # I, K, K_5, L, Q, the top forms of I, L + <x5^2>, Q at z -> x6, Q + <z - x6>
+    assert len(inputs) == 9
+    assert len(set(inputs)) == len(inputs)
 
 
 def test_verify_skips_below_minimum():
