@@ -1,9 +1,11 @@
 """Buchberger engine and ideal-theoretic operators.
 
 The completion loop uses the normal selection strategy (pairs of smallest
-lcm degree first) together with the Gebauer-Moeller pair criteria; new
-elements are fully tail-reduced, and the final basis is minimalised,
-interreduced, made monic and sorted by leading monomial.  The result is the
+lcm degree first) together with the Gebauer-Moeller UPDATE: one pair per
+lcm, divisibility-minimal lcms only, and the chain criterion read from the
+lcm stored with each live pair.  New elements are fully reduced and monic;
+the final basis is minimalised, each tail is reduced once against the
+minimal elements, and it is sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
 Colon ideals go through elimination; regular-element tests do not, they
@@ -25,9 +27,7 @@ from .polyarith import (
     Polynomial,
     TermOrder,
     _normal_form,
-    coeff_div,
     mono_coprime,
-    mono_div,
     mono_divides,
     mono_lcm,
     reduce,
@@ -82,6 +82,13 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` with respect to ``order``.
 
+    Installing h with leading monomial t follows Gebauer-Moeller's UPDATE:
+    of the new pairs (i, h) with one lcm(lm_i, t) only one representative
+    stays, a coprime one if there is one (the product criterion then drops
+    it), else the last index; of the representatives, only those whose lcm
+    is divisibility-minimal; and an old pair (i, j) goes when t divides its
+    stored lcm and both lcm(lm_i, t) and lcm(lm_j, t) differ from it.
+
     Raises :class:`ResourceLimitError` once more than ``pair_cap`` S-pairs
     (default ``DEFAULT_PAIR_CAP``) have been enqueued, turning runaway
     computations into clean failures.
@@ -92,7 +99,7 @@ def buchberger(
     basis: list[Polynomial] = []
     lms: list[Monomial] = []
     info: list = []  # reducer info, kept in sync with basis
-    alive: set[tuple[int, int]] = set()
+    alive: dict[tuple[int, int], Monomial] = {}  # live pair -> its lcm
     heap: list = []
     enqueued = 0
 
@@ -106,27 +113,20 @@ def buchberger(
         t = len(basis)
         lt, lc = h.leading_term(order)
         lcm_with = [mono_lcm(lm, lt) for lm in lms]
-        # new pairs, pruned by the lcm-divisibility and coprimality criteria
-        candidates = list(range(t))
-        kept: list[int] = []
-        while candidates:
-            i = candidates.pop(0)
-            li = lcm_with[i]
-            if mono_coprime(lms[i], lt) or (
-                all(not mono_divides(lcm_with[j], li) for j in candidates)
-                and all(not mono_divides(lcm_with[j], li) for j in kept)
-            ):
-                kept.append(i)
-        new_pairs = [i for i in kept if not mono_coprime(lms[i], lt)]
-        # chain criterion against surviving old pairs
-        for i, j in list(alive):
-            lij = mono_lcm(lms[i], lms[j])
-            if (
-                mono_divides(lt, lij)
-                and lcm_with[i] != lij
-                and lcm_with[j] != lij
-            ):
-                alive.discard((i, j))
+        rep: dict[Monomial, tuple[int, bool]] = {}  # lcm -> (index, coprime)
+        for i, li in enumerate(lcm_with):
+            if li not in rep or not rep[li][1]:
+                rep[li] = (i, mono_coprime(lms[i], lt))
+        # a proper divisor has lower degree, so it is scanned first
+        minimal: list[Monomial] = []
+        for li in sorted(rep, key=sum):
+            if not any(mono_divides(m, li) for m in minimal):
+                minimal.append(li)
+        new_pairs = sorted(rep[li][0] for li in minimal if not rep[li][1])
+        # chain criterion against the surviving old pairs
+        for (i, j), lij in list(alive.items()):
+            if mono_divides(lt, lij) and lcm_with[i] != lij and lcm_with[j] != lij:
+                del alive[i, j]
         basis.append(h)
         lms.append(lt)
         tail = [(m, c) for m, c in h.terms.items() if m != lt]
@@ -134,7 +134,7 @@ def buchberger(
         for i in new_pairs:
             li = lcm_with[i]
             heappush(heap, (sum(li), key(li), i, t))
-            alive.add((i, t))
+            alive[i, t] = li
             enqueued += 1
             if enqueued > cap:
                 raise ResourceLimitError(
@@ -148,15 +148,9 @@ def buchberger(
 
     while heap:
         _, _, i, j = heappop(heap)
-        if (i, j) not in alive:
+        if alive.pop((i, j), None) is None:
             continue
-        alive.discard((i, j))
-        f, g = basis[i], basis[j]
-        lcm = mono_lcm(lms[i], lms[j])
-        s = f.mul_term(
-            mono_div(lcm, lms[i]), coeff_div(1, f.terms[lms[i]])
-        ) - g.mul_term(mono_div(lcm, lms[j]), coeff_div(1, g.terms[lms[j]]))
-        h = nf(s)
+        h = nf(s_polynomial(basis[i], basis[j], order))
         if h:
             update(h.monic(order))
 
@@ -166,13 +160,15 @@ def buchberger(
     for i in order_idx:
         if not any(mono_divides(lms[j], lms[i]) for j in minimal):
             minimal.append(i)
-    # interreduce tails; normal forms against a Groebner basis are canonical,
-    # so a single pass in any order yields the reduced basis
-    final = {i: basis[i] for i in minimal}
+    # interreduce: a tail term lies below its own leading monomial, so the
+    # minimal elements reduce it to its canonical normal form in one call
+    reducers = [info[i] for i in minimal]
+    final = []
     for i in minimal:
-        others = [final[j] for j in minimal if j != i]
-        final[i] = reduce(final[i], others, order)[0].monic(order)
-    return GroebnerBasis(ideal.ring, order, tuple(final[i] for i in minimal), True)
+        lt, lc, tail = info[i]
+        out, _ = _normal_form(dict(tail), reducers, order)
+        final.append(Polynomial(ideal.ring.nvars, {lt: lc, **out}))
+    return GroebnerBasis(ideal.ring, order, tuple(final), True)
 
 
 def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:

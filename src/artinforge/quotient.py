@@ -57,12 +57,21 @@ def _shift(m: Monomial, i: int, step: int) -> Monomial:
 def _next_level(level, lms, key) -> list:
     """The standard monomials one degree above ``level``, sorted by ``key``:
     the staircase is closed under division, so each one is a variable times
-    a member of ``level``."""
+    a member of ``level``.  A leading monomial that divides x_i*m but not the
+    standard monomial m has exponent (x_i*m)_i in x_i, so only the leading
+    monomials indexed under (i, that exponent) are tried."""
+    bucket: dict = {}
+    for lm in lms:
+        for i, e in enumerate(lm):
+            if e:
+                bucket.setdefault((i, e), []).append(lm)
     nxt = set()
     for m in level:
         for i in range(len(m)):
             up = _shift(m, i, 1)
-            if up not in nxt and not any(mono_divides(lm, up) for lm in lms):
+            if up not in nxt and not any(
+                mono_divides(lm, up) for lm in bucket.get((i, up[i]), ())
+            ):
                 nxt.add(up)
     return sorted(nxt, key=key)
 
@@ -245,8 +254,9 @@ def contract(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def annihilator(
     g: Polynomial, pair_cap: "int | None" = None, check_cutoff: bool = False
-) -> Ideal:
-    """The apolar ideal Ann(g) of a nonzero homogeneous dual polynomial.
+) -> GroebnerBasis:
+    """The reduced GRevLex basis of the apolar ideal Ann(g) of a nonzero
+    homogeneous dual polynomial.
 
     Degree by degree, Ann(g)_d = I_d + ker C_d, where I is generated by the
     lower degrees and the catalecticant C_d (f -> f contracted into g) acts
@@ -266,7 +276,8 @@ def annihilator(
     nv, deg = g.nvars, g.total_degree()
     ring = xring(nv)
     gens: list[Polynomial] = []
-    lms: tuple = ()
+    gb = GroebnerBasis(ring, GREVLEX, ())  # of the generators found so far
+    lms = gb.leading_monomials()
     level = [(0,) * nv]
     hilbert = [1]
     for d in range(1, deg + 2):
@@ -296,4 +307,4 @@ def annihilator(
                 raise AssertionError(
                     "annihilator generation degree bound deg(g)+1 failed"
                 )
-    return Ideal(ring, tuple(gens), homogeneous=True)
+    return gb

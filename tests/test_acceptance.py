@@ -248,7 +248,7 @@ def test_criterion_09_inverse_systems():
     detail = ""
     for n in (3, 4, 5):
         ann = annihilator(build_ideal("g_dual", n), pair_cap=CAP)
-        if not ideal_equal(ann, Workbench(n).ideal_K, GREVLEX, CAP):
+        if ann.elements != buchberger(Workbench(n).ideal_K, GREVLEX, CAP).elements:
             ok, detail = False, f"n={n} annihilator differs"
             break
     y3, y4 = yring(3), yring(4)

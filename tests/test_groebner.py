@@ -1,16 +1,20 @@
 import random
+import sys
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artinforge import groebner
 from artinforge.errors import (
     AmbientMismatchError,
     NonReducedBasisError,
     ResourceLimitError,
 )
 from artinforge.groebner import (
+    DEFAULT_PAIR_CAP,
     GroebnerBasis,
     MonomialIdeal,
     buchberger,
@@ -34,8 +38,17 @@ from artinforge.polyarith import (
     GREVLEX,
     LEX,
     Ideal,
+    Monomial,
     Polynomial,
+    TermOrder,
+    _normal_form,
+    coeff_div,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
     monomials_of_degree,
+    reduce,
     xring,
 )
 
@@ -109,6 +122,195 @@ def test_gb_is_reduced():
 def test_pair_cap_raises():
     with pytest.raises(ResourceLimitError):
         buchberger(build_ideal("I", 5), GREVLEX, pair_cap=3)
+
+
+# ---------------------------------------------------------------------------
+# the completion against the earlier engine
+
+# The earlier completion, kept verbatim as the reference for the Gebauer-Moeller
+# update on stored lcms and the one-call interreduction: it rescans every
+# candidate pair per install, recomputes each live pair's lcm for the chain
+# criterion, builds its S-polynomials inline and interreduces through
+# ``reduce``.
+def reference_buchberger(
+    ideal: Ideal, order: TermOrder = GREVLEX, pair_cap: "int | None" = None
+) -> GroebnerBasis:
+    """Reduced Groebner basis of ``ideal`` with respect to ``order``.
+
+    Raises :class:`ResourceLimitError` once more than ``pair_cap`` S-pairs
+    (default ``DEFAULT_PAIR_CAP``) have been enqueued, turning runaway
+    computations into clean failures.
+    """
+    cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
+    key = order.key
+
+    basis: list[Polynomial] = []
+    lms: list[Monomial] = []
+    info: list = []  # reducer info, kept in sync with basis
+    alive: set[tuple[int, int]] = set()
+    heap: list = []
+    enqueued = 0
+
+    def nf(p: Polynomial) -> Polynomial:
+        out, _ = _normal_form(p.terms, info, order)
+        return Polynomial(p.nvars, out)
+
+    def update(h: Polynomial):
+        """Gebauer-Moeller installation of a new basis element."""
+        nonlocal enqueued
+        t = len(basis)
+        lt, lc = h.leading_term(order)
+        lcm_with = [mono_lcm(lm, lt) for lm in lms]
+        # new pairs, pruned by the lcm-divisibility and coprimality criteria
+        candidates = list(range(t))
+        kept: list[int] = []
+        while candidates:
+            i = candidates.pop(0)
+            li = lcm_with[i]
+            if mono_coprime(lms[i], lt) or (
+                all(not mono_divides(lcm_with[j], li) for j in candidates)
+                and all(not mono_divides(lcm_with[j], li) for j in kept)
+            ):
+                kept.append(i)
+        new_pairs = [i for i in kept if not mono_coprime(lms[i], lt)]
+        # chain criterion against surviving old pairs
+        for i, j in list(alive):
+            lij = mono_lcm(lms[i], lms[j])
+            if (
+                mono_divides(lt, lij)
+                and lcm_with[i] != lij
+                and lcm_with[j] != lij
+            ):
+                alive.discard((i, j))
+        basis.append(h)
+        lms.append(lt)
+        tail = [(m, c) for m, c in h.terms.items() if m != lt]
+        info.append((lt, lc, tail))
+        for i in new_pairs:
+            li = lcm_with[i]
+            heappush(heap, (sum(li), key(li), i, t))
+            alive.add((i, t))
+            enqueued += 1
+            if enqueued > cap:
+                raise ResourceLimitError(
+                    f"pair queue exceeded the cap of {cap} pairs"
+                )
+
+    for g in ideal.gens:
+        h = nf(g)
+        if h:
+            update(h.monic(order))
+
+    while heap:
+        _, _, i, j = heappop(heap)
+        if (i, j) not in alive:
+            continue
+        alive.discard((i, j))
+        f, g = basis[i], basis[j]
+        lcm = mono_lcm(lms[i], lms[j])
+        s = f.mul_term(
+            mono_div(lcm, lms[i]), coeff_div(1, f.terms[lms[i]])
+        ) - g.mul_term(mono_div(lcm, lms[j]), coeff_div(1, g.terms[lms[j]]))
+        h = nf(s)
+        if h:
+            update(h.monic(order))
+
+    # minimalise: keep only elements whose leading monomial is undivided
+    order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))
+    minimal: list[int] = []
+    for i in order_idx:
+        if not any(mono_divides(lms[j], lms[i]) for j in minimal):
+            minimal.append(i)
+    # interreduce tails; normal forms against a Groebner basis are canonical,
+    # so a single pass in any order yields the reduced basis
+    final = {i: basis[i] for i in minimal}
+    for i in minimal:
+        others = [final[j] for j in minimal if j != i]
+        final[i] = reduce(final[i], others, order)[0].monic(order)
+    return GroebnerBasis(ideal.ring, order, tuple(final[i] for i in minimal), True)
+
+
+def completion_trace(module, engine, ideal, order, pair_cap=None):
+    """Run ``engine`` with the ``heappush`` and ``_normal_form`` of its
+    module recorded: the pairs it enqueues, the term lists it reduces, and
+    its basis (None when the pair cap stops it)."""
+    pushed, reduced = [], []
+    push, nf = module.heappush, module._normal_form
+
+    def record_push(heap, item):
+        pushed.append(item)
+        push(heap, item)
+
+    def record_nf(terms, info, order):
+        reduced.append(sorted(terms.items()))
+        return nf(terms, info, order)
+
+    module.heappush, module._normal_form = record_push, record_nf
+    try:
+        gb = engine(ideal, order, pair_cap)
+    except ResourceLimitError:
+        gb = None
+    finally:
+        module.heappush, module._normal_form = push, nf
+    return pushed, reduced, gb
+
+
+def assert_same_completion(ideal, order=GREVLEX, pair_cap=None):
+    """Both engines enqueue the same pairs in the same order, reduce the same
+    polynomials in the same order and return the same basis."""
+    here = sys.modules[__name__]
+    ref = completion_trace(here, reference_buchberger, ideal, order, pair_cap)
+    pushed, reduced, gb = completion_trace(groebner, buchberger, ideal, order, pair_cap)
+    ref_pushed, ref_reduced, ref_gb = ref
+    assert pushed == ref_pushed
+    assert gb == ref_gb
+    # the reference interreduces through ``reduce``, whose division loop is not
+    # the recorded binding; the new engine reduces each tail once
+    tails = len(gb.elements) if gb is not None else 0
+    assert reduced[: len(reduced) - tails] == ref_reduced
+    assert len(reduced) == len(ref_reduced) + tails
+    return pushed, gb
+
+
+@st.composite
+def completion_cases(draw):
+    """Up to four polynomials of up to three terms in two to four variables,
+    under GRevLex or an elimination order of a random block."""
+    nv = draw(st.integers(2, 4))
+    mono = st.tuples(*[st.integers(0, 2)] * nv)
+    coeff = st.integers(-3, 3).filter(bool)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3)
+    gens = draw(st.lists(poly, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        order = GREVLEX
+    else:
+        variables = st.integers(0, nv - 1)
+        block = draw(st.lists(variables, min_size=1, max_size=nv - 1, unique=True))
+        order = TermOrder.elimination(tuple(block))
+    return Ideal(xring(nv), tuple(Polynomial(nv, g) for g in gens)), order
+
+
+@settings(max_examples=150)
+@given(completion_cases())
+def test_buchberger_replays_the_reference_on_random_ideals(case):
+    ideal, order = case
+    assert_same_completion(ideal, order, pair_cap=150)
+
+
+@pytest.mark.parametrize(
+    "which, ns",
+    [("I", range(2, 7)), ("K_expected", range(3, 7)), ("Q", range(3, 7))],
+)
+def test_buchberger_replays_the_reference_on_the_family(which, ns):
+    for n in ns:
+        _, gb = assert_same_completion(build_ideal(which, n))
+        assert gb is not None
+
+
+@pytest.mark.parametrize("cap", [1, 6, 40])
+def test_pair_cap_stops_both_engines_at_the_same_pair(cap):
+    pushed, gb = assert_same_completion(build_ideal("I", 5), GREVLEX, cap)
+    assert gb is None and len(pushed) == cap + 1
 
 
 # ---------------------------------------------------------------------------
