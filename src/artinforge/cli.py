@@ -153,6 +153,9 @@ def _cmd_verify(parser, args) -> int:
         claims = sorted(paperlab.CLAIMS)
     else:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claims:
+            msg = f"--claims names no claim id: {args.claims!r}"
+            parser.exit(EXIT_USAGE, f"{parser.prog}: error: {msg}\n")
         for c in claims:
             if c not in paperlab.CLAIMS:
                 parser.error(f"unknown claim id {c!r}")

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Kernels use dense Bareiss condensation: forward elimination is fraction-free
-on integer rows, so every intermediate entry is a minor of the input
-matrix, and only the final back-substitution touches Fractions.  These
-matrices are plain lists of rows; an explicit column count allows empty
-ones.  :func:`rank` works on sparse rows instead, for matrices with few
-nonzeros per row, such as stacked multiplication matrices.
+One sparse fraction-free elimination serves both :func:`rank` and
+:func:`kernel_basis`.  Rows are ``{column: value}`` dicts scaled to
+integers; a column -> rows index lets each pivot clear only the rows that
+touch its column, and every combined row is divided by its content, which
+keeps entries small.  Pivot columns are taken in ascending order, so the
+free columns are exactly those that depend on earlier ones, and only the
+final back-substitution touches Fractions.
 """
 
 from __future__ import annotations
@@ -14,82 +15,56 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _int_rows(rows):
-    """Scale each row by the lcm of its denominators; kernels are unchanged."""
-    out = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row))
-        out.append([int(c * scale) for c in row])
-    return out
-
-
-def _echelon(rows, ncols):
-    """Bareiss row echelon form. Returns (echelon rows, pivot columns)."""
-    m = _int_rows(rows)
-    nrows = len(m)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            mic = row_i[c]
-            for k in range(c + 1, ncols):
-                row_i[k] = (pivot * row_i[k] - mic * row_r[k]) // prev
-            row_i[c] = 0
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def rank(rows) -> int:
-    """Rank of a sparse matrix given as rows ``{column: value}``; columns
-    may be any hashable keys.
-
-    Fraction-free elimination: each row is scaled to integers first, and a
-    pivot clears its column only from the rows that have an entry there.
-    The pivot column of a row is the one fewest other rows touch, and every
-    combined row is divided by its content, which keeps entries small.
-    """
+def _eliminate(rows) -> dict:
+    """Echelon rows ``{pivot column: row}`` of integer columns; each row
+    has its pivot as its least column.  ``rows`` may be dicts or lists."""
     live: dict = {}
     touching: dict = {}
     for k, row in enumerate(rows):
-        scale = lcm(*(v.denominator for v in row.values()))
-        live[k] = {c: int(v * scale) for c, v in row.items() if v}
-        for c in live[k]:
-            touching.setdefault(c, set()).add(k)
-    found = 0
-    while live:
-        k, row = live.popitem()
-        if not row:
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = [(c, v) for c, v in pairs if v]
+        if not entries:
             continue
-        found += 1
+        scale = lcm(*(v.denominator for _, v in entries))
+        live[k] = {c: int(v * scale) for c, v in entries}
+        for c, _ in entries:
+            touching.setdefault(c, set()).add(k)
+    pivots = {}
+    for col in sorted(touching):
+        hits = touching[col]
+        if not hits:
+            continue
+        k = min(hits, key=lambda j: (len(live[j]), j))
+        row = pivots[col] = live.pop(k)
         for c in row:
             touching[c].discard(k)
-        col = min(row, key=lambda c: len(touching[c]))
-        for j in sorted(touching[col]):
+        for j in sorted(hits):
             other = live[j]
-            new = {c: row[col] * v for c, v in other.items()}
+            p, q = row[col], other[col]
+            new = {c: p * v for c, v in other.items()}
             for c, v in row.items():
-                new[c] = new.get(c, 0) - other[col] * v
+                new[c] = new.get(c, 0) - q * v
             new = {c: v for c, v in new.items() if v}
             for c in other.keys() - new.keys():
                 touching[c].discard(j)
             for c in new.keys() - other.keys():
                 touching[c].add(j)
-            content = gcd(*new.values())
-            live[j] = {c: v // content for c, v in new.items()}
-    return found
+            if new:
+                content = gcd(*new.values())
+                live[j] = {c: v // content for c, v in new.items()}
+            else:
+                del live[j]
+    return pivots
+
+
+def rank(rows) -> int:
+    """Rank of a sparse matrix given as rows ``{column: value}``; columns
+    may be any hashable keys (numbered in first-seen order)."""
+    position: dict = {}
+    return len(_eliminate(
+        {position.setdefault(c, len(position)): v for c, v in row.items()}
+        for row in rows
+    ))
 
 
 def _primitive(vec):
@@ -107,24 +82,20 @@ def _primitive(vec):
 
 def kernel_basis(rows, ncols: int) -> list[list[int]]:
     """A basis of the right kernel, one primitive integer vector per free
-    column, in ascending column order (deterministic)."""
-    ech, pivots = _echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    column, in ascending column order (deterministic).  Rows are lists of
+    ``ncols`` entries or ``{column: value}`` dicts."""
+    pivots = _eliminate(rows)
+    descending = sorted(pivots, reverse=True)
     basis = []
-    for f in free:
-        x: list = [0] * ncols
-        x[f] = 1
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            row = ech[r]
-            s = 0
-            for c in range(p + 1, ncols):
-                if row[c] and x[c]:
-                    s += row[c] * x[c]
-            if s:
-                x[p] = Fraction(-s, row[p])
-            else:
-                x[p] = 0
-        basis.append(_primitive(x))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: 1}  # x_f = 1, the other free columns 0
+        for p in descending:
+            if p < f:
+                row = pivots[p]
+                s = sum(v * x[c] for c, v in row.items() if c in x)
+                if s:
+                    x[p] = Fraction(-s, row[p])
+        basis.append(_primitive([x.get(c, 0) for c in range(ncols)]))
     return basis

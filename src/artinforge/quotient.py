@@ -55,22 +55,19 @@ def _shift(m: Monomial, i: int, step: int) -> Monomial:
 
 
 def _next_level(level, lms, key) -> list:
-    """The standard monomials one degree above ``level``, sorted by ``key``:
-    the staircase is closed under division, so each one is a variable times
-    a member of ``level``.  A leading monomial that divides x_i*m but not the
-    standard monomial m has exponent (x_i*m)_i in x_i, so only the leading
-    monomials indexed under (i, that exponent) are tried."""
-    bucket: dict = {}
-    for lm in lms:
-        for i, e in enumerate(lm):
-            if e:
-                bucket.setdefault((i, e), []).append(lm)
+    """The standard monomials one degree above ``level``, sorted by ``key``.
+
+    ``level`` is a whole degree of a staircase closed under division, so
+    x_i*m is standard exactly when it is not a leading monomial and every
+    x_i*m/x_j lies in ``level``: a leading monomial properly dividing x_i*m
+    divides one of them."""
+    lm_set, below = set(lms), set(level)
     nxt = set()
     for m in level:
         for i in range(len(m)):
             up = _shift(m, i, 1)
-            if up not in nxt and not any(
-                mono_divides(lm, up) for lm in bucket.get((i, up[i]), ())
+            if up not in nxt and up not in lm_set and all(
+                _shift(up, j, -1) in below for j, e in enumerate(up) if e
             ):
                 nxt.add(up)
     return sorted(nxt, key=key)
@@ -264,6 +261,9 @@ def annihilator(
     modulo I, so every kernel vector is a new minimal generator, and one
     Groebner basis update per degree follows.  Past deg(g) the catalecticant
     vanishes and every standard monomial is a generator; deg(g)+1 suffices.
+    Column a of C_d has the entry c at row b - a for each term c*y^b of g
+    with a | b; those terms are the intersection, over the support of a, of
+    an index (i, k) -> {terms with b_i >= k} built once.
 
     R/Ann(g) is Gorenstein, so its Hilbert function must be symmetric with
     h_deg(g) = 1; a staircase that breaks this raises AssertionError.  With
@@ -278,15 +278,22 @@ def annihilator(
     gens: list[Polynomial] = []
     gb = GroebnerBasis(ring, GREVLEX, ())  # of the generators found so far
     lms = gb.leading_monomials()
+    terms = list(g.terms.items())
+    index: dict = {}  # (i, k) -> positions of the terms b of g with b_i >= k
+    for t, (b, _) in enumerate(terms):
+        for i, e in enumerate(b):
+            for k in range(1, e + 1):
+                index.setdefault((i, k), set()).add(t)
     level = [(0,) * nv]
     hilbert = [1]
     for d in range(1, deg + 2):
         cols = _next_level(level, lms, GREVLEX.key)
-        rows: dict[Monomial, list] = {}
+        rows: dict[Monomial, dict] = {}  # row b - a of column a | b
         for j, a in enumerate(cols):
-            for b, c in g.terms.items():
-                if mono_divides(a, b):
-                    rows.setdefault(mono_div(b, a), [0] * len(cols))[j] = c
+            sets = [index.get((i, e), set()) for i, e in enumerate(a) if e]
+            for t in sorted(set.intersection(*sets)):
+                b, c = terms[t]
+                rows.setdefault(mono_div(b, a), {})[j] = c
         new = [
             Polynomial(nv, {m: c for m, c in zip(cols, vec) if c})
             for vec in linalg.kernel_basis(list(rows.values()), len(cols))
@@ -295,7 +302,10 @@ def annihilator(
             gens += new
             gb = buchberger(Ideal(ring, tuple(gens)), GREVLEX, pair_cap)
             lms = gb.leading_monomials()
-        level = [m for m in cols if not any(mono_divides(lm, m) for lm in lms)]
+        # lower degrees of the ideal are unchanged, so a degree-d standard
+        # monomial of the old basis leaves the staircase only as a new lm
+        lm_set = set(lms)
+        level = [m for m in cols if m not in lm_set]
         hilbert.append(len(level))
         if d <= deg <= 2 * d and hilbert[d] != hilbert[deg - d]:
             raise AssertionError(

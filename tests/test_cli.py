@@ -70,6 +70,15 @@ def test_verify_unknown_claim_is_usage_error(capsys):
     assert "thm99" in err
 
 
+@pytest.mark.parametrize("value", ["", ",,", " , "])
+def test_verify_without_claim_ids_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "verify", "--n", "3", "--claims", value)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "names no claim id" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_out_of_range_n(capsys):
     assert run(capsys, "verify", "--n", "1..3")[0] == 2
     assert run(capsys, "verify", "--n", "9")[0] == 2

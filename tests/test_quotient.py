@@ -102,7 +102,7 @@ def test_hilbert_palindromy_and_total_dimension():
 
 
 # The earlier staircase step, kept verbatim as the reference for the version
-# that tries only the leading monomials indexed by (variable, exponent).
+# that tests membership in the level below instead of divisibility.
 def reference_next_level(level, lms, key) -> list:
     """The standard monomials one degree above ``level``, sorted by ``key``:
     the staircase is closed under division, so each one is a variable times
