@@ -29,7 +29,6 @@ from .groebner import (
 )
 from .paperlab import (
     CLAIMS,
-    CyclotomicElement,
     SymbolicPoint,
     VerificationReport,
     Workbench,

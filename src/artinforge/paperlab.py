@@ -1,6 +1,6 @@
 """Construction of the ideal family and the registry of verified claims.
 
-The workbench studies, at desk scale (n = 2..7), the binomial ideal
+The workbench studies, at desk scale (n = 2..8), the binomial ideal
 
     I_n = < x2*x3...xn - x1, ..., x1*x2...x_{n-1} - xn >,
 
@@ -38,7 +38,6 @@ at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
@@ -63,7 +62,6 @@ from .polyarith import (
     monomials_of_degree,
     reduce,
     xring,
-    yring,
 )
 from .quotient import (
     QuotientAlgebra,
@@ -115,7 +113,7 @@ def bernoulli(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic integers
+# cyclotomic polynomials
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Exact division of integer polynomials with monic divisor."""
@@ -161,108 +159,6 @@ def _reduce_mod_phi(coeffs: list[int], phi: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-class CyclotomicElement:
-    """An element of Z[xi]/Phi_m(xi), stored in canonical reduced form."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs):
-        phi = cyclotomic_poly(m)
-        self.m = m
-        self.coeffs = _reduce_mod_phi(list(coeffs), phi)
-
-    @classmethod
-    def zero(cls, m: int) -> "CyclotomicElement":
-        return cls(m, [])
-
-    @classmethod
-    def integer(cls, m: int, a: int) -> "CyclotomicElement":
-        return cls(m, [a])
-
-    @classmethod
-    def root(cls, m: int, power: int = 1) -> "CyclotomicElement":
-        power %= m
-        return cls(m, [0] * power + [1])
-
-    def _check(self, other: "CyclotomicElement"):
-        if self.m != other.m:
-            raise ValueError("cyclotomic elements of different conductors")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicElement.integer(self.m, other)
-        self._check(other)
-        return CyclotomicElement(
-            self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return CyclotomicElement(self.m, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicElement.integer(self.m, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicElement(self.m, [a * other for a in self.coeffs])
-        self._check(other)
-        out = [0] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return CyclotomicElement(self.m, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        result = CyclotomicElement.integer(self.m, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicElement)
-            and self.m == other.m
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicElement(m={self.m}, {self.coeffs})"
-
-
-def evaluate_at(poly: Polynomial, coords: tuple) -> CyclotomicElement:
-    """Evaluate an integer-coefficient polynomial at cyclotomic coordinates."""
-    m = coords[0].m
-    total = CyclotomicElement.zero(m)
-    for mono, c in poly.terms.items():
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("cyclotomic evaluation needs integer coefficients")
-            c = int(c)
-        term = CyclotomicElement.integer(m, c)
-        for j, e in enumerate(mono):
-            if e:
-                term = term * coords[j] ** e
-        total = total + term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the point configuration
 
@@ -294,11 +190,13 @@ class SymbolicPoint:
     def is_origin(self) -> bool:
         return self.k is None
 
-    def coordinates(self, m: int) -> tuple[CyclotomicElement, ...]:
+    def exponents(self, m: int) -> "tuple[int, ...] | None":
+        """Each coordinate eps_j*xi^k as the power xi^e_j of a primitive m-th
+        root xi, with e_j = k + (m/2)*[eps_j = -1] mod m since xi^(m/2) = -1;
+        None at the origin."""
         if self.is_origin:
-            return tuple(CyclotomicElement.zero(m) for _ in range(self.n))
-        xi_k = CyclotomicElement.root(m, self.k)
-        return tuple(e * xi_k for e in self.eps)
+            return None
+        return tuple((self.k + (m // 2 if e < 0 else 0)) % m for e in self.eps)
 
 
 def enumerate_points(n: int) -> list[SymbolicPoint]:
@@ -317,22 +215,38 @@ def enumerate_points(n: int) -> list[SymbolicPoint]:
     return points
 
 
+def _value_at(poly: Polynomial, exps: "tuple[int, ...] | None", m: int) -> tuple[int, ...]:
+    """poly at the point with exponent tuple exps (None: the origin), as its
+    coefficients on 1, xi, xi^2, ... modulo Phi_m.  x^a is xi^(a.e), so each
+    coefficient adds into the residue class a.e mod m; at the origin only
+    the constant term survives."""
+    sums = [0] * m
+    if exps is None:
+        sums[0] = poly.terms.get((0,) * poly.nvars, 0)
+    else:
+        for mono, c in poly.terms.items():
+            sums[sum(a * e for a, e in zip(mono, exps)) % m] += c
+    return _reduce_mod_phi(sums, cyclotomic_poly(m))
+
+
 def verify_points_satisfy_ideal(n: int) -> "VerificationReport":
-    """Exact cyclotomic check that every symbolic point kills every
-    generator of I_n, and that the points are pairwise distinct."""
+    """Exact check that every symbolic point kills every generator of I_n,
+    and that the points are pairwise distinct: with m = 2(n-2), xi has order
+    exactly m, so two points are equal exactly when their exponent tuples
+    are."""
     start = perf_counter()
     m = 2 * (n - 2)
     ideal = build_ideal("I", n)
     seen = set()
     witness = None
     for pt in enumerate_points(n):
-        coords = pt.coordinates(m)
-        if coords in seen:
+        exps = pt.exponents(m)
+        if exps in seen:
             witness = f"duplicate point {pt}"
             break
-        seen.add(coords)
+        seen.add(exps)
         for g in ideal.gens:
-            if evaluate_at(g, coords):
+            if any(_value_at(g, exps, m)):
                 witness = f"generator {ideal.ring.fmt(g)} nonzero at {pt}"
                 break
         if witness:
@@ -471,9 +385,6 @@ class Workbench:
 
     @cached_property
     def ideal_K(self) -> Ideal:
-        if self.n == 2:
-            ring = xring(2)
-            return Ideal(ring, (ring.var("x1"), ring.var("x2")), homogeneous=True)
         return _k_homogeneous(self.n)
 
     @cached_property

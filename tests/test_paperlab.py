@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from artinforge import groebner, paperlab, quotient
 from artinforge.paperlab import (
     CLAIMS,
-    CyclotomicElement,
     SymbolicPoint,
     Workbench,
+    _reduce_mod_phi,
+    _value_at,
     bernoulli,
     build_ideal,
     challenge_series,
@@ -18,7 +20,7 @@ from artinforge.paperlab import (
     verify,
     verify_points_satisfy_ideal,
 )
-from artinforge.polyarith import GREVLEX, xring, yring
+from artinforge.polyarith import GREVLEX, Polynomial, xring, yring
 from artinforge.reptheory import partitions, xn_character
 
 
@@ -123,18 +125,136 @@ def test_point_validation():
 
 
 def test_points_satisfy_ideal():
-    for n in (3, 4, 5):
+    for n in range(3, 9):
         assert verify_points_satisfy_ideal(n).status == "pass"
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic arithmetic
+# cyclotomic arithmetic: the ring class that evaluated the points before
+# exponent arithmetic, kept verbatim as the reference for _value_at
+
+class CyclotomicElement:
+    """An element of Z[xi]/Phi_m(xi), stored in canonical reduced form."""
+
+    __slots__ = ("m", "coeffs")
+
+    def __init__(self, m: int, coeffs):
+        phi = cyclotomic_poly(m)
+        self.m = m
+        self.coeffs = _reduce_mod_phi(list(coeffs), phi)
+
+    @classmethod
+    def zero(cls, m: int) -> "CyclotomicElement":
+        return cls(m, [])
+
+    @classmethod
+    def integer(cls, m: int, a: int) -> "CyclotomicElement":
+        return cls(m, [a])
+
+    @classmethod
+    def root(cls, m: int, power: int = 1) -> "CyclotomicElement":
+        power %= m
+        return cls(m, [0] * power + [1])
+
+    def _check(self, other: "CyclotomicElement"):
+        if self.m != other.m:
+            raise ValueError("cyclotomic elements of different conductors")
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = CyclotomicElement.integer(self.m, other)
+        self._check(other)
+        return CyclotomicElement(
+            self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __neg__(self):
+        return CyclotomicElement(self.m, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            other = CyclotomicElement.integer(self.m, other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return CyclotomicElement(self.m, [a * other for a in self.coeffs])
+        self._check(other)
+        out = [0] * (2 * len(self.coeffs))
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[i + j] += a * b
+        return CyclotomicElement(self.m, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        result = CyclotomicElement.integer(self.m, 1)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return result
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CyclotomicElement)
+            and self.m == other.m
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.m, self.coeffs))
+
+    def __repr__(self):
+        return f"CyclotomicElement(m={self.m}, {self.coeffs})"
+
+
+def evaluate_at(poly: Polynomial, coords: tuple) -> CyclotomicElement:
+    """Evaluate an integer-coefficient polynomial at cyclotomic coordinates."""
+    m = coords[0].m
+    total = CyclotomicElement.zero(m)
+    for mono, c in poly.terms.items():
+        if isinstance(c, Fraction):
+            if c.denominator != 1:
+                raise ValueError("cyclotomic evaluation needs integer coefficients")
+            c = int(c)
+        term = CyclotomicElement.integer(m, c)
+        for j, e in enumerate(mono):
+            if e:
+                term = term * coords[j] ** e
+        total = total + term
+    return total
+
+
+def coordinates(self: SymbolicPoint, m: int) -> tuple[CyclotomicElement, ...]:
+    if self.is_origin:
+        return tuple(CyclotomicElement.zero(m) for _ in range(self.n))
+    xi_k = CyclotomicElement.root(m, self.k)
+    return tuple(e * xi_k for e in self.eps)
+
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_poly(2) == (1, 1)
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(1) == (-1, 1)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 41):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(m) == tuple(int(c) for c in expected), m
 
 
 def test_roots_of_unity_are_primitive():
@@ -151,6 +271,36 @@ def test_cyclotomic_ring_arithmetic():
     assert xi * xi == CyclotomicElement.integer(4, -1)
     assert (xi + 1) * (xi - 1) == CyclotomicElement.integer(4, -2)
     assert hash(xi) == hash(CyclotomicElement.root(4))
+
+
+def test_exponent_evaluation_matches_reference():
+    """_value_at equals the ring-class evaluation, coefficient for
+    coefficient, at every point of X_n for g, g^2 + g, g - 1 over each
+    generator g of I_n, and x1 + x2, which vanishes exactly where x1 and x2
+    differ in sign, and only after reduction modulo Phi_m (xi^(m/2) = -1).
+    Two bad points built from exponents, one sign flipped and one with
+    root index k = n - 2 on a sign vector of the wrong parity, each leave
+    some generator nonzero under both evaluations."""
+    for n in range(3, 9):
+        m = 2 * (n - 2)
+        gens = build_ideal("I", n).gens
+        polys = [p for g in gens for p in (g, g * g + g, g - 1)]
+        polys.append(xring(n).poly("x1 + x2"))
+        points = enumerate_points(n)
+        for pt in points:
+            exps, coords = pt.exponents(m), coordinates(pt, m)
+            for p in polys:
+                assert _value_at(p, exps, m) == evaluate_at(p, coords).coeffs, (n, pt, p)
+        good = points[1].exponents(m)
+        flipped = ((good[0] + m // 2) % m,) + good[1:]
+        eps = ((-1) ** (n - 1),) + (1,) * (n - 1)
+        wrong_k = tuple((n - 2 + (m // 2 if e < 0 else 0)) % m for e in eps)
+        for bad in (flipped, wrong_k):
+            coords = tuple(CyclotomicElement.root(m, e) for e in bad)
+            assert any(any(_value_at(g, bad, m)) for g in gens), (n, bad)
+            assert any(evaluate_at(g, coords) for g in gens), (n, bad)
+            for p in polys:
+                assert _value_at(p, bad, m) == evaluate_at(p, coords).coeffs, (n, bad, p)
 
 
 # ---------------------------------------------------------------------------
