@@ -5,7 +5,6 @@ structural claims."""
 from .errors import (
     AmbientMismatchError,
     EquivarianceError,
-    NonReducedBasisError,
     NotArtinianError,
     ResourceLimitError,
 )
@@ -13,16 +12,16 @@ from .groebner import (
     DEFAULT_PAIR_CAP,
     GroebnerBasis,
     MonomialIdeal,
+    StandardBasis,
     buchberger,
     colon_ideal,
-    eliminate,
     hilbert_numerator,
     ideal_equal,
     ideal_member,
     initial_ideal,
-    intersect,
     is_regular_element,
     krull_dim_monomial,
+    standard_monomials,
     substitute,
     substitute_ideal,
     top_form_ideal,
@@ -59,13 +58,11 @@ from .polyarith import (
 )
 from .quotient import (
     QuotientAlgebra,
-    StandardBasis,
     annihilator,
     contract,
     equivariant_graded_trace,
     hilbert_series,
     socle_dimension,
-    standard_monomials,
 )
 from .reptheory import (
     ClassFunction,

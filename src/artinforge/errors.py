@@ -15,7 +15,3 @@ class NotArtinianError(RuntimeError):
 
 class EquivarianceError(ValueError):
     """A permutation does not leave the defining ideal invariant."""
-
-
-class NonReducedBasisError(ValueError):
-    """An operation required a reduced Groebner basis."""

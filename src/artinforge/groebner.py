@@ -8,8 +8,9 @@ the final basis is minimalised, each tail is reduced once against the
 minimal elements, and it is sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
-Colon ideals go through elimination; regular-element tests do not, they
-compare Hilbert series numerators of initial ideals.
+Every basis built here is reduced.  A colon ideal of an Artinian quotient is
+one exact kernel on its staircase; regular-element tests compare Hilbert
+series numerators of initial ideals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, zip_longest
 
-from .errors import AmbientMismatchError, NonReducedBasisError, ResourceLimitError
+from . import linalg
+from .errors import AmbientMismatchError, NotArtinianError, ResourceLimitError
 from .polyarith import (
     GREVLEX,
     Ideal,
@@ -27,6 +29,7 @@ from .polyarith import (
     Polynomial,
     TermOrder,
     _normal_form,
+    _reducer_info,
     mono_coprime,
     mono_divides,
     mono_lcm,
@@ -39,12 +42,11 @@ DEFAULT_PAIR_CAP = 10**6
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """An order-tagged Groebner basis; ``reduced`` marks the canonical form."""
+    """An order-tagged reduced Groebner basis."""
 
     ring: PolyRing
     order: TermOrder
     elements: tuple[Polynomial, ...]
-    reduced: bool = True
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.elements)
@@ -168,7 +170,7 @@ def buchberger(
         lt, lc, tail = info[i]
         out, _ = _normal_form(dict(tail), reducers, order)
         final.append(Polynomial(ideal.ring.nvars, {lt: lc, **out}))
-    return GroebnerBasis(ideal.ring, order, tuple(final), True)
+    return GroebnerBasis(ideal.ring, order, tuple(final))
 
 
 def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
@@ -187,10 +189,70 @@ def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
 # ---------------------------------------------------------------------------
 # derived operators
 
+class StandardBasis:
+    """The monomials outside a leading-term ideal, grouped by total degree."""
+
+    __slots__ = ("by_degree", "monomials")
+
+    def __init__(self, by_degree):
+        self.by_degree = tuple(tuple(level) for level in by_degree)
+        self.monomials = tuple(m for level in self.by_degree for m in level)
+
+    def __len__(self):
+        return len(self.monomials)
+
+    def __iter__(self):
+        return iter(self.monomials)
+
+
+def _shift(m: Monomial, i: int, step: int) -> Monomial:
+    return m[:i] + (m[i] + step,) + m[i + 1 :]
+
+
+def _next_level(level, lms, key) -> list:
+    """The standard monomials one degree above ``level``, sorted by ``key``.
+
+    ``level`` is a whole degree of a staircase closed under division, so
+    x_i*m is standard exactly when it is not a leading monomial and every
+    x_i*m/x_j lies in ``level``: a leading monomial properly dividing x_i*m
+    divides one of them."""
+    lm_set, below = set(lms), set(level)
+    nxt = set()
+    for m in level:
+        for i in range(len(m)):
+            up = _shift(m, i, 1)
+            if up not in nxt and up not in lm_set and all(
+                _shift(up, j, -1) in below for j, e in enumerate(up) if e
+            ):
+                nxt.add(up)
+    return sorted(nxt, key=key)
+
+
+def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
+    """Enumerate the staircase complement of a reduced basis by degree.
+
+    The quotient is Artinian exactly when every variable has a pure power
+    among the leading monomials; otherwise :class:`NotArtinianError` is
+    raised.  The complement is closed under divisibility, so the first
+    empty degree level ends the enumeration.
+    """
+    nv = gb.ring.nvars
+    lms = gb.leading_monomials()
+    for i in range(nv):
+        if not any(sum(lm) == lm[i] for lm in lms):
+            raise NotArtinianError(
+                f"no leading monomial is a pure power of variable {i + 1}"
+            )
+    level = [] if (0,) * nv in lms else [(0,) * nv]
+    levels = []
+    while level:
+        levels.append(level)
+        level = _next_level(level, lms, gb.order.key)
+    return StandardBasis(levels)
+
+
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """Leading-monomial ideal of a reduced basis (minimal generators)."""
-    if not gb.reduced:
-        raise NonReducedBasisError("initial_ideal requires a reduced basis")
     return MonomialIdeal(gb.ring, gb.leading_monomials())
 
 
@@ -200,7 +262,7 @@ def top_form_ideal(gb: GroebnerBasis) -> Ideal:
     if gb.order != GREVLEX:
         raise ValueError("top_form_ideal needs a GRevLex basis")
     tops = tuple(g.top_degree_part() for g in gb.elements)
-    return Ideal(gb.ring, tops, homogeneous=True)
+    return Ideal(gb.ring, tops)
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -218,86 +280,36 @@ def ideal_equal(
     return ga.elements == gb.elements
 
 
-def _fresh_name(ring: PolyRing, base: str = "t") -> str:
-    if base not in ring.index:
-        return base
-    k = 0
-    while f"{base}{k}" in ring.index:
-        k += 1
-    return f"{base}{k}"
+def colon_ideal(
+    gb: GroebnerBasis, b: Ideal, pair_cap: "int | None" = None
+) -> GroebnerBasis:
+    """The reduced basis of (I : b), all f with f*b inside I, for ``gb`` the
+    reduced basis of an ideal I with Artinian quotient.
 
-
-def eliminate(
-    ideal: Ideal, names, pair_cap: "int | None" = None
-) -> Ideal:
-    """Generators of the elimination ideal ``I meet F[remaining variables]``.
-
-    Computed from a Groebner basis for an elimination order whose leading
-    block is ``names``; the result lives in the contracted ring.
-    """
-    names = tuple(names)
-    if not names:
-        return ideal
-    for nm in names:
-        if nm not in ideal.ring.index:
-            raise AmbientMismatchError(f"no variable {nm!r} to eliminate")
-    block = tuple(ideal.ring.index[nm] for nm in names)
-    order = TermOrder.elimination(block)
-    gb = buchberger(ideal, order, pair_cap)
-    blockset = set(block)
-    small = ideal.ring.without(names)
-    kept = [
-        small.lift(g, ideal.ring)
-        for g in gb.elements
-        if all(all(m[i] == 0 for i in blockset) for m in g.terms)
-    ]
-    return Ideal(small, tuple(kept))
-
-
-def intersect(a: Ideal, b: Ideal, pair_cap: "int | None" = None) -> Ideal:
-    """Ideal intersection via the auxiliary variable trick
-    ``I meet J = (t*I + (1-t)*J) meet F[x]``."""
-    if a.ring != b.ring:
-        raise AmbientMismatchError("ideals live in different rings")
-    ring = a.ring
-    if a.is_zero or b.is_zero:
-        return Ideal(ring, ())
-    tname = _fresh_name(ring)
-    big = ring.extend(tname)
-    t = big.var(tname)
-    gens = [t * big.lift(g, ring) for g in a.gens]
-    gens += [(1 - t) * big.lift(g, ring) for g in b.gens]
-    out = eliminate(Ideal(big, tuple(gens)), (tname,), pair_cap)
-    return Ideal(ring, out.gens)
-
-
-def exact_divide(g: Polynomial, f: Polynomial, order: TermOrder = GREVLEX) -> Polynomial:
-    """Quotient g/f for a known multiple; remainder must vanish."""
-    nf, quots = reduce(g, [f], order)
-    if nf:
-        raise ValueError("exact_divide called on a non-multiple")
-    return quots[0]
-
-
-def colon_ideal(a: Ideal, b: Ideal, pair_cap: "int | None" = None) -> Ideal:
-    """The colon ideal (a : b) = all f with f*b inside a.
-
-    For each generator f of b, (a : f) is obtained as (a meet <f>)/f through
-    one elimination; the results are intersected over the generators.  The
-    returned generators are the canonical reduced basis.
+    f = i + u with i in I and u = NF(f) a combination of standard monomials,
+    so f lies in the colon exactly when NF(u*f_k) = 0 for every generator
+    f_k of b.  NF is linear, so those u form the kernel V of the rows
+    {(k, monomial): NF(m*f_k)} over the standard monomials m, and
+    (I : b) = I + V.  :func:`standard_monomials` raises
+    :class:`NotArtinianError` when the quotient is not Artinian.
     """
     if b.is_zero:
         raise ValueError("colon by the zero ideal")
-    if a.ring != b.ring:
+    if gb.ring != b.ring:
         raise AmbientMismatchError("ideals live in different rings")
-    ring = a.ring
-    result: "Ideal | None" = None
-    for f in b.gens:
-        meet = intersect(a, Ideal(ring, (f,)), pair_cap)
-        part = Ideal(ring, tuple(exact_divide(g, f) for g in meet.gens))
-        result = part if result is None else intersect(result, part, pair_cap)
-    gb = buchberger(result, GREVLEX, pair_cap)
-    return Ideal(ring, gb.elements)
+    staircase = standard_monomials(gb).monomials
+    info = _reducer_info(gb.elements, gb.order)
+    rows: dict = {}  # (k, monomial) -> {column of m: coefficient in NF(m*f_k)}
+    for j, m in enumerate(staircase):
+        for k, f in enumerate(b.gens):
+            nf, _ = _normal_form(f.mul_term(m).terms, info, gb.order)
+            for t, c in nf.items():
+                rows.setdefault((k, t), {})[j] = c
+    kernel = tuple(
+        Polynomial(gb.ring.nvars, dict(zip(staircase, vec)))
+        for vec in linalg.kernel_basis(list(rows.values()), len(staircase))
+    )
+    return buchberger(Ideal(gb.ring, gb.elements + kernel), gb.order, pair_cap)
 
 
 def substitute(f: Polynomial, var: int, value: Polynomial) -> Polynomial:

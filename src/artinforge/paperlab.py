@@ -47,11 +47,13 @@ from . import linalg
 from .groebner import (
     DEFAULT_PAIR_CAP,
     GroebnerBasis,
+    _shift,
     buchberger,
     colon_ideal,
     initial_ideal,
     is_regular_element,
     krull_dim_monomial,
+    standard_monomials,
     substitute_ideal,
     top_form_ideal,
 )
@@ -65,12 +67,10 @@ from .polyarith import (
 )
 from .quotient import (
     QuotientAlgebra,
-    _shift,
     annihilator,
     equivariant_graded_trace,
     hilbert_series,
     socle_dimension,
-    standard_monomials,
 )
 from .reptheory import (
     ClassFunction,
@@ -304,13 +304,13 @@ def build_ideal(which: str, n: int):
                     exp[i] = 1
                 exp[n - 1] = 2 * j + 1
                 gens.append(Polynomial.monomial(tuple(exp)))
-        return Ideal(ring, tuple(gens), homogeneous=True)
+        return Ideal(ring, tuple(gens))
     if which == "K_expected":
         return _k_homogeneous(n)
     if which == "L":
         ring = xring(n - 1)
         gens = _complete_intersection_gens(n - 1)
-        return Ideal(ring, tuple(gens), homogeneous=True)
+        return Ideal(ring, tuple(gens))
     if which == "Q":
         m = n - 1
         ring = xring(n, "z")
@@ -324,7 +324,7 @@ def build_ideal(which: str, n: int):
         xn_z = tuple((1 if j in (n - 1, nv - 1) else 0) for j in range(nv))
         xm_sq = tuple((2 if j == m - 1 else 0) for j in range(nv))
         gens.append(Polynomial(nv, {xn_z: 1, xm_sq: -1}))
-        return Ideal(ring, tuple(gens), homogeneous=True)
+        return Ideal(ring, tuple(gens))
     if which == "g_dual":
         terms = {}
         for mono in monomials_of_degree(n, n - 2):
@@ -357,7 +357,7 @@ def _k_homogeneous(n: int) -> Ideal:
         gens.append(Polynomial(n, {sq_i: 1, sq_n: -1}))
     for i in range(n):
         gens.append(Polynomial.monomial(_omitted_product(n, i, n)))
-    return Ideal(ring, tuple(gens), homogeneous=True)
+    return Ideal(ring, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ class Workbench:
         """J_n = in(I_n); its minimal monomial generators are a reduced basis."""
         init = initial_ideal(self.gb_I)
         elems = tuple(Polynomial.monomial(m) for m in init.gens)
-        return GroebnerBasis(init.ring, GREVLEX, elems, True)
+        return GroebnerBasis(init.ring, GREVLEX, elems)
 
     @cached_property
     def gb_K(self) -> GroebnerBasis:
@@ -620,10 +620,10 @@ def _claim_not_gorenstein_J(wb: Workbench):
 def _claim_appendix_colon(wb: Workbench):
     m, cap = wb.n - 1, wb.pair_cap
     lid, kid = wb.ideal_L, wb.ideal_K_prev
-    colon = colon_ideal(lid, kid, cap)
+    colon = colon_ideal(wb.gb_L, kid, cap)
     last_sq = Polynomial.monomial(tuple(2 if j == m - 1 else 0 for j in range(m)))
     target = Ideal(lid.ring, lid.gens + (last_sq,))
-    if colon.gens != buchberger(target, GREVLEX, cap).elements:
+    if colon.elements != buchberger(target, GREVLEX, cap).elements:
         return False, "(L : K) differs from L + <last variable squared>"
     # degree-one minimality: the only linear form u with u*K inside L is 0.
     # u = sum a_i x_i lies in the colon iff every normal form of x_i * k

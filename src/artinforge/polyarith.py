@@ -6,7 +6,7 @@ every operation is exact.  Term orders are realised as tuple-valued sort
 keys, so ``max``, ``sorted`` and heaps consume them directly.
 
 The precedence convention is fixed throughout the package: earlier variables
-are larger, i.e. ``x1 > x2 > ... > xn`` (``> z > t`` when those are present).
+are larger, i.e. ``x1 > x2 > ... > xn`` (``> z`` when it is present).
 Under GRevLex this makes the last variable the cheapest one, which is what
 the staircases computed here rely on.
 """
@@ -112,69 +112,30 @@ def _deglex_key(m: Monomial):
 class TermOrder:
     """A multiplicative total well-order on monomials.
 
-    ``kind`` is one of ``grevlex``, ``lex``, ``deglex`` or ``elimination``.
-    An elimination order carries the index set of its leading block: any
-    monomial involving a block variable beats every monomial that avoids the
-    block, which is exactly what variable elimination needs.  Within the
-    block, and on the remaining variables, ties are broken by GRevLex.
+    ``kind`` is one of ``grevlex``, ``lex`` or ``deglex``; ``key`` maps a
+    monomial to its tuple-valued sort key.
     """
 
-    __slots__ = ("kind", "block", "key")
+    __slots__ = ("kind", "key")
 
-    def __init__(self, kind: str, block: tuple[int, ...] = ()):
-        if kind not in ("grevlex", "lex", "deglex", "elimination"):
+    def __init__(self, kind: str):
+        keys = {"grevlex": _grevlex_key, "lex": _lex_key, "deglex": _deglex_key}
+        if kind not in keys:
             raise ValueError(f"unknown term order kind {kind!r}")
-        if kind == "elimination" and not block:
-            raise ValueError("elimination order needs a non-empty block")
         self.kind = kind
-        self.block = tuple(sorted(block))
-        if kind == "grevlex":
-            self.key = _grevlex_key
-        elif kind == "lex":
-            self.key = _lex_key
-        elif kind == "deglex":
-            self.key = _deglex_key
-        else:
-            blockset = frozenset(self.block)
-            blk = self.block
-
-            def key(m, _blk=blk, _bs=blockset):
-                head = [m[i] for i in _blk]
-                tail = [e for i, e in enumerate(m) if i not in _bs]
-                return (
-                    sum(head),
-                    *[-e for e in reversed(head)],
-                    sum(tail),
-                    *[-e for e in reversed(tail)],
-                )
-
-            self.key = key
-
-    @classmethod
-    def elimination(cls, block) -> "TermOrder":
-        """Elimination order; ``block`` is a size (first k variables) or an
-        explicit iterable of variable indices forming the leading block."""
-        if isinstance(block, int):
-            block = range(block)
-        return cls("elimination", tuple(block))
+        self.key = keys[kind]
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TermOrder)
-            and self.kind == other.kind
-            and self.block == other.block
-        )
+        return isinstance(other, TermOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.block))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.kind == "elimination":
-            return f"TermOrder.elimination({self.block})"
         return f"TermOrder({self.kind!r})"
 
 
@@ -515,13 +476,6 @@ class PolyRing:
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.nvars)
 
-    def extend(self, *names: str) -> "PolyRing":
-        return PolyRing(self.names + names)
-
-    def without(self, drop: Iterable[str]) -> "PolyRing":
-        drop = set(drop)
-        return PolyRing(nm for nm in self.names if nm not in drop)
-
     def lift(self, p: Polynomial, source: "PolyRing") -> Polynomial:
         """Re-express ``p`` (over ``source``) in this ring, matching by name.
 
@@ -652,21 +606,17 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 class Ideal:
     """A finitely generated ideal, tagged with its ambient ring.
 
-    Zero generators are dropped at construction.  ``homogeneous`` is a
-    three-valued flag: True (checked at construction), False, or None (unknown).
+    Zero generators are dropped at construction.
     """
 
     ring: PolyRing
     gens: tuple[Polynomial, ...]
-    homogeneous: "bool | None" = None
 
     def __post_init__(self):
         gens = tuple(g for g in self.gens if g)
         for g in gens:
             if g.nvars != self.ring.nvars:
                 raise AmbientMismatchError("generator outside the ambient ring")
-        if self.homogeneous is True and not all(g.is_homogeneous() for g in gens):
-            raise ValueError("ideal flagged homogeneous has inhomogeneous generators")
         object.__setattr__(self, "gens", gens)
 
     @property
