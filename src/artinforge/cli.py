@@ -43,6 +43,13 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line on stderr; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="permit n = 8 (computations grow steeply)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artinforge",
         description="exact verification workbench for a family of binomial "
         "ideals and their Artinian quotients",
@@ -127,8 +134,7 @@ def _resolve_cap(parser, args) -> int:
         if not text:
             return DEFAULT_PAIR_CAP
     if not text.strip().isdecimal() or int(text) < 1:
-        msg = f"{source} must be a positive integer, got {text!r}"
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {msg}\n")
+        parser.error(f"{source} must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -154,8 +160,7 @@ def _cmd_verify(parser, args) -> int:
     else:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
         if not claims:
-            msg = f"--claims names no claim id: {args.claims!r}"
-            parser.exit(EXIT_USAGE, f"{parser.prog}: error: {msg}\n")
+            parser.error(f"--claims names no claim id: {args.claims!r}")
         for c in claims:
             if c not in paperlab.CLAIMS:
                 parser.error(f"unknown claim id {c!r}")
@@ -192,8 +197,7 @@ def _cmd_verify(parser, args) -> int:
 def _cmd_groebner(parser, args) -> int:
     _check_n(parser, args, (args.n,))
     if args.ideal in ("L", "Q") and args.n < 3:
-        msg = f"--ideal {args.ideal} requires n >= 3"
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {msg}\n")
+        parser.error(f"--ideal {args.ideal} requires n >= 3")
     gb = _named_gb(args.ideal, args.n, _ORDERS[args.order], args.pair_cap)
     rendered = [gb.ring.fmt(g, gb.order) for g in gb.elements]
     if args.format == "json":

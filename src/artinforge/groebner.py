@@ -30,9 +30,9 @@ from .polyarith import (
     TermOrder,
     _normal_form,
     _reducer_info,
-    mono_coprime,
     mono_divides,
     mono_lcm,
+    mono_mask,
     reduce,
     s_polynomial,
 )
@@ -66,14 +66,12 @@ class MonomialIdeal:
 
     def __post_init__(self):
         # a proper divisor has lower degree, so it sorts first
-        minimal: list[Monomial] = []
+        minimal: list[tuple[Monomial, int]] = []  # (generator, its mask)
         for m in sorted(set(self.gens), key=GREVLEX.key):
-            if not any(mono_divides(o, m) for o in minimal):
-                minimal.append(m)
-        object.__setattr__(self, "gens", tuple(minimal))
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
+            mask = mono_mask(m)
+            if not any(not mo & ~mask and mono_divides(o, m) for o, mo in minimal):
+                minimal.append((m, mask))
+        object.__setattr__(self, "gens", tuple(m for m, _ in minimal))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +87,10 @@ def buchberger(
     stays, a coprime one if there is one (the product criterion then drops
     it), else the last index; of the representatives, only those whose lcm
     is divisibility-minimal; and an old pair (i, j) goes when t divides its
-    stored lcm and both lcm(lm_i, t) and lcm(lm_j, t) differ from it.
+    stored lcm and both lcm(lm_i, t) and lcm(lm_j, t) differ from it.  With
+    each leading monomial goes its ``mono_mask``: coprimality is one int test,
+    and a divisor test runs only where the masks (that of lcm(a, b) is
+    mask(a) | mask(b)) allow it, here and in the minimalisation.
 
     Raises :class:`ResourceLimitError` once more than ``pair_cap`` S-pairs
     (default ``DEFAULT_PAIR_CAP``) have been enqueued, turning runaway
@@ -100,6 +101,7 @@ def buchberger(
 
     basis: list[Polynomial] = []
     lms: list[Monomial] = []
+    masks: list[int] = []  # mono_mask of each leading monomial
     info: list = []  # reducer info, kept in sync with basis
     alive: dict[tuple[int, int], Monomial] = {}  # live pair -> its lcm
     heap: list = []
@@ -114,25 +116,29 @@ def buchberger(
         nonlocal enqueued
         t = len(basis)
         lt, lc = h.leading_term(order)
+        mt = mono_mask(lt)
         lcm_with = [mono_lcm(lm, lt) for lm in lms]
         rep: dict[Monomial, tuple[int, bool]] = {}  # lcm -> (index, coprime)
         for i, li in enumerate(lcm_with):
             if li not in rep or not rep[li][1]:
-                rep[li] = (i, mono_coprime(lms[i], lt))
+                rep[li] = (i, not masks[i] & mt)
         # a proper divisor has lower degree, so it is scanned first
-        minimal: list[Monomial] = []
+        minimal: list[tuple[Monomial, int]] = []  # (lcm, its mask)
         for li in sorted(rep, key=sum):
-            if not any(mono_divides(m, li) for m in minimal):
-                minimal.append(li)
-        new_pairs = sorted(rep[li][0] for li in minimal if not rep[li][1])
+            mask = masks[rep[li][0]] | mt
+            if not any(not mm & ~mask and mono_divides(m, li) for m, mm in minimal):
+                minimal.append((li, mask))
+        new_pairs = sorted(rep[li][0] for li, _ in minimal if not rep[li][1])
         # chain criterion against the surviving old pairs
         for (i, j), lij in list(alive.items()):
-            if mono_divides(lt, lij) and lcm_with[i] != lij and lcm_with[j] != lij:
-                del alive[i, j]
+            if not mt & ~(masks[i] | masks[j]) and mono_divides(lt, lij):
+                if lcm_with[i] != lij and lcm_with[j] != lij:
+                    del alive[i, j]
         basis.append(h)
         lms.append(lt)
+        masks.append(mt)
         tail = [(m, c) for m, c in h.terms.items() if m != lt]
-        info.append((lt, lc, tail))
+        info.append((lt, lc, tail, mt))
         for i in new_pairs:
             li = lcm_with[i]
             heappush(heap, (sum(li), key(li), i, t))
@@ -160,14 +166,17 @@ def buchberger(
     order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))
     minimal: list[int] = []
     for i in order_idx:
-        if not any(mono_divides(lms[j], lms[i]) for j in minimal):
+        outside = ~masks[i]
+        if not any(
+            not masks[j] & outside and mono_divides(lms[j], lms[i]) for j in minimal
+        ):
             minimal.append(i)
     # interreduce: a tail term lies below its own leading monomial, so the
     # minimal elements reduce it to its canonical normal form in one call
     reducers = [info[i] for i in minimal]
     final = []
     for i in minimal:
-        lt, lc, tail = info[i]
+        lt, lc, tail, _ = info[i]
         out, _ = _normal_form(dict(tail), reducers, order)
         final.append(Polynomial(ideal.ring.nvars, {lt: lc, **out}))
     return GroebnerBasis(ideal.ring, order, tuple(final))

@@ -78,8 +78,15 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def mono_mask(m: Monomial) -> int:
+    """Bit i set when x_i occurs in ``m``.  ``a`` divides ``b`` only when
+    ``mono_mask(a) & ~mono_mask(b) == 0``, and ``a``, ``b`` are coprime
+    exactly when ``mono_mask(a) & mono_mask(b) == 0``."""
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
@@ -352,14 +359,15 @@ class Polynomial:
 # division algorithm
 
 def _reducer_info(reducers: Sequence[Polynomial], order: TermOrder):
-    """Precompute (leading monomial, leading coeff, tail items) per reducer."""
+    """Precompute (leading monomial, leading coeff, tail items, mask of the
+    leading monomial) per reducer."""
     info = []
     for g in reducers:
         if not g:
             raise ValueError("reducers must be nonzero")
         lm, lc = g.leading_term(order)
         tail = [(m, c) for m, c in g.terms.items() if m != lm]
-        info.append((lm, lc, tail))
+        info.append((lm, lc, tail, mono_mask(lm)))
     return info
 
 
@@ -368,7 +376,10 @@ def _normal_form(terms: dict, info, order: TermOrder):
 
     Monomials are processed in strictly descending order via a heap of
     negated order keys, which is equivalent to always rewriting the current
-    leading term.  Returns (normal form dict, per-reducer quotient dicts).
+    leading term.  A reducer whose leading-monomial mask has a bit outside
+    the mask of the current monomial cannot divide it and is skipped before
+    the exponentwise test; the first reducer that divides is still the one
+    used.  Returns (normal form dict, per-reducer quotient dicts).
     """
     key = order.key
     work = dict(terms)
@@ -381,8 +392,9 @@ def _normal_form(terms: dict, info, order: TermOrder):
         c = work.pop(m, 0)
         if not c:
             continue
-        for idx, (lm, lc, tail) in enumerate(info):
-            if mono_divides(lm, m):
+        outside = ~mono_mask(m)
+        for idx, (lm, lc, tail, mask) in enumerate(info):
+            if not mask & outside and mono_divides(lm, m):
                 q = mono_div(m, lm)
                 s = coeff_div(c, lc)
                 qd = quots[idx]

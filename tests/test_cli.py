@@ -85,6 +85,24 @@ def test_verify_rejects_out_of_range_n(capsys):
     assert run(capsys, "verify", "--n", "8", "--claims", "thm1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --n 0..3",
+        "verify --n 3..2",
+        "socle --ideal J --n 9",
+        "verify --claims nope --n 3",
+        "points --n 2",
+        "character --n 3 --kind subset",
+    ],
+)
+def test_usage_error_is_one_line_without_the_usage_block(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and ": error: " in err
+    assert "usage:" not in err and "Traceback" not in err
+
+
 def test_non_positive_pair_cap_is_usage_error(capsys):
     for value in ("0", "-5", "abc"):
         code, out, err = run(

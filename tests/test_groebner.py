@@ -41,10 +41,10 @@ from artinforge.polyarith import (
     TermOrder,
     _normal_form,
     coeff_div,
-    mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mask,
     monomials_of_degree,
     reduce,
     xring,
@@ -154,11 +154,27 @@ def test_pair_cap_raises():
 # ---------------------------------------------------------------------------
 # the completion against the earlier engine
 
+def mono_coprime(a: Monomial, b: Monomial) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+monomials4 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@given(monomials4, monomials4)
+def test_masks_filter_divisibility_and_decide_coprimality(a, b):
+    if mono_divides(a, b):
+        assert mono_mask(a) & ~mono_mask(b) == 0
+    assert (mono_mask(a) & mono_mask(b) == 0) == mono_coprime(a, b)
+    assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
+
+
 # The earlier completion, kept verbatim as the reference for the Gebauer-Moeller
 # update on stored lcms and the one-call interreduction: it rescans every
 # candidate pair per install, recomputes each live pair's lcm for the chain
 # criterion, builds its S-polynomials inline and interreduces through
-# ``reduce``.
+# ``reduce``.  Only its reducer info gained the leading monomial's mask, which
+# the division loop now reads.
 def reference_buchberger(
     ideal: Ideal, order: TermOrder = GREVLEX, pair_cap: "int | None" = None
 ) -> GroebnerBasis:
@@ -212,7 +228,7 @@ def reference_buchberger(
         basis.append(h)
         lms.append(lt)
         tail = [(m, c) for m, c in h.terms.items() if m != lt]
-        info.append((lt, lc, tail))
+        info.append((lt, lc, tail, mono_mask(lt)))
         for i in new_pairs:
             li = lcm_with[i]
             heappush(heap, (sum(li), key(li), i, t))
@@ -767,11 +783,15 @@ def times_one_minus_t(p, power):
     return p
 
 
+def contains_monomial(m_ideal, m):
+    return any(mono_divides(g, m) for g in m_ideal.gens)
+
+
 def brute_force_numerator(m_ideal, top):
     """(1-t)^nvars times the count of monomials outside M, degrees 0..top."""
     nv = m_ideal.ring.nvars
     series = [
-        sum(not m_ideal.contains_monomial(m) for m in monomials_of_degree(nv, d))
+        sum(not contains_monomial(m_ideal, m) for m in monomials_of_degree(nv, d))
         for d in range(top + 1)
     ]
     return times_one_minus_t(series, nv)[: top + 1]
@@ -829,6 +849,39 @@ def test_krull_zero_ideal_and_improper():
 def test_monomial_ideal_minimalises():
     m = MonomialIdeal(xring(2), ((1, 0), (1, 1), (2, 0)))
     assert m.gens == ((1, 0),)
+
+
+def reference_minimal_generators(gens):
+    """The minimalisation before the divisibility mask, kept verbatim."""
+    # a proper divisor has lower degree, so it sorts first
+    minimal: list[Monomial] = []
+    for m in sorted(set(gens), key=GREVLEX.key):
+        if not any(mono_divides(o, m) for o in minimal):
+            minimal.append(m)
+    return tuple(minimal)
+
+
+@st.composite
+def monomial_lists(draw):
+    """Up to eight monomials in one to four variables, with repeats."""
+    nv = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=8))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    return nv, draw(st.permutations(gens))
+
+
+@settings(max_examples=200)
+@given(monomial_lists())
+def test_monomial_ideal_matches_the_mask_free_minimalisation(case):
+    nv, gens = case
+    minimal = MonomialIdeal(xring(nv), tuple(gens)).gens
+    assert minimal == reference_minimal_generators(gens)
+    # an antichain that every input generator is a multiple of
+    for m in gens:
+        assert any(mono_divides(o, m) for o in minimal)
+    for a in minimal:
+        assert not any(b != a and mono_divides(b, a) for b in minimal)
 
 
 def test_krull_dimension_zero_iff_finite_staircase():

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinforge.errors import AmbientMismatchError
@@ -10,9 +11,16 @@ from artinforge.polyarith import (
     GREVLEX,
     LEX,
     Polynomial,
+    _normal_form,
+    _reducer_info,
     cmp_monomials,
+    coeff_div,
     format_polynomial,
+    mono_div,
+    mono_divides,
     mono_lcm,
+    mono_mask,
+    mono_mul,
     monomials_of_degree,
     parse_polynomial,
     reduce,
@@ -84,8 +92,6 @@ def test_grevlex_matches_definition(a, b):
 
 @given(monomials3, monomials3, monomials3)
 def test_orders_are_multiplicative(a, b, c):
-    from artinforge.polyarith import mono_mul
-
     for order in (GREVLEX, LEX, DEGLEX):
         s = cmp_monomials(a, b, order)
         assert cmp_monomials(mono_mul(a, c), mono_mul(b, c), order) == s
@@ -214,6 +220,100 @@ def test_s_polynomial_coprime_reduces_to_zero():
 
 def test_mono_lcm():
     assert mono_lcm((1, 0, 2), (0, 3, 1)) == (1, 3, 2)
+
+
+@given(monomials3)
+def test_mono_mask_bits_are_the_support(m):
+    assert mono_mask(m) == sum(1 << i for i, e in enumerate(m) if e)
+
+
+# The division loop before the divisibility mask, kept verbatim as the
+# reference: it tests every reducer exponent by exponent.
+def reference_reducer_info(reducers, order):
+    """Precompute (leading monomial, leading coeff, tail items) per reducer."""
+    info = []
+    for g in reducers:
+        if not g:
+            raise ValueError("reducers must be nonzero")
+        lm, lc = g.leading_term(order)
+        tail = [(m, c) for m, c in g.terms.items() if m != lm]
+        info.append((lm, lc, tail))
+    return info
+
+
+def reference_normal_form(terms: dict, info, order):
+    """Core division loop on raw term dicts.
+
+    Monomials are processed in strictly descending order via a heap of
+    negated order keys, which is equivalent to always rewriting the current
+    leading term.  Returns (normal form dict, per-reducer quotient dicts).
+    """
+    key = order.key
+    work = dict(terms)
+    heap = [((*[-v for v in key(m)],), m) for m in work]
+    heap.sort()
+    nf: dict = {}
+    quots: list[dict] = [{} for _ in info]
+    while heap:
+        _, m = heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for idx, (lm, lc, tail) in enumerate(info):
+            if mono_divides(lm, m):
+                q = mono_div(m, lm)
+                s = coeff_div(c, lc)
+                qd = quots[idx]
+                qd[q] = qd.get(q, 0) + s
+                for tm, tc in tail:
+                    t = mono_mul(q, tm)
+                    old = work.get(t, 0)
+                    new = old - s * tc
+                    if new:
+                        if not old:
+                            heappush(heap, ((*[-v for v in key(t)],), t))
+                        work[t] = new
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            nf[m] = c
+    return nf, quots
+
+
+@st.composite
+def division_cases(draw):
+    """A polynomial and one to four reducers over three variables with int
+    and Fraction coefficients under a random order: the first reducer is
+    non-monic, and a constant reducer (mask 0) sometimes joins the list."""
+    order = draw(st.sampled_from((GREVLEX, LEX, DEGLEX)))
+    f = draw(polys3(max_terms=6))
+    reducers = draw(st.lists(polys3().filter(bool), min_size=1, max_size=4))
+    if reducers[0].leading_coefficient(order) == 1:
+        reducers[0] = reducers[0] * draw(st.sampled_from((3, -2, Fraction(2, 3))))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(reducers)))
+        reducers.insert(at, Polynomial.constant(3, draw(coeffs)))
+    return f, reducers, order
+
+
+def test_reducer_info_carries_the_leading_mask():
+    (lm, lc, tail, mask), (_, _, _, one) = _reducer_info(
+        [p("2*x1*x3^2 - x2"), p("5")], GREVLEX
+    )
+    assert (lm, lc, tail, mask) == ((1, 0, 2), 2, [((0, 1, 0), -1)], 0b101)
+    assert one == 0
+
+
+@settings(max_examples=200)
+@given(division_cases())
+def test_normal_form_matches_the_mask_free_reference(case):
+    f, reducers, order = case
+    got = _normal_form(f.terms, _reducer_info(reducers, order), order)
+    want = reference_normal_form(
+        f.terms, reference_reducer_info(reducers, order), order
+    )
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
