@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: verify, groebner, hilbert, character, socle, challenge, points,
-triangle.  All numeric output is exact (integers or rational strings) and
+triangle.  Each command returns its JSON records, its text lines and an exit
+code without printing; :func:`run` checks ``--n`` once for every command and
+prints either one JSON object per record (``--format json``) or the lines.
+All numeric output is exact (integers or rational strings) and
 byte-identical across runs: ``verify`` runs the claims one n at a time on
 one :class:`paperlab.Workbench` per n and emits the reports sorted by claim
-and n.
+and n, then a pass/fail/skipped summary on stderr.
 
 Exit codes: 0 all selected checks pass, 1 at least one failure, 2 usage
 error, 3 resource limit hit.  ``ARTINFORGE_PAIR_CAP`` is the fallback for
@@ -17,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import paperlab, quotient, reptheory
 from .errors import ResourceLimitError
@@ -31,7 +35,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
+def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -40,7 +44,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad n range {text!r}") from None
     if a > b:
         raise argparse.ArgumentTypeError(f"empty n range {text!r}")
-    return a, b
+    return range(a, b + 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run registered claims")
-    p.add_argument("--n", type=_parse_n_range, default=(2, 6), metavar="A..B")
+    p.add_argument("--n", type=_parse_n_range, default=range(2, 7), metavar="A..B")
     p.add_argument("--claims", default="all", help="comma list of claim ids or 'all'")
     p.add_argument(
         "--timings", action="store_true", help="include millis in JSON reports"
@@ -147,14 +151,11 @@ def _named_gb(name: str, n: int, order, cap):
     return buchberger(Ideal(wb.gb_J.ring, wb.gb_J.elements), order, cap)
 
 
-def _emit(lines) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
+def _class_value(lam, value) -> str:
+    return f"({','.join(str(p) for p in lam)}): {value}"
 
 
-def _cmd_verify(parser, args) -> int:
-    lo, hi = args.n
-    _check_n(parser, args, range(lo, hi + 1))
+def _cmd_verify(parser, args):
     if args.claims == "all":
         claims = sorted(paperlab.CLAIMS)
     else:
@@ -166,79 +167,44 @@ def _cmd_verify(parser, args) -> int:
                 parser.error(f"unknown claim id {c!r}")
         claims = sorted(set(claims))
     reports = []
-    for n in range(lo, hi + 1):
+    for n in args.n:
         wb = paperlab.Workbench(n, args.pair_cap)
         reports += [paperlab.verify(claim, n, wb) for claim in claims]
     reports.sort(key=lambda r: (r.claim, r.n))
-
-    if args.format == "json":
-        _emit(
-            json.dumps(r.to_json_dict(include_millis=args.timings), sort_keys=True)
-            for r in reports
-        )
-    else:
-        for r in reports:
-            line = f"{r.status:<8}{r.claim:<24}n={r.n}"
-            if r.witness:
-                line += f"  [{r.witness}]"
-            sys.stdout.write(line + "\n")
-    counts = {
-        status: sum(1 for r in reports if r.status == status)
-        for status in ("pass", "fail", "skipped")
-    }
-    print(
-        f"{counts['pass']} pass, {counts['fail']} fail, "
-        f"{counts['skipped']} skipped",
-        file=sys.stderr,
-    )
-    return EXIT_FAIL if counts["fail"] else EXIT_OK
+    lines = []
+    for r in reports:
+        line = f"{r.status:<8}{r.claim:<24}n={r.n}"
+        if r.witness:
+            line += f"  [{r.witness}]"
+        lines.append(line)
+    records = [r.to_json_dict(include_millis=args.timings) for r in reports]
+    failed = any(r.status == "fail" for r in reports)
+    return records, lines, EXIT_FAIL if failed else EXIT_OK
 
 
-def _cmd_groebner(parser, args) -> int:
-    _check_n(parser, args, (args.n,))
+def _verify_summary(records) -> str:
+    """The stderr line that ``run`` prints after the ``verify`` reports."""
+    counts = Counter(r["status"] for r in records)
+    return f"{counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped"
+
+
+def _cmd_groebner(parser, args):
     if args.ideal in ("L", "Q") and args.n < 3:
         parser.error(f"--ideal {args.ideal} requires n >= 3")
     gb = _named_gb(args.ideal, args.n, _ORDERS[args.order], args.pair_cap)
     rendered = [gb.ring.fmt(g, gb.order) for g in gb.elements]
-    if args.format == "json":
-        _emit(
-            [
-                json.dumps(
-                    {
-                        "ideal": args.ideal,
-                        "n": args.n,
-                        "order": args.order,
-                        "basis": rendered,
-                    },
-                    sort_keys=True,
-                )
-            ]
-        )
-    else:
-        _emit(rendered)
-    return EXIT_OK
+    record = {"ideal": args.ideal, "n": args.n, "order": args.order, "basis": rendered}
+    return [record], rendered, EXIT_OK
 
 
-def _cmd_hilbert(parser, args) -> int:
-    _check_n(parser, args, (args.n,))
+def _cmd_hilbert(parser, args):
     gb = _named_gb(args.ideal, args.n, GREVLEX, args.pair_cap)
     series = quotient.hilbert_series(quotient.standard_monomials(gb))
-    if args.format == "json":
-        _emit(
-            [
-                json.dumps(
-                    {"coefficients": series, "ideal": args.ideal, "n": args.n},
-                    sort_keys=True,
-                )
-            ]
-        )
-    else:
-        _emit([" ".join(str(c) for c in series)])
-    return EXIT_OK
+    record = {"coefficients": series, "ideal": args.ideal, "n": args.n}
+    return [record], [" ".join(str(c) for c in series)], EXIT_OK
 
 
-def _cmd_character(parser, args) -> int:
-    _check_n(parser, args, (args.n,))
+def _cmd_character(parser, args):
     n = args.n
     if args.kind == "xn":
         cf = reptheory.xn_character(n)
@@ -256,96 +222,54 @@ def _cmd_character(parser, args) -> int:
         if not 0 <= args.k <= n:
             parser.error(f"--k must lie in 0..{n}")
         cf = reptheory.subset_character(n, args.k)
-    if args.format == "json":
-        _emit([json.dumps(cf.to_dict(), sort_keys=True)])
-    else:
-        _emit(
-            f"({','.join(str(p) for p in lam)}): {value}"
-            for lam, value in cf.values.items()
-        )
-    return EXIT_OK
+    lines = [_class_value(lam, value) for lam, value in cf.values.items()]
+    return [cf.to_dict()], lines, EXIT_OK
 
 
-def _cmd_socle(parser, args) -> int:
-    _check_n(parser, args, (args.n,))
+def _cmd_socle(parser, args):
     wb = paperlab.Workbench(args.n, args.pair_cap)
     q = wb.quotient_J if args.ideal == "J" else wb.quotient_K
     dim, gorenstein = quotient.socle_dimension(q)
-    if args.format == "json":
-        _emit(
-            [
-                json.dumps(
-                    {
-                        "gorenstein": gorenstein,
-                        "ideal": args.ideal,
-                        "n": args.n,
-                        "socle_dimension": dim,
-                    },
-                    sort_keys=True,
-                )
-            ]
-        )
-    else:
-        _emit([f"socle_dimension={dim} gorenstein={str(gorenstein).lower()}"])
-    return EXIT_OK
+    record = {
+        "gorenstein": gorenstein,
+        "ideal": args.ideal,
+        "n": args.n,
+        "socle_dimension": dim,
+    }
+    line = f"socle_dimension={dim} gorenstein={str(gorenstein).lower()}"
+    return [record], [line], EXIT_OK
 
 
-def _cmd_challenge(parser, args) -> int:
-    _check_n(parser, args, (args.n,))
+def _cmd_challenge(parser, args):
     series = paperlab.challenge_series(paperlab.Workbench(args.n, args.pair_cap))
-    if args.format == "json":
-        _emit([json.dumps(series.to_dict(), sort_keys=True)])
-    else:
-        lines = []
-        for degree, cf in series.terms:
-            values = ", ".join(
-                f"({','.join(str(p) for p in lam)}): {v}"
-                for lam, v in cf.values.items()
-            )
-            lines.append(f"t^{degree}: {values}")
-        _emit(lines)
-    return EXIT_OK
+    lines = [
+        f"t^{degree}: "
+        + ", ".join(_class_value(lam, v) for lam, v in cf.values.items())
+        for degree, cf in series.terms
+    ]
+    return [series.to_dict()], lines, EXIT_OK
 
 
-def _cmd_points(parser, args) -> int:
-    _check_n(parser, args, (args.n,))
+def _cmd_points(parser, args):
     if args.n < 3:
         parser.error("points requires n >= 3")
     pts = paperlab.enumerate_points(args.n)
-    if args.format == "json":
-        payload = [
-            {"origin": True}
-            if p.is_origin
-            else {"origin": False, "root_index": p.k, "signs": list(p.eps)}
-            for p in pts
-        ]
-        _emit([json.dumps({"count": len(pts), "points": payload}, sort_keys=True)])
-    else:
-        lines = []
-        for p in pts:
-            if p.is_origin:
-                lines.append("origin")
-            else:
-                signs = "".join("+" if e == 1 else "-" for e in p.eps)
-                lines.append(f"k={p.k} eps={signs}")
-        _emit(lines)
-    return EXIT_OK
+    payload, lines = [], []
+    for p in pts:
+        if p.is_origin:
+            payload.append({"origin": True})
+            lines.append("origin")
+        else:
+            payload.append({"origin": False, "root_index": p.k, "signs": list(p.eps)})
+            signs = "".join("+" if e == 1 else "-" for e in p.eps)
+            lines.append(f"k={p.k} eps={signs}")
+    return [{"count": len(pts), "points": payload}], lines, EXIT_OK
 
 
-def _cmd_triangle(parser, args) -> int:
-    lo, hi = args.n
-    _check_n(parser, args, range(lo, hi + 1))
-    rows = {n: paperlab.bernoulli(n) for n in range(lo, hi + 1)}
-    if args.format == "json":
-        _emit(
-            [
-                json.dumps({"n": n, "row": rows[n]}, sort_keys=True)
-                for n in range(lo, hi + 1)
-            ]
-        )
-    else:
-        _emit(" ".join(str(c) for c in rows[n]) for n in range(lo, hi + 1))
-    return EXIT_OK
+def _cmd_triangle(parser, args):
+    rows = [paperlab.bernoulli(n) for n in args.n]
+    records = [{"n": n, "row": row} for n, row in zip(args.n, rows)]
+    return records, [" ".join(str(c) for c in row) for row in rows], EXIT_OK
 
 
 _COMMANDS = {
@@ -361,17 +285,26 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    """Parse ``argv``, run one command and print its output: a JSON object
+    per record under ``--format json``, its text lines otherwise."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         args.pair_cap = _resolve_cap(parser, args)
-        return _COMMANDS[args.command](parser, args)
+        _check_n(parser, args, args.n if isinstance(args.n, range) else (args.n,))
+        records, lines, code = _COMMANDS[args.command](parser, args)
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    if args.format == "json":
+        lines = [json.dumps(record, sort_keys=True) for record in records]
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    if args.command == "verify":
+        print(_verify_summary(records), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -182,19 +182,6 @@ def buchberger(
     return GroebnerBasis(ideal.ring, order, tuple(final))
 
 
-def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
-    """Direct Buchberger criterion: every S-polynomial reduces to zero.
-
-    Quadratic and slow; meant for verifying outputs, not producing them.
-    """
-    polys = list(polys)
-    for f, g in combinations(polys, 2):
-        s = s_polynomial(f, g, order)
-        if s and reduce(s, polys, order)[0]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # derived operators
 

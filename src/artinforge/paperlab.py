@@ -115,21 +115,22 @@ def bernoulli(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials with monic divisor."""
-    num = list(num)
+def _divmod_monic(
+    num: list[int], den: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending coefficients)
+    by a monic divisor; the remainder has exactly deg(den) coefficients."""
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+    rem = list(num) + [0] * (dd - len(num))
+    quot = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
         if not c:
             continue
-        out[i - dd] = c
+        quot[i - dd] = c
         for j, d in enumerate(den):
-            num[i - dd + j] -= c * d
-    if any(num):
-        raise ValueError("polynomial division left a remainder")
-    return out
+            rem[i - dd + j] -= c * d
+    return quot, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -141,22 +142,10 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_div_exact(num, cyclotomic_poly(d))
+            num, rem = _divmod_monic(num, cyclotomic_poly(d))
+            if any(rem):
+                raise ValueError("polynomial division left a remainder")
     return tuple(num)
-
-
-def _reduce_mod_phi(coeffs: list[int], phi: tuple[int, ...]) -> tuple[int, ...]:
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        for j, d in enumerate(phi):
-            coeffs[i - deg + j] -= c * d
-    coeffs = coeffs[:deg]
-    coeffs += [0] * (deg - len(coeffs))
-    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +215,7 @@ def _value_at(poly: Polynomial, exps: "tuple[int, ...] | None", m: int) -> tuple
     else:
         for mono, c in poly.terms.items():
             sums[sum(a * e for a, e in zip(mono, exps)) % m] += c
-    return _reduce_mod_phi(sums, cyclotomic_poly(m))
+    return tuple(_divmod_monic(sums, cyclotomic_poly(m))[1])
 
 
 def verify_points_satisfy_ideal(n: int) -> "VerificationReport":

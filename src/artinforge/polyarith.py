@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError
 
@@ -173,22 +173,19 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, object] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, nvars: int, terms: dict[Monomial, object]):
         clean: dict[Monomial, object] = {}
-        for m, c in items:
+        for m, c in terms.items():
             c = _norm_coeff(c)
             if c:
-                clean[m] = clean.get(m, 0) + c
-                if not clean[m]:
-                    del clean[m]
+                clean[m] = c
         self.nvars = nvars
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":

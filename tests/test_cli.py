@@ -270,3 +270,38 @@ def test_triangle_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned output of every subcommand
+
+PINNED = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "data" / "cli-outputs.jsonl")
+    .read_text()
+    .splitlines()
+]
+
+
+@pytest.mark.parametrize("record", PINNED, ids=[" ".join(r["argv"]) for r in PINNED])
+def test_output_matches_the_pinned_bytes(capsys, monkeypatch, record):
+    monkeypatch.delenv("ARTINFORGE_PAIR_CAP", raising=False)
+    code, out, err = run(capsys, *record["argv"])
+    assert (code, out, err) == (record["code"], record["stdout"], record["stderr"])
+
+
+def test_verify_summary_follows_the_reports():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ARTINFORGE_PAIR_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-u", "-m", "artinforge", "verify", "--n", "3..4",
+         "--claims", "thm1"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        check=True,
+    )
+    lines = done.stdout.decode().splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["pass", "pass"]
+    assert lines[2:] == ["2 pass, 0 fail, 0 skipped"]

@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from artinforge.groebner import (
     ideal_equal,
     ideal_member,
     initial_ideal,
-    is_groebner_basis,
     is_regular_element,
     krull_dim_monomial,
     substitute,
@@ -47,6 +47,7 @@ from artinforge.polyarith import (
     mono_mask,
     monomials_of_degree,
     reduce,
+    s_polynomial,
     xring,
 )
 
@@ -167,6 +168,21 @@ def test_masks_filter_divisibility_and_decide_coprimality(a, b):
         assert mono_mask(a) & ~mono_mask(b) == 0
     assert (mono_mask(a) & mono_mask(b) == 0) == mono_coprime(a, b)
     assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
+
+
+# Direct Buchberger criterion, moved verbatim from ``groebner``: nothing in the
+# package calls it, and it checks the completions here.
+def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
+    """Direct Buchberger criterion: every S-polynomial reduces to zero.
+
+    Quadratic and slow; meant for verifying outputs, not producing them.
+    """
+    polys = list(polys)
+    for f, g in combinations(polys, 2):
+        s = s_polynomial(f, g, order)
+        if s and reduce(s, polys, order)[0]:
+            return False
+    return True
 
 
 # The earlier completion, kept verbatim as the reference for the Gebauer-Moeller

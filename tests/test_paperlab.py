@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,7 @@ from artinforge.paperlab import (
     CLAIMS,
     SymbolicPoint,
     Workbench,
-    _reduce_mod_phi,
+    _divmod_monic,
     _value_at,
     bernoulli,
     build_ideal,
@@ -141,7 +142,7 @@ class CyclotomicElement:
     def __init__(self, m: int, coeffs):
         phi = cyclotomic_poly(m)
         self.m = m
-        self.coeffs = _reduce_mod_phi(list(coeffs), phi)
+        self.coeffs = tuple(_divmod_monic(list(coeffs), phi)[1])
 
     @classmethod
     def zero(cls, m: int) -> "CyclotomicElement":
@@ -247,6 +248,21 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(1) == (-1, 1)
+
+
+def test_divmod_monic_recombines_to_the_dividend():
+    rng = random.Random(11)
+    for _ in range(200):
+        den = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4))) + (1,)
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(0, 9))]
+        quot, rem = _divmod_monic(num, den)
+        assert len(rem) == len(den) - 1
+        back = rem + [0] * (len(quot) + len(den) - 1 - len(rem))
+        for i, q in enumerate(quot):
+            for j, d in enumerate(den):
+                back[i + j] += q * d
+        size = max(len(num), len(den) - 1)
+        assert back == num + [0] * (size - len(num)), (num, den)
 
 
 def test_cyclotomic_polynomials_match_sympy():
