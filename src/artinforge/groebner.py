@@ -108,8 +108,7 @@ def buchberger(
     enqueued = 0
 
     def nf(p: Polynomial) -> Polynomial:
-        out, _ = _normal_form(p.terms, info, order)
-        return Polynomial(p.nvars, out)
+        return Polynomial(p.nvars, _normal_form(p.terms, info, order))
 
     def update(h: Polynomial):
         """Gebauer-Moeller installation of a new basis element."""
@@ -177,7 +176,7 @@ def buchberger(
     final = []
     for i in minimal:
         lt, lc, tail, _ = info[i]
-        out, _ = _normal_form(dict(tail), reducers, order)
+        out = _normal_form(dict(tail), reducers, order)
         final.append(Polynomial(ideal.ring.nvars, {lt: lc, **out}))
     return GroebnerBasis(ideal.ring, order, tuple(final))
 
@@ -262,7 +261,7 @@ def top_form_ideal(gb: GroebnerBasis) -> Ideal:
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
-    return not reduce(f, list(gb.elements), gb.order)[0]
+    return not reduce(f, list(gb.elements), gb.order)
 
 
 def ideal_equal(
@@ -298,8 +297,7 @@ def colon_ideal(
     rows: dict = {}  # (k, monomial) -> {column of m: coefficient in NF(m*f_k)}
     for j, m in enumerate(staircase):
         for k, f in enumerate(b.gens):
-            nf, _ = _normal_form(f.mul_term(m).terms, info, gb.order)
-            for t, c in nf.items():
+            for t, c in _normal_form(f.mul_term(m).terms, info, gb.order).items():
                 rows.setdefault((k, t), {})[j] = c
     kernel = tuple(
         Polynomial(gb.ring.nvars, dict(zip(staircase, vec)))

@@ -368,34 +368,31 @@ def _reducer_info(reducers: Sequence[Polynomial], order: TermOrder):
     return info
 
 
-def _normal_form(terms: dict, info, order: TermOrder):
-    """Core division loop on raw term dicts.
+def _normal_form(terms: dict, info, order: TermOrder) -> dict:
+    """Core division loop on raw term dicts; returns the normal form dict.
 
     Monomials are processed in strictly descending order via a heap of
     negated order keys, which is equivalent to always rewriting the current
     leading term.  A reducer whose leading-monomial mask has a bit outside
     the mask of the current monomial cannot divide it and is skipped before
     the exponentwise test; the first reducer that divides is still the one
-    used.  Returns (normal form dict, per-reducer quotient dicts).
+    used.
     """
     key = order.key
     work = dict(terms)
     heap = [((*[-v for v in key(m)],), m) for m in work]
     heap.sort()
     nf: dict = {}
-    quots: list[dict] = [{} for _ in info]
     while heap:
         _, m = heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
         outside = ~mono_mask(m)
-        for idx, (lm, lc, tail, mask) in enumerate(info):
+        for lm, lc, tail, mask in info:
             if not mask & outside and mono_divides(lm, m):
                 q = mono_div(m, lm)
                 s = coeff_div(c, lc)
-                qd = quots[idx]
-                qd[q] = qd.get(q, 0) + s
                 for tm, tc in tail:
                     t = mono_mul(q, tm)
                     old = work.get(t, 0)
@@ -409,28 +406,24 @@ def _normal_form(terms: dict, info, order: TermOrder):
                 break
         else:
             nf[m] = c
-    return nf, quots
+    return nf
 
 
 def reduce(
     p: Polynomial, reducers: Sequence[Polynomial], order: TermOrder = GREVLEX
-) -> tuple[Polynomial, list[Polynomial]]:
-    """Multivariate division of ``p`` by the list ``reducers``.
+) -> Polynomial:
+    """The remainder of ``p`` under multivariate division by ``reducers``.
 
-    Returns ``(normal_form, quotients)`` with
-    ``p == sum(q_i * g_i) + normal_form`` and no term of the normal form
-    divisible by any leading monomial of the reducers.  Reducers are tried
-    leftmost first, so the result is deterministic for a fixed list order.
+    No term of the remainder is divisible by a leading monomial of the
+    reducers, and ``p`` minus the remainder lies in the ideal they generate.
+    Reducers are tried leftmost first, so the result is deterministic for a
+    fixed list order.
     """
     for g in reducers:
         if g.nvars != p.nvars:
             raise AmbientMismatchError("reducer over a different ambient ring")
     info = _reducer_info(reducers, order)
-    nf, quots = _normal_form(p.terms, info, order)
-    return (
-        Polynomial(p.nvars, nf),
-        [Polynomial(p.nvars, q) for q in quots],
-    )
+    return Polynomial(p.nvars, _normal_form(p.terms, info, order))
 
 
 def s_polynomial(

@@ -69,8 +69,7 @@ class QuotientAlgebra:
         return len(self.basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        nf, _ = _normal_form(f.terms, self._info, self.gb.order)
-        return Polynomial(f.nvars, nf)
+        return Polynomial(f.nvars, _normal_form(f.terms, self._info, self.gb.order))
 
     def vector(self, m: Monomial) -> dict:
         """NF(m) as ``{basis index: coeff}``; shared, do not mutate."""

@@ -91,10 +91,10 @@ def test_criterion_02_reducedness_certificate():
     for n in range(3, 7):
         count = len(enumerate_points(n))
         dim = len(standard_monomials(Workbench(n).gb_I))
-        report = verify_points_satisfy_ideal(n)
-        if count != dim or report.status != "pass":
+        witness = verify_points_satisfy_ideal(n)
+        if count != dim or witness is not None:
             ok = False
-            detail = f"n={n}: count {count}, dim {dim}, points {report.status}"
+            detail = f"n={n}: count {count}, dim {dim}, points {witness}"
             break
     verdict(2, "reducedness certificate", ok, detail)
 

@@ -50,6 +50,7 @@ from artinforge.polyarith import (
     s_polynomial,
     xring,
 )
+from test_polyarith import reference_reduce
 
 R3 = xring(3)
 J3_MONOMIALS = {
@@ -170,8 +171,9 @@ def test_masks_filter_divisibility_and_decide_coprimality(a, b):
     assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
 
 
-# Direct Buchberger criterion, moved verbatim from ``groebner``: nothing in the
-# package calls it, and it checks the completions here.
+# Direct Buchberger criterion, moved from ``groebner``: nothing in the package
+# calls it, and it checks the completions here.  ``reduce`` now returns the
+# remainder alone.
 def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
     """Direct Buchberger criterion: every S-polynomial reduces to zero.
 
@@ -180,7 +182,7 @@ def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
     polys = list(polys)
     for f, g in combinations(polys, 2):
         s = s_polynomial(f, g, order)
-        if s and reduce(s, polys, order)[0]:
+        if s and reduce(s, polys, order):
             return False
     return True
 
@@ -189,8 +191,9 @@ def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
 # update on stored lcms and the one-call interreduction: it rescans every
 # candidate pair per install, recomputes each live pair's lcm for the chain
 # criterion, builds its S-polynomials inline and interreduces through
-# ``reduce``.  Only its reducer info gained the leading monomial's mask, which
-# the division loop now reads.
+# ``reduce``.  Its reducer info gained the leading monomial's mask, which the
+# division loop now reads, and it takes the remainders of ``_normal_form`` and
+# ``reduce`` as they now return them, with no quotients.
 def reference_buchberger(
     ideal: Ideal, order: TermOrder = GREVLEX, pair_cap: "int | None" = None
 ) -> GroebnerBasis:
@@ -211,8 +214,7 @@ def reference_buchberger(
     enqueued = 0
 
     def nf(p: Polynomial) -> Polynomial:
-        out, _ = _normal_form(p.terms, info, order)
-        return Polynomial(p.nvars, out)
+        return Polynomial(p.nvars, _normal_form(p.terms, info, order))
 
     def update(h: Polynomial):
         """Gebauer-Moeller installation of a new basis element."""
@@ -285,7 +287,7 @@ def reference_buchberger(
     final = {i: basis[i] for i in minimal}
     for i in minimal:
         others = [final[j] for j in minimal if j != i]
-        final[i] = reduce(final[i], others, order)[0].monic(order)
+        final[i] = reduce(final[i], others, order).monic(order)
     return GroebnerBasis(ideal.ring, order, tuple(final[i] for i in minimal))
 
 
@@ -651,7 +653,7 @@ def reference_exact_divide(
     g: Polynomial, f: Polynomial, order: TermOrder = GREVLEX
 ) -> Polynomial:
     """Quotient g/f for a known multiple; remainder must vanish."""
-    nf, quots = reduce(g, [f], order)
+    nf, quots = reference_reduce(g, [f], order)
     if nf:
         raise ValueError("exact_divide called on a non-multiple")
     return quots[0]

@@ -21,7 +21,7 @@ from artinforge.paperlab import (
     verify,
     verify_points_satisfy_ideal,
 )
-from artinforge.polyarith import GREVLEX, Polynomial, xring, yring
+from artinforge.polyarith import GREVLEX, Ideal, Polynomial, xring, yring
 from artinforge.reptheory import partitions, xn_character
 
 
@@ -127,7 +127,20 @@ def test_point_validation():
 
 def test_points_satisfy_ideal():
     for n in range(3, 9):
-        assert verify_points_satisfy_ideal(n).status == "pass"
+        assert verify_points_satisfy_ideal(n) is None
+
+
+def test_points_check_returns_the_first_failure(monkeypatch):
+    pts = enumerate_points(4)
+    monkeypatch.setattr(paperlab, "enumerate_points", lambda n: pts + [pts[3]])
+    assert verify_points_satisfy_ideal(4) == f"duplicate point {pts[3]}"
+    monkeypatch.undo()
+    i4 = build_ideal("I", 4)
+    x1 = i4.ring.var("x1")
+    bigger = Ideal(i4.ring, i4.gens + (x1,))
+    monkeypatch.setattr(paperlab, "build_ideal", lambda name, n: bigger)
+    # x1 vanishes at the origin, the first point, and nowhere else
+    assert verify_points_satisfy_ideal(4) == f"generator x1 nonzero at {pts[1]}"
 
 
 # ---------------------------------------------------------------------------
