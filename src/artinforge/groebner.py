@@ -3,9 +3,15 @@
 The completion loop uses the normal selection strategy (pairs of smallest
 lcm degree first) together with the Gebauer-Moeller UPDATE: one pair per
 lcm, divisibility-minimal lcms only, and the chain criterion read from the
-lcm stored with each live pair.  New elements are fully reduced and monic;
-the final basis is minimalised, each tail is reduced once against the
-minimal elements, and it is sorted by leading monomial.  The result is the
+lcm stored with each live pair.  That bookkeeping runs on leading monomials
+packed into one int each, a guard bit per exponent field (Bachmann and
+Schoenemann, ISSAC 1998): divisibility and lcm are a few int operations, and
+two monomials are coprime exactly when their lcm is their sum.  The fields
+are as wide as the largest exponent seen needs; a wider leading monomial
+repacks everything stored.  New elements are fully reduced and monic, and an
+S-polynomial is one term dict built from two stored monic tails; the final
+basis is minimalised, each tail is reduced once against the minimal
+elements, and it is sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
 Every basis built here is reduced.  A colon ideal of an Artinian quotient is
@@ -30,11 +36,11 @@ from .polyarith import (
     TermOrder,
     _normal_form,
     _reducer_info,
+    _s_terms,
     mono_divides,
     mono_lcm,
     mono_mask,
     reduce,
-    s_polynomial,
 )
 
 DEFAULT_PAIR_CAP = 10**6
@@ -77,6 +83,35 @@ class MonomialIdeal:
 # ---------------------------------------------------------------------------
 # Buchberger completion
 
+def _pack(m: Monomial, bits: int) -> int:
+    """``m`` as one int: exponent i fills the field of ``bits + 1`` bits at
+    i*(bits + 1), whose top bit is a guard kept clear.  Exponents must be
+    below 2**bits."""
+    packed = 0
+    for e in reversed(m):
+        packed = packed << (bits + 1) | e
+    return packed
+
+
+def _guards(nvars: int, bits: int) -> int:
+    """The guard bit of every field of a ``_pack(m, bits)`` over ``nvars``."""
+    return sum(1 << (i * (bits + 1) + bits) for i in range(nvars))
+
+
+def _packed_divides(a: int, b: int, guards: int) -> bool:
+    """True when the packed ``a`` divides the packed ``b``: no field borrows
+    across its guard bit, which stays set exactly where b_i >= a_i."""
+    return ((b | guards) - a) & guards == guards
+
+
+def _packed_lcm(a: int, b: int, guards: int, bits: int) -> int:
+    """The packed lcm: the guard bits where a_i >= b_i, spread over their
+    fields, select a_i there and b_i elsewhere.  ``a`` and ``b`` are coprime
+    exactly when the lcm equals ``a + b``."""
+    ge = ((a | guards) - b) & guards
+    return b ^ ((a ^ b) & (ge - (ge >> bits)))
+
+
 def buchberger(
     ideal: Ideal, order: TermOrder = GREVLEX, pair_cap: "int | None" = None
 ) -> GroebnerBasis:
@@ -87,10 +122,17 @@ def buchberger(
     stays, a coprime one if there is one (the product criterion then drops
     it), else the last index; of the representatives, only those whose lcm
     is divisibility-minimal; and an old pair (i, j) goes when t divides its
-    stored lcm and both lcm(lm_i, t) and lcm(lm_j, t) differ from it.  With
-    each leading monomial goes its ``mono_mask``: coprimality is one int test,
-    and a divisor test runs only where the masks (that of lcm(a, b) is
-    mask(a) | mask(b)) allow it, here and in the minimalisation.
+    stored lcm and both lcm(lm_i, t) and lcm(lm_j, t) differ from it.
+
+    That bookkeeping runs on packed leading monomials (``_pack``), one int
+    each with a guard bit per field: divisibility and lcm are a few int
+    operations, lm_i and t are coprime exactly when their lcm is their sum,
+    and a proper divisor packs to a smaller int, so ``sorted`` scans the lcms
+    divisors first.  The field is as wide as the largest exponent of a
+    leading monomial so far needs; a leading monomial that does not fit
+    widens it and repacks every stored leading monomial and live lcm.  The
+    pair queue still orders by degree and order key of the tuple lcm.  An
+    S-polynomial is one term dict built from the two stored monic tails.
 
     Raises :class:`ResourceLimitError` once more than ``pair_cap`` S-pairs
     (default ``DEFAULT_PAIR_CAP``) have been enqueued, turning runaway
@@ -98,77 +140,75 @@ def buchberger(
     """
     cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
     key = order.key
+    nvars = ideal.ring.nvars
 
-    basis: list[Polynomial] = []
     lms: list[Monomial] = []
-    masks: list[int] = []  # mono_mask of each leading monomial
-    info: list = []  # reducer info, kept in sync with basis
-    alive: dict[tuple[int, int], Monomial] = {}  # live pair -> its lcm
+    packed: list[int] = []  # _pack(lm, bits) of each leading monomial
+    info: list = []  # reducer info of the basis elements, all monic
+    alive: dict[tuple[int, int], int] = {}  # live pair -> its packed lcm
     heap: list = []
     enqueued = 0
-
-    def nf(p: Polynomial) -> Polynomial:
-        return Polynomial(p.nvars, _normal_form(p.terms, info, order))
+    bits, guards = 0, 0  # exponents below 2**bits fit a field
 
     def update(h: Polynomial):
         """Gebauer-Moeller installation of a new basis element."""
-        nonlocal enqueued
-        t = len(basis)
-        lt, lc = h.leading_term(order)
-        mt = mono_mask(lt)
-        lcm_with = [mono_lcm(lm, lt) for lm in lms]
-        rep: dict[Monomial, tuple[int, bool]] = {}  # lcm -> (index, coprime)
+        nonlocal enqueued, bits, guards
+        t = len(info)
+        h_info = _reducer_info((h,), order)[0]
+        lt = h_info[0]
+        top = max(lt, default=0)
+        if top >> bits:  # widen the fields and repack
+            bits = top.bit_length()
+            guards = _guards(nvars, bits)
+            packed[:] = [_pack(m, bits) for m in lms]
+            for i, j in alive:
+                alive[i, j] = _pack(mono_lcm(lms[i], lms[j]), bits)
+        pt = _pack(lt, bits)
+        lcm_with = [_packed_lcm(p, pt, guards, bits) for p in packed]
+        rep: dict[int, tuple[int, bool]] = {}  # lcm -> (index, coprime)
         for i, li in enumerate(lcm_with):
             if li not in rep or not rep[li][1]:
-                rep[li] = (i, not masks[i] & mt)
-        # a proper divisor has lower degree, so it is scanned first
-        minimal: list[tuple[Monomial, int]] = []  # (lcm, its mask)
-        for li in sorted(rep, key=sum):
-            mask = masks[rep[li][0]] | mt
-            if not any(not mm & ~mask and mono_divides(m, li) for m, mm in minimal):
-                minimal.append((li, mask))
-        new_pairs = sorted(rep[li][0] for li, _ in minimal if not rep[li][1])
+                rep[li] = (i, li == packed[i] + pt)
+        # a proper divisor packs smaller, so it is scanned first
+        minimal: list[int] = []
+        for li in sorted(rep):
+            if not any(_packed_divides(m, li, guards) for m in minimal):
+                minimal.append(li)
+        new_pairs = sorted(rep[li][0] for li in minimal if not rep[li][1])
         # chain criterion against the surviving old pairs
         for (i, j), lij in list(alive.items()):
-            if not mt & ~(masks[i] | masks[j]) and mono_divides(lt, lij):
+            if _packed_divides(pt, lij, guards):
                 if lcm_with[i] != lij and lcm_with[j] != lij:
                     del alive[i, j]
-        basis.append(h)
         lms.append(lt)
-        masks.append(mt)
-        tail = [(m, c) for m, c in h.terms.items() if m != lt]
-        info.append((lt, lc, tail, mt))
+        packed.append(pt)
+        info.append(h_info)
         for i in new_pairs:
-            li = lcm_with[i]
+            li = mono_lcm(lms[i], lt)
             heappush(heap, (sum(li), key(li), i, t))
-            alive[i, t] = li
+            alive[i, t] = lcm_with[i]
             enqueued += 1
             if enqueued > cap:
                 raise ResourceLimitError(
                     f"pair queue exceeded the cap of {cap} pairs"
                 )
 
-    for g in ideal.gens:
-        h = nf(g)
+    def install(terms: dict):
+        h = Polynomial(nvars, _normal_form(terms, info, order))
         if h:
             update(h.monic(order))
 
+    for g in ideal.gens:
+        install(g.terms)
     while heap:
         _, _, i, j = heappop(heap)
-        if alive.pop((i, j), None) is None:
-            continue
-        h = nf(s_polynomial(basis[i], basis[j], order))
-        if h:
-            update(h.monic(order))
+        if alive.pop((i, j), None) is not None:
+            install(_s_terms(mono_lcm(lms[i], lms[j]), info[i], info[j]))
 
     # minimalise: keep only elements whose leading monomial is undivided
-    order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))
     minimal: list[int] = []
-    for i in order_idx:
-        outside = ~masks[i]
-        if not any(
-            not masks[j] & outside and mono_divides(lms[j], lms[i]) for j in minimal
-        ):
+    for i in sorted(range(len(lms)), key=lambda i: key(lms[i])):
+        if not any(_packed_divides(packed[j], packed[i], guards) for j in minimal):
             minimal.append(i)
     # interreduce: a tail term lies below its own leading monomial, so the
     # minimal elements reduce it to its canonical normal form in one call
@@ -177,7 +217,7 @@ def buchberger(
     for i in minimal:
         lt, lc, tail, _ = info[i]
         out = _normal_form(dict(tail), reducers, order)
-        final.append(Polynomial(ideal.ring.nvars, {lt: lc, **out}))
+        final.append(Polynomial(nvars, {lt: lc, **out}))
     return GroebnerBasis(ideal.ring, order, tuple(final))
 
 

@@ -219,15 +219,17 @@ def _value_at(poly: Polynomial, exps: "tuple[int, ...] | None", m: int) -> tuple
     return tuple(_divmod_monic(sums, cyclotomic_poly(m))[1])
 
 
-def verify_points_satisfy_ideal(n: int) -> "str | None":
-    """Exact check that every symbolic point kills every generator of I_n,
-    and that the points are pairwise distinct: with m = 2(n-2), xi has order
-    exactly m, so two points are equal exactly when their exponent tuples
-    are.  Returns None when both hold, else a witness of the first failure."""
-    m = 2 * (n - 2)
-    ideal = build_ideal("I", n)
+def verify_points_satisfy_ideal(
+    ideal: Ideal, points: "list[SymbolicPoint]"
+) -> "str | None":
+    """Exact check that each of ``points`` (those of ``enumerate_points(n)``)
+    kills every generator of ``ideal`` (I_n), and that the points are
+    pairwise distinct: with m = 2(n-2), xi has order exactly m, so two points
+    are equal exactly when their exponent tuples are.  Returns None when both
+    hold, else a witness of the first failure."""
+    m = 2 * (ideal.ring.nvars - 2)
     seen = set()
-    for pt in enumerate_points(n):
+    for pt in points:
         exps = pt.exponents(m)
         if exps in seen:
             return f"duplicate point {pt}"
@@ -456,7 +458,7 @@ def _claim_prop2_codim(wb: Workbench):
         pts = enumerate_points(n)
         if len(pts) != c:
             return False, f"point count {len(pts)} != {c}"
-        witness = verify_points_satisfy_ideal(n)
+        witness = verify_points_satisfy_ideal(wb.ideal_I, pts)
         if witness:
             return False, witness
     return True, None

@@ -426,6 +426,23 @@ def reduce(
     return Polynomial(p.nvars, _normal_form(p.terms, info, order))
 
 
+def _s_terms(lcm: Monomial, f_info, g_info) -> dict:
+    """The terms of the S-polynomial of two reducers given by their
+    ``_reducer_info`` entries: (lcm/lm_f)*tail_f/lc_f - (lcm/lm_g)*tail_g/lc_g,
+    built in one dict.  The leading terms would cancel, so they never enter."""
+    out: dict = {}
+    for (lm, lc, tail, _), sign in ((f_info, 1), (g_info, -1)):
+        q, s = mono_div(lcm, lm), coeff_div(sign, lc)
+        for m, c in tail:
+            t = mono_mul(q, m)
+            v = out.get(t, 0) + s * c
+            if v:
+                out[t] = v
+            else:
+                del out[t]
+    return out
+
+
 def s_polynomial(
     f: Polynomial, g: Polynomial, order: TermOrder = GREVLEX
 ) -> Polynomial:
@@ -433,12 +450,9 @@ def s_polynomial(
     cancelled, so S(f, f) == 0."""
     if not f or not g:
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    lcm = mono_lcm(lmf, lmg)
-    return f.mul_term(mono_div(lcm, lmf), coeff_div(1, lcf)) - g.mul_term(
-        mono_div(lcm, lmg), coeff_div(1, lcg)
-    )
+    f_info, g_info = _reducer_info((f, g), order)
+    lcm = mono_lcm(f_info[0], g_info[0])
+    return Polynomial(f.nvars, _s_terms(lcm, f_info, g_info))
 
 
 # ---------------------------------------------------------------------------

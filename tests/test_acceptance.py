@@ -89,9 +89,11 @@ def test_criterion_02_reducedness_certificate():
     ok = True
     detail = ""
     for n in range(3, 7):
-        count = len(enumerate_points(n))
-        dim = len(standard_monomials(Workbench(n).gb_I))
-        witness = verify_points_satisfy_ideal(n)
+        points = enumerate_points(n)
+        count = len(points)
+        wb = Workbench(n)
+        dim = len(standard_monomials(wb.gb_I))
+        witness = verify_points_satisfy_ideal(wb.ideal_I, points)
         if count != dim or witness is not None:
             ok = False
             detail = f"n={n}: count {count}, dim {dim}, points {witness}"

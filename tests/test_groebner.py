@@ -171,6 +171,63 @@ def test_masks_filter_divisibility_and_decide_coprimality(a, b):
     assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
 
 
+# exponents on both sides of a field boundary: 2**k - 1 fills k bits, 2**k
+# and 2**k + 1 need k + 1
+boundary_exponents = st.sampled_from(
+    sorted({0} | {2**k + d for k in range(6) for d in (-1, 0, 1)})
+)
+
+
+@st.composite
+def packed_cases(draw):
+    """Two monomials with exponents at field boundaries, and a field of
+    ``bits`` exponent bits: the width they need, sometimes more."""
+    nv = draw(st.integers(1, 4))
+    a = draw(st.tuples(*[boundary_exponents] * nv))
+    b = draw(st.tuples(*[boundary_exponents] * nv))
+    bits = max(a + b).bit_length() + draw(st.sampled_from([0, 0, 0, 1, 3]))
+    return a, b, bits
+
+
+@settings(max_examples=300)
+@given(packed_cases())
+def test_packed_divides_lcm_and_coprime_match_the_tuples(case):
+    a, b, bits = case
+    guards = groebner._guards(len(a), bits)
+    pa, pb = groebner._pack(a, bits), groebner._pack(b, bits)
+    assert pa & guards == 0 and pb & guards == 0
+    assert groebner._packed_divides(pa, pb, guards) == mono_divides(a, b)
+    assert groebner._packed_divides(pb, pa, guards) == mono_divides(b, a)
+    lcm = groebner._packed_lcm(pa, pb, guards, bits)
+    assert lcm == groebner._pack(mono_lcm(a, b), bits)
+    assert lcm == groebner._packed_lcm(pb, pa, guards, bits)
+    assert (lcm == pa + pb) == mono_coprime(a, b)
+    # a proper divisor packs smaller, so sorting packed lcms scans divisors first
+    if mono_divides(a, b) and a != b:
+        assert pa < pb
+
+
+def test_a_wider_leading_monomial_repacks(monkeypatch):
+    # the generators have exponents <= 1; S(x1*x2 - 1, x1 - x2) = x2^2 - 1
+    # needs a two-bit field, so x1*x2 is packed again at the wider width
+    R2 = xring(2)
+    ideal = Ideal(R2, (R2.poly("x1*x2 - 1"), R2.poly("x2 - x1")))
+    packs = []
+    pack = groebner._pack
+
+    def record(m, bits):
+        packs.append((m, bits))
+        return pack(m, bits)
+
+    monkeypatch.setattr(groebner, "_pack", record)
+    gb = buchberger(ideal)
+    monkeypatch.undo()
+    assert ((1, 1), 1) in packs and ((1, 1), 2) in packs
+    assert gb == reference_buchberger(ideal)
+    assert list(gb.elements) == [R2.poly("x1 - x2"), R2.poly("x2^2 - 1")]
+    assert_same_completion(ideal)
+
+
 # Direct Buchberger criterion, moved from ``groebner``: nothing in the package
 # calls it, and it checks the completions here.  ``reduce`` now returns the
 # remainder alone.
@@ -334,11 +391,12 @@ def assert_same_completion(ideal, order=GREVLEX, pair_cap=None):
 
 
 @st.composite
-def completion_cases(draw):
+def completion_cases(draw, exponents=st.integers(0, 2)):
     """Up to four polynomials of up to three terms in two to four variables,
-    under GRevLex or an elimination order of a random block."""
+    with exponents drawn from ``exponents``, under GRevLex or an elimination
+    order of a random block."""
     nv = draw(st.integers(2, 4))
-    mono = st.tuples(*[st.integers(0, 2)] * nv)
+    mono = st.tuples(*[exponents] * nv)
     coeff = st.integers(-3, 3).filter(bool)
     poly = st.dictionaries(mono, coeff, min_size=1, max_size=3)
     gens = draw(st.lists(poly, min_size=1, max_size=4))
@@ -356,6 +414,15 @@ def completion_cases(draw):
 def test_buchberger_replays_the_reference_on_random_ideals(case):
     ideal, order = case
     assert_same_completion(ideal, order, pair_cap=150)
+
+
+@settings(max_examples=60, deadline=None)
+@given(completion_cases(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9])))
+def test_buchberger_replays_the_reference_at_field_boundaries(case):
+    # leading monomials whose exponents cross 2**k widen the packed fields
+    # during the completion
+    ideal, order = case
+    assert_same_completion(ideal, order, pair_cap=40)
 
 
 @pytest.mark.parametrize(

@@ -127,20 +127,38 @@ def test_point_validation():
 
 def test_points_satisfy_ideal():
     for n in range(3, 9):
-        assert verify_points_satisfy_ideal(n) is None
+        ideal = build_ideal("I", n)
+        assert verify_points_satisfy_ideal(ideal, enumerate_points(n)) is None
 
 
-def test_points_check_returns_the_first_failure(monkeypatch):
+def test_points_check_returns_the_first_failure():
     pts = enumerate_points(4)
-    monkeypatch.setattr(paperlab, "enumerate_points", lambda n: pts + [pts[3]])
-    assert verify_points_satisfy_ideal(4) == f"duplicate point {pts[3]}"
-    monkeypatch.undo()
     i4 = build_ideal("I", 4)
+    twice = pts + [pts[3]]
+    assert verify_points_satisfy_ideal(i4, twice) == f"duplicate point {pts[3]}"
     x1 = i4.ring.var("x1")
     bigger = Ideal(i4.ring, i4.gens + (x1,))
-    monkeypatch.setattr(paperlab, "build_ideal", lambda name, n: bigger)
     # x1 vanishes at the origin, the first point, and nowhere else
-    assert verify_points_satisfy_ideal(4) == f"generator x1 nonzero at {pts[1]}"
+    assert verify_points_satisfy_ideal(bigger, pts) == f"generator x1 nonzero at {pts[1]}"
+
+
+def test_prop2_codim_enumerates_the_points_once(monkeypatch):
+    calls = []
+    enumerate_once = paperlab.enumerate_points
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_once(n)
+
+    def no_rebuild(which, n):
+        raise AssertionError(f"rebuilt {which}_{n}")
+
+    wb = Workbench(5)
+    wb.gb_I  # built before the claim: it reads I_5 from the workbench
+    monkeypatch.setattr(paperlab, "enumerate_points", counted)
+    monkeypatch.setattr(paperlab, "build_ideal", no_rebuild)
+    assert paperlab._claim_prop2_codim(wb) == (True, None)
+    assert calls == [5]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,39 @@ def test_s_polynomial_coprime_reduces_to_zero():
     assert not reduce(s, [f, g])
 
 
+# The S-polynomial before it was built as one term dict, kept verbatim as the
+# reference: two ``mul_term``s onto the lcm and their difference.
+def reference_s_polynomial(f, g, order=GREVLEX):
+    if not f or not g:
+        raise ValueError("S-polynomial of the zero polynomial is undefined")
+    lmf, lcf = f.leading_term(order)
+    lmg, lcg = g.leading_term(order)
+    lcm = mono_lcm(lmf, lmg)
+    return f.mul_term(mono_div(lcm, lmf), coeff_div(1, lcf)) - g.mul_term(
+        mono_div(lcm, lmg), coeff_div(1, lcg)
+    )
+
+
+@settings(max_examples=200)
+@given(
+    polys3().filter(bool),
+    polys3().filter(bool),
+    st.sampled_from((GREVLEX, LEX, DEGLEX)),
+    st.booleans(),
+)
+def test_s_polynomial_matches_the_reference(f, g, order, monic):
+    if monic:  # as the completion stores them
+        f, g = f.monic(order), g.monic(order)
+    got = s_polynomial(f, g, order)
+    assert got == reference_s_polynomial(f, g, order)
+    assert s_polynomial(g, f, order) == -got
+
+
+def test_s_polynomial_of_zero_is_rejected():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        s_polynomial(p("x1"), p("0"))
+
+
 def test_mono_lcm():
     assert mono_lcm((1, 0, 2), (0, 3, 1)) == (1, 3, 2)
 
