@@ -3,15 +3,16 @@
 The completion loop uses the normal selection strategy (pairs of smallest
 lcm degree first) together with the Gebauer-Moeller UPDATE: one pair per
 lcm, divisibility-minimal lcms only, and the chain criterion read from the
-lcm stored with each live pair.  That bookkeeping runs on leading monomials
-packed into one int each, a guard bit per exponent field (Bachmann and
-Schoenemann, ISSAC 1998): divisibility and lcm are a few int operations, and
-two monomials are coprime exactly when their lcm is their sum.  The fields
-are as wide as the largest exponent seen needs; a wider leading monomial
-repacks everything stored.  New elements are fully reduced and monic, and an
-S-polynomial is one term dict built from two stored monic tails; the final
-basis is minimalised, each tail is reduced once against the minimal
-elements, and it is sorted by leading monomial.  The result is the
+lcm stored with each live pair.  That bookkeeping runs on the packed
+leading monomials of one list of reducer entries (the packing of
+``polyarith``): divisibility and lcm are a few int operations, and two
+monomials are coprime exactly when their lcm is their sum.  The fields are
+as wide as the largest exponent seen needs; a wider leading monomial
+repacks everything stored.  Monomial ideals minimalise on packed ints too.
+New elements are fully reduced and monic, and an S-polynomial is one term
+dict built from two stored monic tails; the final basis is minimalised,
+each tail is reduced once against the minimal elements, and it is sorted
+by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
 Every basis built here is reduced.  A colon ideal of an Artinian quotient is
@@ -34,12 +35,14 @@ from .polyarith import (
     PolyRing,
     Polynomial,
     TermOrder,
+    _guards,
     _normal_form,
+    _pack,
+    _packed_divides,
+    _packed_lcm,
     _reducer_info,
     _s_terms,
-    mono_divides,
     mono_lcm,
-    mono_mask,
     reduce,
 )
 
@@ -72,45 +75,18 @@ class MonomialIdeal:
 
     def __post_init__(self):
         # a proper divisor has lower degree, so it sorts first
-        minimal: list[tuple[Monomial, int]] = []  # (generator, its mask)
-        for m in sorted(set(self.gens), key=GREVLEX.key):
-            mask = mono_mask(m)
-            if not any(not mo & ~mask and mono_divides(o, m) for o, mo in minimal):
-                minimal.append((m, mask))
-        object.__setattr__(self, "gens", tuple(m for m, _ in minimal))
+        gens = sorted(set(self.gens), key=GREVLEX.key)
+        bits = max((e for m in gens for e in m), default=0).bit_length()
+        guards, minimal = _guards(self.ring.nvars, bits), {}  # packed -> gen
+        for m in gens:
+            pm = _pack(m, bits)
+            if not any(_packed_divides(po, pm, guards) for po in minimal):
+                minimal[pm] = m
+        object.__setattr__(self, "gens", tuple(minimal.values()))
 
 
 # ---------------------------------------------------------------------------
 # Buchberger completion
-
-def _pack(m: Monomial, bits: int) -> int:
-    """``m`` as one int: exponent i fills the field of ``bits + 1`` bits at
-    i*(bits + 1), whose top bit is a guard kept clear.  Exponents must be
-    below 2**bits."""
-    packed = 0
-    for e in reversed(m):
-        packed = packed << (bits + 1) | e
-    return packed
-
-
-def _guards(nvars: int, bits: int) -> int:
-    """The guard bit of every field of a ``_pack(m, bits)`` over ``nvars``."""
-    return sum(1 << (i * (bits + 1) + bits) for i in range(nvars))
-
-
-def _packed_divides(a: int, b: int, guards: int) -> bool:
-    """True when the packed ``a`` divides the packed ``b``: no field borrows
-    across its guard bit, which stays set exactly where b_i >= a_i."""
-    return ((b | guards) - a) & guards == guards
-
-
-def _packed_lcm(a: int, b: int, guards: int, bits: int) -> int:
-    """The packed lcm: the guard bits where a_i >= b_i, spread over their
-    fields, select a_i there and b_i elsewhere.  ``a`` and ``b`` are coprime
-    exactly when the lcm equals ``a + b``."""
-    ge = ((a | guards) - b) & guards
-    return b ^ ((a ^ b) & (ge - (ge >> bits)))
-
 
 def buchberger(
     ideal: Ideal, order: TermOrder = GREVLEX, pair_cap: "int | None" = None
@@ -124,15 +100,15 @@ def buchberger(
     is divisibility-minimal; and an old pair (i, j) goes when t divides its
     stored lcm and both lcm(lm_i, t) and lcm(lm_j, t) differ from it.
 
-    That bookkeeping runs on packed leading monomials (``_pack``), one int
-    each with a guard bit per field: divisibility and lcm are a few int
-    operations, lm_i and t are coprime exactly when their lcm is their sum,
-    and a proper divisor packs to a smaller int, so ``sorted`` scans the lcms
-    divisors first.  The field is as wide as the largest exponent of a
+    That bookkeeping runs on the packed leading monomials (``_pack``) of
+    the basis's one list of reducer entries: divisibility and lcm are a few
+    int operations, lm_i and t are coprime exactly when their lcm is their
+    sum, and a proper divisor packs to a smaller int, so ``sorted`` scans the
+    lcms divisors first.  The field is as wide as the largest exponent of a
     leading monomial so far needs; a leading monomial that does not fit
-    widens it and repacks every stored leading monomial and live lcm.  The
-    pair queue still orders by degree and order key of the tuple lcm.  An
-    S-polynomial is one term dict built from the two stored monic tails.
+    widens it and repacks every entry and live lcm.  The pair queue still
+    orders by degree and order key of the tuple lcm.  An S-polynomial is one
+    term dict built from the two stored monic tails.
 
     Raises :class:`ResourceLimitError` once more than ``pair_cap`` S-pairs
     (default ``DEFAULT_PAIR_CAP``) have been enqueued, turning runaway
@@ -142,9 +118,7 @@ def buchberger(
     key = order.key
     nvars = ideal.ring.nvars
 
-    lms: list[Monomial] = []
-    packed: list[int] = []  # _pack(lm, bits) of each leading monomial
-    info: list = []  # reducer info of the basis elements, all monic
+    info: list = []  # reducer info entries of the basis elements, all monic
     alive: dict[tuple[int, int], int] = {}  # live pair -> its packed lcm
     heap: list = []
     enqueued = 0
@@ -154,21 +128,18 @@ def buchberger(
         """Gebauer-Moeller installation of a new basis element."""
         nonlocal enqueued, bits, guards
         t = len(info)
-        h_info = _reducer_info((h,), order)[0]
-        lt = h_info[0]
-        top = max(lt, default=0)
-        if top >> bits:  # widen the fields and repack
-            bits = top.bit_length()
-            guards = _guards(nvars, bits)
-            packed[:] = [_pack(m, bits) for m in lms]
+        [(lt, lc, tail, _)], h_bits, h_guards = _reducer_info((h,), order)
+        if h_bits > bits:  # widen the fields and repack
+            bits, guards = h_bits, h_guards
+            info[:] = [(lm, c, tl, _pack(lm, bits)) for lm, c, tl, _ in info]
             for i, j in alive:
-                alive[i, j] = _pack(mono_lcm(lms[i], lms[j]), bits)
+                alive[i, j] = _packed_lcm(info[i][3], info[j][3], guards, bits)
         pt = _pack(lt, bits)
-        lcm_with = [_packed_lcm(p, pt, guards, bits) for p in packed]
+        lcm_with = [_packed_lcm(e[3], pt, guards, bits) for e in info]
         rep: dict[int, tuple[int, bool]] = {}  # lcm -> (index, coprime)
         for i, li in enumerate(lcm_with):
             if li not in rep or not rep[li][1]:
-                rep[li] = (i, li == packed[i] + pt)
+                rep[li] = (i, li == info[i][3] + pt)
         # a proper divisor packs smaller, so it is scanned first
         minimal: list[int] = []
         for li in sorted(rep):
@@ -180,11 +151,9 @@ def buchberger(
             if _packed_divides(pt, lij, guards):
                 if lcm_with[i] != lij and lcm_with[j] != lij:
                     del alive[i, j]
-        lms.append(lt)
-        packed.append(pt)
-        info.append(h_info)
+        info.append((lt, lc, tail, pt))
         for i in new_pairs:
-            li = mono_lcm(lms[i], lt)
+            li = mono_lcm(info[i][0], lt)
             heappush(heap, (sum(li), key(li), i, t))
             alive[i, t] = lcm_with[i]
             enqueued += 1
@@ -194,7 +163,7 @@ def buchberger(
                 )
 
     def install(terms: dict):
-        h = Polynomial(nvars, _normal_form(terms, info, order))
+        h = Polynomial(nvars, _normal_form(terms, (info, bits, guards), order))
         if h:
             update(h.monic(order))
 
@@ -203,16 +172,16 @@ def buchberger(
     while heap:
         _, _, i, j = heappop(heap)
         if alive.pop((i, j), None) is not None:
-            install(_s_terms(mono_lcm(lms[i], lms[j]), info[i], info[j]))
+            install(_s_terms(mono_lcm(info[i][0], info[j][0]), info[i], info[j]))
 
     # minimalise: keep only elements whose leading monomial is undivided
     minimal: list[int] = []
-    for i in sorted(range(len(lms)), key=lambda i: key(lms[i])):
-        if not any(_packed_divides(packed[j], packed[i], guards) for j in minimal):
+    for i in sorted(range(len(info)), key=lambda i: key(info[i][0])):
+        if not any(_packed_divides(info[j][3], info[i][3], guards) for j in minimal):
             minimal.append(i)
     # interreduce: a tail term lies below its own leading monomial, so the
     # minimal elements reduce it to its canonical normal form in one call
-    reducers = [info[i] for i in minimal]
+    reducers = ([info[i] for i in minimal], bits, guards)
     final = []
     for i in minimal:
         lt, lc, tail, _ = info[i]

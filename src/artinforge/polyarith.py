@@ -3,7 +3,9 @@
 Monomials are dense exponent tuples over a fixed, ordered ambient variable
 list; coefficients are Python ints or :class:`fractions.Fraction` values and
 every operation is exact.  Term orders are realised as tuple-valued sort
-keys, so ``max``, ``sorted`` and heaps consume them directly.
+keys, so ``max``, ``sorted`` and heaps consume them directly.  Divisibility
+is tested one way throughout the package: on monomials packed into one int,
+a guard bit per exponent field (Bachmann and Schoenemann, ISSAC 1998).
 
 The precedence convention is fixed throughout the package: earlier variables
 are larger, i.e. ``x1 > x2 > ... > xn`` (``> z`` when it is present).
@@ -78,15 +80,34 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_mask(m: Monomial) -> int:
-    """Bit i set when x_i occurs in ``m``.  ``a`` divides ``b`` only when
-    ``mono_mask(a) & ~mono_mask(b) == 0``, and ``a``, ``b`` are coprime
-    exactly when ``mono_mask(a) & mono_mask(b) == 0``."""
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
+def _pack(m: Monomial, bits: int) -> int:
+    """``m`` as one int: exponent i fills the field of ``bits + 1`` bits at
+    i*(bits + 1), whose top bit is a guard kept clear.  An exponent above
+    2**bits - 1 saturates at that value, which leaves divisibility by a
+    monomial whose exponents fit unchanged."""
+    top, packed = (1 << bits) - 1, 0
+    for e in reversed(m):
+        packed = packed << (bits + 1) | (e if e < top else top)
+    return packed
+
+
+def _guards(nvars: int, bits: int) -> int:
+    """The guard bit of every field of a ``_pack(m, bits)`` over ``nvars``."""
+    return sum(1 << (i * (bits + 1) + bits) for i in range(nvars))
+
+
+def _packed_divides(a: int, b: int, guards: int) -> bool:
+    """True when the packed ``a`` divides the packed ``b``: no field borrows
+    across its guard bit, which stays set exactly where b_i >= a_i."""
+    return ((b | guards) - a) & guards == guards
+
+
+def _packed_lcm(a: int, b: int, guards: int, bits: int) -> int:
+    """The packed lcm: the guard bits where a_i >= b_i, spread over their
+    fields, select a_i there and b_i elsewhere.  ``a`` and ``b`` are coprime
+    exactly when the lcm equals ``a + b``."""
+    ge = ((a | guards) - b) & guards
+    return b ^ ((a ^ b) & (ge - (ge >> bits)))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
@@ -120,17 +141,22 @@ class TermOrder:
     """A multiplicative total well-order on monomials.
 
     ``kind`` is one of ``grevlex``, ``lex`` or ``deglex``; ``key`` maps a
-    monomial to its tuple-valued sort key.
+    monomial to its tuple-valued sort key and ``neg_key`` to that key with
+    every entry negated, so a min-heap pops the largest monomial first.
     """
 
-    __slots__ = ("kind", "key")
+    __slots__ = ("kind", "key", "neg_key")
 
     def __init__(self, kind: str):
-        keys = {"grevlex": _grevlex_key, "lex": _lex_key, "deglex": _deglex_key}
+        keys = {
+            "grevlex": (_grevlex_key, lambda m: (-sum(m), *reversed(m))),
+            "lex": (_lex_key, lambda m: (*[-e for e in m],)),
+            "deglex": (_deglex_key, lambda m: (-sum(m), *[-e for e in m])),
+        }
         if kind not in keys:
             raise ValueError(f"unknown term order kind {kind!r}")
         self.kind = kind
-        self.key = keys[kind]
+        self.key, self.neg_key = keys[kind]
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -356,31 +382,33 @@ class Polynomial:
 # division algorithm
 
 def _reducer_info(reducers: Sequence[Polynomial], order: TermOrder):
-    """Precompute (leading monomial, leading coeff, tail items, mask of the
-    leading monomial) per reducer."""
-    info = []
+    """The entries (leading monomial, leading coeff, tail items, packed
+    leading monomial) per reducer, with the ``bits`` of the packing (the bit
+    length of the largest leading exponent) and its ``guards``."""
+    heads = []
     for g in reducers:
         if not g:
             raise ValueError("reducers must be nonzero")
         lm, lc = g.leading_term(order)
-        tail = [(m, c) for m, c in g.terms.items() if m != lm]
-        info.append((lm, lc, tail, mono_mask(lm)))
-    return info
+        heads.append((lm, lc, [(m, c) for m, c in g.terms.items() if m != lm]))
+    bits = max((e for lm, _, _ in heads for e in lm), default=0).bit_length()
+    guards = _guards(len(heads[0][0]) if heads else 0, bits)
+    return [(lm, lc, tail, _pack(lm, bits)) for lm, lc, tail in heads], bits, guards
 
 
 def _normal_form(terms: dict, info, order: TermOrder) -> dict:
     """Core division loop on raw term dicts; returns the normal form dict.
 
-    Monomials are processed in strictly descending order via a heap of
-    negated order keys, which is equivalent to always rewriting the current
-    leading term.  A reducer whose leading-monomial mask has a bit outside
-    the mask of the current monomial cannot divide it and is skipped before
-    the exponentwise test; the first reducer that divides is still the one
-    used.
+    ``info`` is what :func:`_reducer_info` returns.  Monomials are processed
+    in strictly descending order via a heap of negated order keys, which is
+    equivalent to always rewriting the current leading term.  Each popped
+    monomial is packed once (saturating, so the test stays exact) and the
+    first reducer whose packed leading monomial divides it is used.
     """
-    key = order.key
+    entries, bits, guards = info
+    neg_key = order.neg_key
     work = dict(terms)
-    heap = [((*[-v for v in key(m)],), m) for m in work]
+    heap = [(neg_key(m), m) for m in work]
     heap.sort()
     nf: dict = {}
     while heap:
@@ -388,9 +416,9 @@ def _normal_form(terms: dict, info, order: TermOrder) -> dict:
         c = work.pop(m, 0)
         if not c:
             continue
-        outside = ~mono_mask(m)
-        for lm, lc, tail, mask in info:
-            if not mask & outside and mono_divides(lm, m):
+        pg = _pack(m, bits) | guards  # _packed_divides, hoisted per monomial
+        for lm, lc, tail, plm in entries:
+            if (pg - plm) & guards == guards:
                 q = mono_div(m, lm)
                 s = coeff_div(c, lc)
                 for tm, tc in tail:
@@ -399,7 +427,7 @@ def _normal_form(terms: dict, info, order: TermOrder) -> dict:
                     new = old - s * tc
                     if new:
                         if not old:
-                            heappush(heap, ((*[-v for v in key(t)],), t))
+                            heappush(heap, (neg_key(t), t))
                         work[t] = new
                     else:
                         work.pop(t, None)
@@ -450,7 +478,7 @@ def s_polynomial(
     cancelled, so S(f, f) == 0."""
     if not f or not g:
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    f_info, g_info = _reducer_info((f, g), order)
+    (f_info, g_info), _, _ = _reducer_info((f, g), order)
     lcm = mono_lcm(f_info[0], g_info[0])
     return Polynomial(f.nvars, _s_terms(lcm, f_info, g_info))
 

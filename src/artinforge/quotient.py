@@ -57,7 +57,7 @@ class QuotientAlgebra:
         self.gb = gb
         self.basis = standard_monomials(gb)
         self._index = {m: i for i, m in enumerate(self.basis.monomials)}
-        self._info = _reducer_info(gb.elements, gb.order) if gb.elements else []
+        self._info = _reducer_info(gb.elements, gb.order)
         self._table = {m: {i: 1} for m, i in self._index.items()}
 
     @property

@@ -40,17 +40,17 @@ from artinforge.polyarith import (
     PolyRing,
     TermOrder,
     _normal_form,
+    _reducer_info,
     coeff_div,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mask,
     monomials_of_degree,
     reduce,
     s_polynomial,
     xring,
 )
-from test_polyarith import reference_reduce
+from test_polyarith import boundary_exponents, mono_coprime, reference_reduce
 
 R3 = xring(3)
 J3_MONOMIALS = {
@@ -85,6 +85,9 @@ class EliminationOrder:
             sum(tail),
             *[-e for e in reversed(tail)],
         )
+
+    def neg_key(self, m):
+        return (*[-v for v in self.key(m)],)
 
     def __repr__(self):
         return f"EliminationOrder({self.block})"
@@ -156,57 +159,6 @@ def test_pair_cap_raises():
 # ---------------------------------------------------------------------------
 # the completion against the earlier engine
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-monomials4 = st.tuples(*[st.integers(0, 3)] * 4)
-
-
-@given(monomials4, monomials4)
-def test_masks_filter_divisibility_and_decide_coprimality(a, b):
-    if mono_divides(a, b):
-        assert mono_mask(a) & ~mono_mask(b) == 0
-    assert (mono_mask(a) & mono_mask(b) == 0) == mono_coprime(a, b)
-    assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
-
-
-# exponents on both sides of a field boundary: 2**k - 1 fills k bits, 2**k
-# and 2**k + 1 need k + 1
-boundary_exponents = st.sampled_from(
-    sorted({0} | {2**k + d for k in range(6) for d in (-1, 0, 1)})
-)
-
-
-@st.composite
-def packed_cases(draw):
-    """Two monomials with exponents at field boundaries, and a field of
-    ``bits`` exponent bits: the width they need, sometimes more."""
-    nv = draw(st.integers(1, 4))
-    a = draw(st.tuples(*[boundary_exponents] * nv))
-    b = draw(st.tuples(*[boundary_exponents] * nv))
-    bits = max(a + b).bit_length() + draw(st.sampled_from([0, 0, 0, 1, 3]))
-    return a, b, bits
-
-
-@settings(max_examples=300)
-@given(packed_cases())
-def test_packed_divides_lcm_and_coprime_match_the_tuples(case):
-    a, b, bits = case
-    guards = groebner._guards(len(a), bits)
-    pa, pb = groebner._pack(a, bits), groebner._pack(b, bits)
-    assert pa & guards == 0 and pb & guards == 0
-    assert groebner._packed_divides(pa, pb, guards) == mono_divides(a, b)
-    assert groebner._packed_divides(pb, pa, guards) == mono_divides(b, a)
-    lcm = groebner._packed_lcm(pa, pb, guards, bits)
-    assert lcm == groebner._pack(mono_lcm(a, b), bits)
-    assert lcm == groebner._packed_lcm(pb, pa, guards, bits)
-    assert (lcm == pa + pb) == mono_coprime(a, b)
-    # a proper divisor packs smaller, so sorting packed lcms scans divisors first
-    if mono_divides(a, b) and a != b:
-        assert pa < pb
-
-
 def test_a_wider_leading_monomial_repacks(monkeypatch):
     # the generators have exponents <= 1; S(x1*x2 - 1, x1 - x2) = x2^2 - 1
     # needs a two-bit field, so x1*x2 is packed again at the wider width
@@ -226,6 +178,10 @@ def test_a_wider_leading_monomial_repacks(monkeypatch):
     assert gb == reference_buchberger(ideal)
     assert list(gb.elements) == [R2.poly("x1 - x2"), R2.poly("x2^2 - 1")]
     assert_same_completion(ideal)
+    # here the fields widen while pairs are live: their stored lcms are
+    # repacked too, or the chain criterion reads them at the old width
+    wide = Ideal(R2, (R2.poly("x2 - x1^5*x2^2"), R2.poly("-x1^4*x2^5 - x2^3")))
+    assert_same_completion(wide)
 
 
 # Direct Buchberger criterion, moved from ``groebner``: nothing in the package
@@ -248,8 +204,9 @@ def is_groebner_basis(polys, order: TermOrder = GREVLEX) -> bool:
 # update on stored lcms and the one-call interreduction: it rescans every
 # candidate pair per install, recomputes each live pair's lcm for the chain
 # criterion, builds its S-polynomials inline and interreduces through
-# ``reduce``.  Its reducer info gained the leading monomial's mask, which the
-# division loop now reads, and it takes the remainders of ``_normal_form`` and
+# ``reduce``.  It passes ``_normal_form`` the reducer info of its basis as
+# ``_reducer_info`` now builds it (entries with packed leading monomials, and
+# their width), and it takes the remainders of ``_normal_form`` and
 # ``reduce`` as they now return them, with no quotients.
 def reference_buchberger(
     ideal: Ideal, order: TermOrder = GREVLEX, pair_cap: "int | None" = None
@@ -265,12 +222,12 @@ def reference_buchberger(
 
     basis: list[Polynomial] = []
     lms: list[Monomial] = []
-    info: list = []  # reducer info, kept in sync with basis
     alive: set[tuple[int, int]] = set()
     heap: list = []
     enqueued = 0
 
     def nf(p: Polynomial) -> Polynomial:
+        info = _reducer_info(basis, order)
         return Polynomial(p.nvars, _normal_form(p.terms, info, order))
 
     def update(h: Polynomial):
@@ -302,8 +259,6 @@ def reference_buchberger(
                 alive.discard((i, j))
         basis.append(h)
         lms.append(lt)
-        tail = [(m, c) for m, c in h.terms.items() if m != lt]
-        info.append((lt, lc, tail, mono_mask(lt)))
         for i in new_pairs:
             li = lcm_with[i]
             heappush(heap, (sum(li), key(li), i, t))
@@ -948,9 +903,10 @@ def reference_minimal_generators(gens):
 
 @st.composite
 def monomial_lists(draw):
-    """Up to eight monomials in one to four variables, with repeats."""
+    """Up to eight monomials in one to four variables, with repeats, their
+    exponents at packed field boundaries."""
     nv = draw(st.integers(1, 4))
-    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=8))
+    gens = draw(st.lists(st.tuples(*[boundary_exponents] * nv), max_size=8))
     if gens:
         gens += draw(st.lists(st.sampled_from(gens), max_size=3))
     return nv, draw(st.permutations(gens))

@@ -11,7 +11,11 @@ from artinforge.polyarith import (
     GREVLEX,
     LEX,
     Polynomial,
+    _guards,
     _normal_form,
+    _pack,
+    _packed_divides,
+    _packed_lcm,
     _reducer_info,
     cmp_monomials,
     coeff_div,
@@ -19,7 +23,6 @@ from artinforge.polyarith import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mask,
     mono_mul,
     monomials_of_degree,
     parse_polynomial,
@@ -46,9 +49,10 @@ coeffs = st.one_of(
 
 
 @st.composite
-def polys3(draw, max_terms=4):
+def polys3(draw, max_terms=4, exponents=st.integers(0, 4)):
+    monomials = st.tuples(*(exponents,) * 3)
     terms = draw(
-        st.dictionaries(monomials3, coeffs, min_size=0, max_size=max_terms)
+        st.dictionaries(monomials, coeffs, min_size=0, max_size=max_terms)
     )
     return Polynomial(3, terms)
 
@@ -257,9 +261,50 @@ def test_mono_lcm():
     assert mono_lcm((1, 0, 2), (0, 3, 1)) == (1, 3, 2)
 
 
-@given(monomials3)
-def test_mono_mask_bits_are_the_support(m):
-    assert mono_mask(m) == sum(1 << i for i, e in enumerate(m) if e)
+def mono_coprime(a, b) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+# exponents on both sides of a field boundary: 2**k - 1 fills k bits, 2**k
+# and 2**k + 1 need k + 1
+boundary_exponents = st.sampled_from(
+    sorted({0} | {2**k + d for k in range(6) for d in (-1, 0, 1)})
+)
+
+
+@st.composite
+def packed_cases(draw):
+    """Two monomials with exponents at field boundaries, and a field of
+    ``bits`` exponent bits: the width they need, sometimes more."""
+    nv = draw(st.integers(1, 4))
+    a = draw(st.tuples(*[boundary_exponents] * nv))
+    b = draw(st.tuples(*[boundary_exponents] * nv))
+    bits = max(a + b).bit_length() + draw(st.sampled_from([0, 0, 0, 1, 3]))
+    return a, b, bits
+
+
+@settings(max_examples=300)
+@given(packed_cases())
+def test_packed_divides_lcm_and_coprime_match_the_tuples(case):
+    a, b, bits = case
+    guards = _guards(len(a), bits)
+    pa, pb = _pack(a, bits), _pack(b, bits)
+    assert pa & guards == 0 and pb & guards == 0
+    assert _packed_divides(pa, pb, guards) == mono_divides(a, b)
+    assert _packed_divides(pb, pa, guards) == mono_divides(b, a)
+    lcm = _packed_lcm(pa, pb, guards, bits)
+    assert lcm == _pack(mono_lcm(a, b), bits)
+    assert lcm == _packed_lcm(pb, pa, guards, bits)
+    assert (lcm == pa + pb) == mono_coprime(a, b)
+    # a proper divisor packs smaller, so sorting packed lcms scans divisors first
+    if mono_divides(a, b) and a != b:
+        assert pa < pb
+    # at the width ``a`` needs, larger exponents of ``b`` saturate: the guard
+    # bits stay clear and divisibility by ``a`` is unchanged
+    fit = max(a).bit_length()
+    guards = _guards(len(a), fit)
+    assert _pack(b, fit) & guards == 0
+    assert _packed_divides(_pack(a, fit), _pack(b, fit), guards) == mono_divides(a, b)
 
 
 # The division loop before the divisibility mask, kept verbatim as the
@@ -341,10 +386,18 @@ def assert_division_identity(f, reducers, order=GREVLEX):
 def division_cases(draw):
     """A polynomial and one to four reducers over three variables with int
     and Fraction coefficients under a random order: the first reducer is
-    non-monic, and a constant reducer (mask 0) sometimes joins the list."""
-    order = draw(st.sampled_from((GREVLEX, LEX, DEGLEX)))
-    f = draw(polys3(max_terms=6))
-    reducers = draw(st.lists(polys3().filter(bool), min_size=1, max_size=4))
+    non-monic, and a constant reducer sometimes joins the list.  Sometimes
+    the reducers have exponents <= 1 and the polynomial exponents up to 9
+    under Lex, so its monomials saturate the reducers' packed field."""
+    if draw(st.booleans()):
+        order, f_exps, g_exps = LEX, st.integers(0, 9), st.integers(0, 1)
+    else:
+        order = draw(st.sampled_from((GREVLEX, LEX, DEGLEX)))
+        f_exps = g_exps = st.integers(0, 4)
+    f = draw(polys3(max_terms=6, exponents=f_exps))
+    reducers = draw(
+        st.lists(polys3(exponents=g_exps).filter(bool), min_size=1, max_size=4)
+    )
     if reducers[0].leading_coefficient(order) == 1:
         reducers[0] = reducers[0] * draw(st.sampled_from((3, -2, Fraction(2, 3))))
     if draw(st.booleans()):
@@ -353,12 +406,14 @@ def division_cases(draw):
     return f, reducers, order
 
 
-def test_reducer_info_carries_the_leading_mask():
-    (lm, lc, tail, mask), (_, _, _, one) = _reducer_info(
-        [p("2*x1*x3^2 - x2"), p("5")], GREVLEX
-    )
-    assert (lm, lc, tail, mask) == ((1, 0, 2), 2, [((0, 1, 0), -1)], 0b101)
-    assert one == 0
+def test_reducer_info_carries_the_packed_leading_monomial():
+    entries, bits, guards = _reducer_info([p("2*x1*x3^2 - x2"), p("5")], GREVLEX)
+    (lm, lc, tail, packed), (_, _, _, one) = entries
+    assert (lm, lc, tail) == ((1, 0, 2), 2, [((0, 1, 0), -1)])
+    # the largest leading exponent, 2, needs two bits: three-bit fields
+    assert (bits, guards) == (2, 0b100_100_100)
+    assert (packed, one) == (0b010_000_001, 0)
+    assert _reducer_info([], GREVLEX) == ([], 0, 0)
 
 
 @settings(max_examples=200)
