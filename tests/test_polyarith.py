@@ -108,6 +108,12 @@ def test_order_totality():
         assert len(set(keys)) == len(keys)
 
 
+@given(monomials3)
+def test_neg_key_is_the_order_key_negated(m):
+    for order in (GREVLEX, LEX, DEGLEX):
+        assert order.neg_key(m) == tuple(-v for v in order.key(m))
+
+
 def test_cmp_dimension_error():
     with pytest.raises(AmbientMismatchError):
         cmp_monomials((1, 0), (1, 0, 0), GREVLEX)
@@ -305,6 +311,15 @@ def test_packed_divides_lcm_and_coprime_match_the_tuples(case):
     guards = _guards(len(a), fit)
     assert _pack(b, fit) & guards == 0
     assert _packed_divides(_pack(a, fit), _pack(b, fit), guards) == mono_divides(a, b)
+
+
+def test_pack_saturates_exponents_above_the_field():
+    # two exponent bits hold 0..3; 5 and 1000 saturate at 3, fields of 3 bits
+    assert _pack((0, 5, 1), 2) == 0b001_011_000
+    assert [_pack((e,), 2) for e in (2, 3, 4, 1000)] == [2, 3, 3, 3]
+    guards = _guards(3, 2)
+    assert _packed_divides(_pack((0, 3, 1), 2), _pack((0, 5, 1), 2), guards)
+    assert not _packed_divides(_pack((1, 3, 0), 2), _pack((0, 5, 1), 2), guards)
 
 
 # The division loop before the divisibility mask, kept verbatim as the
