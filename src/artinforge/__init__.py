@@ -11,14 +11,11 @@ from .errors import (
 from .groebner import (
     DEFAULT_PAIR_CAP,
     GroebnerBasis,
-    MonomialIdeal,
     StandardBasis,
     buchberger,
     colon_ideal,
-    hilbert_numerator,
     ideal_equal,
     ideal_member,
-    initial_ideal,
     is_regular_element,
     krull_dim_monomial,
     standard_monomials,

@@ -8,23 +8,25 @@ leading monomials of one list of reducer entries (the packing of
 ``polyarith``): divisibility and lcm are a few int operations, and two
 monomials are coprime exactly when their lcm is their sum.  The fields are
 as wide as the largest exponent seen needs; a wider leading monomial
-repacks everything stored.  Monomial ideals minimalise on packed ints too.
-New elements are fully reduced and monic, and an S-polynomial is one term
-dict built from two stored monic tails; the final basis is minimalised,
-each tail is reduced once against the minimal elements, and it is sorted
-by leading monomial.  The result is the
+repacks everything stored.  New elements are fully reduced and monic, and
+an S-polynomial is one term dict built from two stored monic tails; the
+final basis is minimalised, each tail is reduced once against the minimal
+elements, and it is sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
-Every basis built here is reduced.  A colon ideal of an Artinian quotient is
-one exact kernel on its staircase; regular-element tests compare Hilbert
-series numerators of initial ideals.
+Every basis built here is reduced, and its leading monomials, in the order
+the basis lists them, are the minimal generators of the initial ideal.  A
+colon ideal of an Artinian quotient is one exact kernel on its staircase; a
+linear form is tested for regularity by the reverse-lex criterion on one
+completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 from . import linalg
 from .errors import AmbientMismatchError, NotArtinianError, ResourceLimitError
@@ -35,7 +37,6 @@ from .polyarith import (
     PolyRing,
     Polynomial,
     TermOrder,
-    _guards,
     _normal_form,
     _pack,
     _packed_divides,
@@ -63,26 +64,6 @@ class GroebnerBasis:
     def __repr__(self):
         body = ", ".join(self.ring.fmt(g, self.order) for g in self.elements)
         return f"GroebnerBasis[{self.order!r}]({body})"
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """A monomial ideal kept as its minimal generators (a divisibility
-    antichain); redundant generators passed in are dropped."""
-
-    ring: PolyRing
-    gens: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        # a proper divisor has lower degree, so it sorts first
-        gens = sorted(set(self.gens), key=GREVLEX.key)
-        bits = max((e for m in gens for e in m), default=0).bit_length()
-        guards, minimal = _guards(self.ring.nvars, bits), {}  # packed -> gen
-        for m in gens:
-            pm = _pack(m, bits)
-            if not any(_packed_divides(po, pm, guards) for po in minimal):
-                minimal[pm] = m
-        object.__setattr__(self, "gens", tuple(minimal.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +236,6 @@ def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
     return StandardBasis(levels)
 
 
-def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """Leading-monomial ideal of a reduced basis (minimal generators)."""
-    return MonomialIdeal(gb.ring, gb.leading_monomials())
-
-
 def top_form_ideal(gb: GroebnerBasis) -> Ideal:
     """The top-degree forms of the ideal with GRevLex basis ``gb``: GRevLex
     refines the degree filtration, so the top forms of the basis generate it."""
@@ -338,64 +314,43 @@ def substitute_ideal(ideal: Ideal, name: str, value: Polynomial) -> Ideal:
 
 
 def is_regular_element(
-    gb: GroebnerBasis, f: Polynomial, pair_cap: "int | None" = None
+    ideal: Ideal, f: Polynomial, pair_cap: "int | None" = None
 ) -> bool:
-    """True when the form f of degree d is a non zero-divisor on S/I, for
-    ``gb`` a reduced basis of the homogeneous ideal I.  By the exact sequence
-    0 -> ((I:f)/I)(-d) -> (S/I)(-d) -> S/I -> S/(I+f) -> 0 that holds exactly
-    when HS(S/(I+f)) = (1 - t^d) HS(S/I), read off the initial ideals.  f goes
-    first into the completion of I + f, so the basis enters reduced by it.
+    """True when the linear form f = c*x_last + l (c != 0, l free of the last
+    variable) is a non zero-divisor on S/I, for I generated by the
+    homogeneous ``ideal.gens``; any other f raises ``ValueError``.
+
+    The automorphism x_last -> (x_last - l)/c sends f to x_last and I to a
+    homogeneous J, so f is regular on S/I exactly when x_last is regular on
+    S/J.  x_last is the cheapest variable under GRevLex, so
+    in(J : x_last) = in(J) : x_last (Bayer-Stillman; Eisenbud, Prop. 15.12),
+    and that holds exactly when no minimal generator of in(J), i.e. no
+    leading monomial of the reduced basis of J, contains x_last.
     """
-    if not f:
-        raise ValueError("regularity of the zero element is undefined")
-    if not all(g.is_homogeneous() for g in gb.elements + (f,)):
-        raise ValueError("the Hilbert-series regularity test needs homogeneous input")
-    joint = buchberger(Ideal(gb.ring, (f,) + gb.elements), gb.order, pair_cap)
-    num = hilbert_numerator(initial_ideal(gb))
-    shifted = [0] * f.total_degree() + [-c for c in num]
-    return hilbert_numerator(initial_ideal(joint)) == _add(num, shifted)
+    last = ideal.ring.nvars - 1
+    x = Polynomial.variable(ideal.ring.nvars, last)
+    c = f.coefficient(x.leading_monomial())
+    if not c or f.total_degree() != 1 or not f.is_homogeneous():
+        raise ValueError("the regularity criterion needs a linear form in x_last")
+    if not all(g.is_homogeneous() for g in ideal.gens):
+        raise ValueError("the regularity criterion needs a homogeneous ideal")
+    value = (x - (f - c * x)) * Fraction(1, c)
+    image = Ideal(ideal.ring, tuple(substitute(g, last, value) for g in ideal.gens))
+    lms = buchberger(image, GREVLEX, pair_cap).leading_monomials()
+    return not any(m[last] for m in lms)
 
 
-def krull_dim_monomial(m_ideal: MonomialIdeal) -> int:
-    """Krull dimension of R/M for a monomial ideal M: the largest number of
-    variables supporting none of the generators entirely."""
-    nv = m_ideal.ring.nvars
-    zero = (0,) * nv
-    if any(g == zero for g in m_ideal.gens):
-        raise ValueError("monomial ideal contains 1; the quotient is zero")
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in m_ideal.gens]
+def krull_dim_monomial(gb: GroebnerBasis) -> int:
+    """Krull dimension of R/in(I) for ``gb`` a reduced basis of I: the
+    largest number of variables supporting no leading monomial entirely."""
+    nv = gb.ring.nvars
+    lms = gb.leading_monomials()
+    if (0,) * nv in lms:
+        raise ValueError("the ideal contains 1; the quotient is zero")
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
     for size in range(nv, 0, -1):
         for subset in combinations(range(nv), size):
             s = set(subset)
             if all(not sup <= s for sup in supports):
                 return size
     return 0
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    """a + b for ascending coefficient lists, without trailing zeros."""
-    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def hilbert_numerator(m_ideal: MonomialIdeal) -> list[int]:
-    """The K(t) with HS(S/M) = K(t)/(1-t)^nvars, as ascending integer
-    coefficients without trailing zeros ([] for the unit ideal).  Following
-    Bayer-Stillman, if x_i divides two generators and e is its least exponent
-    there, N(M) = N(M + <x_i^e>) + t^e N(M : x_i^e); pairwise coprime
-    generators give prod (1 - t^deg g)."""
-    ring, gens = m_ideal.ring, m_ideal.gens
-    counts = [sum(1 for g in gens if g[i]) for i in range(ring.nvars)]
-    if max(counts, default=0) < 2:
-        num = [1]
-        for g in gens:
-            num = _add(num, [0] * sum(g) + [-c for c in num])
-        return num
-    i = counts.index(max(counts))
-    e = min(g[i] for g in gens if g[i])
-    plus = gens + (tuple(e if j == i else 0 for j in range(ring.nvars)),)
-    colon = tuple(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
-    rest = [0] * e + hilbert_numerator(MonomialIdeal(ring, colon))
-    return _add(hilbert_numerator(MonomialIdeal(ring, plus)), rest)

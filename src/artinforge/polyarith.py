@@ -48,10 +48,6 @@ def coeff_div(a, b):
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
-def coeff_str(c) -> str:
-    return str(c)
-
-
 def parse_coeff(text: str):
     num, slash, den = text.partition("/")
     if slash:
@@ -580,11 +576,11 @@ def _format(p: Polynomial, names: Sequence[str], order: TermOrder) -> str:
         neg = c < 0
         a = -c if neg else c
         if not factors:
-            body = coeff_str(a)
+            body = str(a)
         elif a == 1:
             body = "*".join(factors)
         else:
-            body = coeff_str(a) + "*" + "*".join(factors)
+            body = str(a) + "*" + "*".join(factors)
         parts.append((neg, body))
     first_neg, first = parts[0]
     out = ("-" if first_neg else "") + first

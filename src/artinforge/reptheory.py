@@ -14,6 +14,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+from .polyarith import _norm_coeff
+
 Partition = tuple[int, ...]
 
 
@@ -133,12 +135,6 @@ def conjugacy_classes(n: int) -> list[tuple[Partition, int, Permutation]]:
 # ---------------------------------------------------------------------------
 # class functions
 
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class ClassFunction:
     """A rational-valued function on the partitions of n."""
 
@@ -150,7 +146,7 @@ class ClassFunction:
         if set(vals) != set(expected):
             raise ValueError("class function must be defined on all cycle types")
         self.n = n
-        self.values = {lam: _norm(vals[lam]) for lam in expected}
+        self.values = {lam: _norm_coeff(vals[lam]) for lam in expected}
 
     @classmethod
     def from_function(cls, n: int, fn) -> "ClassFunction":
@@ -198,7 +194,7 @@ class ClassFunction:
             class_size(lam) * self.values[lam] * other.values[lam]
             for lam in partitions(self.n)
         )
-        return _norm(Fraction(total, factorial(self.n)))
+        return _norm_coeff(Fraction(total, factorial(self.n)))
 
     def to_dict(self) -> dict:
         return {
@@ -214,7 +210,7 @@ class ClassFunction:
         return cls(
             data["n"],
             {
-                tuple(entry["cycle_type"]): _norm(Fraction(entry["value"]))
+                tuple(entry["cycle_type"]): _norm_coeff(Fraction(entry["value"]))
                 for entry in data["values"]
             },
         )

@@ -1,11 +1,12 @@
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from artinforge import groebner
@@ -17,13 +18,10 @@ from artinforge.errors import (
 from artinforge.groebner import (
     DEFAULT_PAIR_CAP,
     GroebnerBasis,
-    MonomialIdeal,
     buchberger,
     colon_ideal,
-    hilbert_numerator,
     ideal_equal,
     ideal_member,
-    initial_ideal,
     is_regular_element,
     krull_dim_monomial,
     substitute,
@@ -39,7 +37,10 @@ from artinforge.polyarith import (
     Polynomial,
     PolyRing,
     TermOrder,
+    _guards,
     _normal_form,
+    _pack,
+    _packed_divides,
     _reducer_info,
     coeff_div,
     mono_div,
@@ -104,7 +105,7 @@ def test_elimination_order_block_dominates():
 
 def test_gb_of_I3_leads_generate_J3():
     gb = buchberger(build_ideal("I", 3))
-    assert set(initial_ideal(gb).gens) == J3_MONOMIALS
+    assert set(gb.leading_monomials()) == J3_MONOMIALS
 
 
 def test_gb_of_I2_is_the_variables():
@@ -342,6 +343,13 @@ def assert_same_completion(ideal, order=GREVLEX, pair_cap=None):
     tails = len(gb.elements) if gb is not None else 0
     assert reduced[: len(reduced) - tails] == ref_reduced
     assert len(reduced) == len(ref_reduced) + tails
+    if gb is not None:
+        # the minimal generators of the initial ideal, ascending: a strict
+        # chain of keys and a divisibility antichain
+        lms = gb.leading_monomials()
+        keys = [order.key(m) for m in lms]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert not any(mono_divides(a, b) for a, b in combinations(lms, 2))
     return pushed, gb
 
 
@@ -401,7 +409,7 @@ def test_pair_cap_stops_both_engines_at_the_same_pair(cap):
 
 def test_initial_ideal_matches_expected_generators():
     for n in (4, 5):
-        got = set(initial_ideal(buchberger(build_ideal("I", n))).gens)
+        got = set(buchberger(build_ideal("I", n)).leading_monomials())
         expected = {
             g.leading_monomial() for g in build_ideal("J_expected", n).gens
         }
@@ -410,7 +418,7 @@ def test_initial_ideal_matches_expected_generators():
 
 def test_initial_ideal_principal():
     gb = buchberger(ideal3("x1"))
-    assert initial_ideal(gb).gens == ((1, 0, 0),)
+    assert gb.leading_monomials() == ((1, 0, 0),)
 
 
 def test_top_form_ideal_of_I3():
@@ -766,55 +774,150 @@ def reference_is_regular_element(
     return ideal_equal(quotient, ideal, GREVLEX, pair_cap)
 
 
+# The Hilbert-series regularity test that the reverse-lex criterion replaced,
+# kept verbatim as a second reference, with the monomial ideals and the
+# Bayer-Stillman numerator it reads.
+
+@dataclass(frozen=True)
+class MonomialIdeal:
+    """A monomial ideal kept as its minimal generators (a divisibility
+    antichain); redundant generators passed in are dropped."""
+
+    ring: PolyRing
+    gens: tuple[Monomial, ...]
+
+    def __post_init__(self):
+        # a proper divisor has lower degree, so it sorts first
+        gens = sorted(set(self.gens), key=GREVLEX.key)
+        bits = max((e for m in gens for e in m), default=0).bit_length()
+        guards, minimal = _guards(self.ring.nvars, bits), {}  # packed -> gen
+        for m in gens:
+            pm = _pack(m, bits)
+            if not any(_packed_divides(po, pm, guards) for po in minimal):
+                minimal[pm] = m
+        object.__setattr__(self, "gens", tuple(minimal.values()))
+
+
+def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
+    """Leading-monomial ideal of a reduced basis (minimal generators)."""
+    return MonomialIdeal(gb.ring, gb.leading_monomials())
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """a + b for ascending coefficient lists, without trailing zeros."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def hilbert_numerator(m_ideal: MonomialIdeal) -> list[int]:
+    """The K(t) with HS(S/M) = K(t)/(1-t)^nvars, as ascending integer
+    coefficients without trailing zeros ([] for the unit ideal).  Following
+    Bayer-Stillman, if x_i divides two generators and e is its least exponent
+    there, N(M) = N(M + <x_i^e>) + t^e N(M : x_i^e); pairwise coprime
+    generators give prod (1 - t^deg g)."""
+    ring, gens = m_ideal.ring, m_ideal.gens
+    counts = [sum(1 for g in gens if g[i]) for i in range(ring.nvars)]
+    if max(counts, default=0) < 2:
+        num = [1]
+        for g in gens:
+            num = _add(num, [0] * sum(g) + [-c for c in num])
+        return num
+    i = counts.index(max(counts))
+    e = min(g[i] for g in gens if g[i])
+    plus = gens + (tuple(e if j == i else 0 for j in range(ring.nvars)),)
+    colon = tuple(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    rest = [0] * e + hilbert_numerator(MonomialIdeal(ring, colon))
+    return _add(hilbert_numerator(MonomialIdeal(ring, plus)), rest)
+
+
+def reference_hilbert_is_regular_element(
+    gb: GroebnerBasis, f: Polynomial, pair_cap: "int | None" = None
+) -> bool:
+    """True when the form f of degree d is a non zero-divisor on S/I, for
+    ``gb`` a reduced basis of the homogeneous ideal I.  By the exact sequence
+    0 -> ((I:f)/I)(-d) -> (S/I)(-d) -> S/I -> S/(I+f) -> 0 that holds exactly
+    when HS(S/(I+f)) = (1 - t^d) HS(S/I), read off the initial ideals.  f goes
+    first into the completion of I + f, so the basis enters reduced by it.
+    """
+    if not f:
+        raise ValueError("regularity of the zero element is undefined")
+    if not all(g.is_homogeneous() for g in gb.elements + (f,)):
+        raise ValueError("the Hilbert-series regularity test needs homogeneous input")
+    joint = buchberger(Ideal(gb.ring, (f,) + gb.elements), gb.order, pair_cap)
+    num = hilbert_numerator(initial_ideal(gb))
+    shifted = [0] * f.total_degree() + [-c for c in num]
+    return hilbert_numerator(initial_ideal(joint)) == _add(num, shifted)
+
+
 def test_regularity_examples():
     q4 = build_ideal("Q", 4)
     f = q4.ring.var("z") - q4.ring.var("x4")
-    assert is_regular_element(buchberger(q4), f)
-    assert not is_regular_element(buchberger(ideal3("x1^2")), R3.poly("x1"))
-    assert is_regular_element(buchberger(Ideal(R3, ())), R3.poly("x1"))
-    assert is_regular_element(buchberger(ideal3("1")), R3.poly("x1"))
-    with pytest.raises(ValueError):
-        is_regular_element(buchberger(ideal3("x1")), Polynomial.zero(3))
+    assert is_regular_element(q4, f)
+    assert not is_regular_element(ideal3("x3^2"), R3.poly("x3"))
+    # x1*(2*x3 - x1) lies in I and x1 does not
+    assert not is_regular_element(ideal3("2*x1*x3 - x1^2"), R3.poly("2*x3 - x1"))
+    assert is_regular_element(ideal3("x1^2"), R3.poly("2*x3 - x1"))
+    assert is_regular_element(Ideal(R3, ()), R3.poly("x3"))
+    assert is_regular_element(ideal3("1"), R3.poly("x1 + x3"))
 
 
 def test_regularity_rejects_inhomogeneous_input():
     with pytest.raises(ValueError):
-        is_regular_element(buchberger(ideal3("x1^2")), R3.poly("x1 + 1"))
+        is_regular_element(ideal3("x1^2"), R3.poly("x3 + 1"))
     with pytest.raises(ValueError):
-        is_regular_element(buchberger(build_ideal("I", 3)), R3.poly("x1"))
+        is_regular_element(build_ideal("I", 3), R3.poly("x3"))
+
+
+@pytest.mark.parametrize("f", ["0", "x3^2", "x1*x3 + x3^2", "x1", "x1 - 2*x2"])
+def test_regularity_needs_a_linear_form_with_a_last_variable_term(f):
+    with pytest.raises(ValueError):
+        is_regular_element(ideal3("x1^2"), R3.poly(f))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_regularity_on_the_family_matches_the_colon_reference(n):
+    # z - xn is regular on R_n[z]/Q_n; z and z - x_{n-1} are zero-divisors
+    q = build_ideal("Q", n)
+    z, xn, xp = q.ring.var("z"), q.ring.var(f"x{n}"), q.ring.var(f"x{n - 1}")
+    for f, regular in ((z - xn, True), (z, False), (z - xp, False)):
+        assert is_regular_element(q, f) is regular
+        assert reference_is_regular_element(q, f) is regular
+        assert reference_hilbert_is_regular_element(buchberger(q), f) is regular
 
 
 @st.composite
 def regularity_cases(draw):
     """A homogeneous ideal of monomials and binomials of degree <= 3 in two
-    or three variables, and a linear or quadratic form f.  A third of the
-    time f is a variable of a monomial generator (almost always a
-    zero-divisor); overall about half the cases are zero-divisors."""
+    or three variables, and a linear form f with a term in the last
+    variable.  A third of the time one generator is f times a monomial m, which
+    makes f a zero-divisor unless m lies in the ideal."""
     nv = draw(st.integers(2, 3))
+    last, *others = monomials_of_degree(nv, 1)  # ascending: x_last first
+    terms = {m: draw(st.integers(-2, 2)) for m in others}
+    terms[last] = draw(st.sampled_from([-2, -1, 1, 3]))
+    f = Polynomial(nv, terms)
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         monos = monomials_of_degree(nv, draw(st.integers(1, 3)))
         a, b = draw(st.sampled_from(monos)), draw(st.sampled_from(monos))
         c = draw(st.sampled_from([0, 0, -1, 1, 2]))
         gens.append(Polynomial(nv, {a: 1} if a == b else {a: 1, b: c}))
-    monomial_gens = [g for g in gens if len(g.terms) == 1]
-    if monomial_gens and draw(st.integers(0, 2)) == 0:
-        (mono,) = draw(st.sampled_from(monomial_gens)).terms
-        i = draw(st.sampled_from([i for i, e in enumerate(mono) if e]))
-        f = Polynomial.variable(nv, i)
-    else:
-        monos = monomials_of_degree(nv, draw(st.integers(1, 2)))
-        coeffs = st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos))
-        f = Polynomial(nv, dict(zip(monos, draw(coeffs.filter(any)))))
+    if draw(st.integers(0, 2)) == 0:
+        m = draw(st.sampled_from(monomials_of_degree(nv, draw(st.integers(1, 2)))))
+        gens.insert(draw(st.integers(0, len(gens))), f.mul_term(m))
     return Ideal(xring(nv), tuple(gens)), f
 
 
+@settings(max_examples=200)
 @given(regularity_cases())
 def test_regularity_matches_colon_reference(case):
     ideal, f = case
-    assert is_regular_element(buchberger(ideal), f) == reference_is_regular_element(
-        ideal, f
-    )
+    regular = is_regular_element(ideal, f)
+    event("regular" if regular else "zero-divisor")
+    assert regular == reference_is_regular_element(ideal, f)
+    assert regular == reference_hilbert_is_regular_element(buchberger(ideal), f)
 
 
 def times_one_minus_t(p, power):
@@ -872,18 +975,15 @@ def test_hilbert_numerator_of_zero_and_unit_ideals():
 
 
 def test_krull_examples():
-    k3 = initial_ideal(buchberger(build_ideal("K_expected", 3)))
-    assert krull_dim_monomial(k3) == 0
-    q4 = initial_ideal(buchberger(build_ideal("Q", 4)))
-    assert krull_dim_monomial(q4) == 1
-    single = MonomialIdeal(xring(2), ((1, 0),))
-    assert krull_dim_monomial(single) == 1
+    assert krull_dim_monomial(buchberger(build_ideal("K_expected", 3))) == 0
+    assert krull_dim_monomial(buchberger(build_ideal("Q", 4))) == 1
+    assert krull_dim_monomial(buchberger(ideal3("x1", ring=xring(2)))) == 1
 
 
 def test_krull_zero_ideal_and_improper():
-    assert krull_dim_monomial(MonomialIdeal(xring(3), ())) == 3
+    assert krull_dim_monomial(buchberger(Ideal(R3, ()))) == 3
     with pytest.raises(ValueError):
-        krull_dim_monomial(MonomialIdeal(xring(2), ((0, 0),)))
+        krull_dim_monomial(buchberger(ideal3("1", ring=xring(2))))
 
 
 def test_monomial_ideal_minimalises():
@@ -930,7 +1030,7 @@ def test_krull_dimension_zero_iff_finite_staircase():
     from artinforge.quotient import standard_monomials
 
     gb = buchberger(build_ideal("K_expected", 3))
-    assert krull_dim_monomial(initial_ideal(gb)) == 0
+    assert krull_dim_monomial(gb) == 0
     assert len(standard_monomials(gb)) < 10**6
 
 
