@@ -21,7 +21,7 @@ from .groebner import (
     standard_monomials,
     substitute,
     substitute_ideal,
-    top_form_ideal,
+    top_form_basis,
 )
 from .paperlab import (
     CLAIMS,
@@ -45,13 +45,10 @@ from .polyarith import (
     Polynomial,
     PolyRing,
     TermOrder,
-    cmp_monomials,
     format_polynomial,
     parse_polynomial,
     reduce,
-    s_polynomial,
     xring,
-    yring,
 )
 from .quotient import (
     QuotientAlgebra,

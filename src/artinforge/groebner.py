@@ -15,10 +15,11 @@ elements, and it is sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
 Every basis built here is reduced, and its leading monomials, in the order
-the basis lists them, are the minimal generators of the initial ideal.  A
-colon ideal of an Artinian quotient is one exact kernel on its staircase; a
-linear form is tested for regularity by the reverse-lex criterion on one
-completion.
+the basis lists them, are the minimal generators of the initial ideal.  The
+top forms of a GRevLex basis give the reduced basis of the top-form ideal
+with no completion; a linear form is tested for regularity by the
+reverse-lex criterion on one completion.  A colon ideal of an Artinian
+quotient is one exact kernel on its staircase.
 """
 
 from __future__ import annotations
@@ -236,13 +237,21 @@ def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
     return StandardBasis(levels)
 
 
-def top_form_ideal(gb: GroebnerBasis) -> Ideal:
-    """The top-degree forms of the ideal with GRevLex basis ``gb``: GRevLex
-    refines the degree filtration, so the top forms of the basis generate it."""
+def top_form_basis(gb: GroebnerBasis) -> GroebnerBasis:
+    """The reduced basis of the ideal of top-degree forms of the ideal I
+    with reduced GRevLex basis ``gb``, with no completion.
+
+    GRevLex refines the degree, so lm(top f) = lm(f) for every f: the top
+    forms of ``gb`` have its leading monomials, which generate in(I) =
+    in(top I), so they are a Groebner basis of top(I) (Kreuzer and Robbiano,
+    *Computational Commutative Algebra 2*, 4.2).  They are monic, their
+    leading monomials are minimal and every other term is a term of the
+    reduced ``gb``, divisible by no leading monomial: the basis is reduced.
+    """
     if gb.order != GREVLEX:
-        raise ValueError("top_form_ideal needs a GRevLex basis")
+        raise ValueError("top_form_basis needs a GRevLex basis")
     tops = tuple(g.top_degree_part() for g in gb.elements)
-    return Ideal(gb.ring, tops)
+    return GroebnerBasis(gb.ring, GREVLEX, tops)
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:

@@ -44,17 +44,18 @@ from math import comb
 from time import perf_counter
 
 from . import linalg
+from .errors import NotArtinianError
 from .groebner import (
     DEFAULT_PAIR_CAP,
     GroebnerBasis,
     _shift,
     buchberger,
-    colon_ideal,
+    colon_ideal,  # noqa: F401  unused here; bench/tracing.py wraps this binding
     is_regular_element,
     krull_dim_monomial,
-    standard_monomials,  # noqa: F401  unused here; bench/tracing.py wraps this binding
+    standard_monomials,
     substitute_ideal,
-    top_form_ideal,
+    top_form_basis,
 )
 from .polyarith import (
     GREVLEX,
@@ -67,7 +68,8 @@ from .polyarith import (
 )
 from .quotient import (
     QuotientAlgebra,
-    annihilator,
+    annihilator,  # noqa: F401  unused here; bench/tracing.py wraps this binding
+    contract,
     equivariant_graded_trace,
     hilbert_series,
     socle_dimension,
@@ -414,6 +416,12 @@ class Workbench:
     def quotient_K(self) -> QuotientAlgebra:
         return QuotientAlgebra(self.gb_K)
 
+    @cached_property
+    def socle_K(self) -> tuple[int, bool]:
+        """``socle_dimension(quotient_K)``: the socle dimension of R_n/K_n
+        and whether it is one."""
+        return socle_dimension(self.quotient_K)
+
 
 def challenge_series(wb: Workbench) -> GradedClassFunction:
     """The graded S_n-character of R_n/K_n as a class-function polynomial."""
@@ -550,8 +558,7 @@ def _claim_thm3(wb: Workbench):
 
 
 def _claim_prop4_generators(wb: Workbench):
-    top = buchberger(top_form_ideal(wb.gb_I), GREVLEX, wb.pair_cap)
-    if top.elements != wb.gb_K.elements:
+    if top_form_basis(wb.gb_I).elements != wb.gb_K.elements:
         return False, "top-form ideal differs from the closed-form generators"
     hj = hilbert_series(wb.quotient_J.basis)
     hk = hilbert_series(wb.quotient_K.basis)
@@ -561,16 +568,29 @@ def _claim_prop4_generators(wb: Workbench):
 
 
 def _claim_thmG(wb: Workbench):
-    dim, gorenstein = socle_dimension(wb.quotient_K)
+    dim, gorenstein = wb.socle_K
     if not gorenstein:
         return False, f"socle dimension {dim}"
     return True, f"socle dimension 1; embedding dimension {wb.n}"
 
 
 def _claim_inverse_system(wb: Workbench):
-    ann = annihilator(build_ideal("g_dual", wb.n), pair_cap=wb.pair_cap)
-    if ann.elements != wb.gb_K.elements:
-        return False, "Ann(g_n) differs from K_n"
+    # Macaulay duality: let K lie in Ann(g), R/K have a one-dimensional socle
+    # and its Hilbert series end in degree deg g.  A form f in Ann(g) but not
+    # in K generates a nonzero ideal of R/K, which contains the socle, i.e.
+    # all of degree deg g; so R_{deg g} annihilates g, and as the contraction
+    # pairing in one degree is perfect, g = 0.  Hence Ann(g) = K.
+    g, top, kid = build_ideal("g_dual", wb.n), 2 * wb.n - 4, wb.ideal_K
+    if not g or not g.is_homogeneous() or g.total_degree() != top:
+        return False, f"g_n is not a nonzero form of degree {top}"
+    for k in kid.gens:
+        if contract(k, g):
+            return False, f"{kid.ring.fmt(k)} does not annihilate g_n"
+    if wb.socle_K[0] != 1:
+        return False, f"R/K_n has socle dimension {wb.socle_K[0]}"
+    last = len(wb.quotient_K.basis.by_degree) - 1
+    if last != top:
+        return False, f"the Hilbert series of R/K_n ends in degree {last}"
     return True, None
 
 
@@ -596,14 +616,42 @@ def _claim_not_gorenstein_J(wb: Workbench):
     return True, f"socle dimension {dim}, spanned by {witness}"
 
 
-def _claim_appendix_colon(wb: Workbench):
-    m, cap = wb.n - 1, wb.pair_cap
+def _colon_certificate(wb: Workbench, f: Polynomial) -> "str | None":
+    """None when (L : K) = L + <f> is certified for L = L_{n-1} and
+    K = K_{n-1}, else a witness.
+
+    L has n - 1 generators in n - 1 variables and R/L is Artinian, so R/L is
+    a complete intersection, hence Gorenstein, and for L inside K linkage
+    gives dim R/(L : K) = dim R/L - dim R/K (Peskine and Szpiro, 1974).  If
+    f*K lies in L, then L + <f> lies in (L : K), and equal dimensions make
+    the two equal.
+    """
     lid, kid = wb.ideal_L, wb.ideal_K_prev
-    colon = colon_ideal(wb.gb_L, kid, cap)
+    info_l = _reducer_info(wb.gb_L.elements, GREVLEX)
+    info_k = _reducer_info(wb.gb_K_prev.elements, GREVLEX)
+    if any(_normal_form((f * k).terms, info_l, GREVLEX) for k in kid.gens):
+        return f"{lid.ring.fmt(f)} * K_{wb.n - 1} is not inside L"
+    if any(_normal_form(g.terms, info_k, GREVLEX) for g in lid.gens):
+        return f"L is not inside K_{wb.n - 1}"
+    if len(lid.gens) != lid.ring.nvars:
+        return f"L has {len(lid.gens)} generators in {lid.ring.nvars} variables"
+    try:
+        dim_l = len(standard_monomials(wb.gb_L))
+    except NotArtinianError:
+        return "R/L is not Artinian"
+    target = buchberger(Ideal(lid.ring, lid.gens + (f,)), GREVLEX, wb.pair_cap)
+    dim_k = len(standard_monomials(wb.gb_K_prev))
+    if len(standard_monomials(target)) != dim_l - dim_k:
+        return f"(L : K) differs from L + <{lid.ring.fmt(f)}>"
+    return None
+
+
+def _claim_appendix_colon(wb: Workbench):
+    m = wb.n - 1
     last_sq = Polynomial.monomial(tuple(2 if j == m - 1 else 0 for j in range(m)))
-    target = Ideal(lid.ring, lid.gens + (last_sq,))
-    if colon.elements != buchberger(target, GREVLEX, cap).elements:
-        return False, "(L : K) differs from L + <last variable squared>"
+    witness = _colon_certificate(wb, last_sq)
+    if witness:
+        return False, witness
     # degree-one minimality: the only linear form u with u*K inside L is 0.
     # u = sum a_i x_i lies in the colon iff every normal form of x_i * k
     # against GB(L), weighted by a_i, cancels; that is a linear system with
@@ -612,7 +660,7 @@ def _claim_appendix_colon(wb: Workbench):
     rows: dict = {}  # (generator, monomial) -> {i: coefficient in NF(x_i*k)}
     for i in range(m):
         xi = tuple(1 if j == i else 0 for j in range(m))
-        for gi, g in enumerate(kid.gens):
+        for gi, g in enumerate(wb.ideal_K_prev.gens):
             nf = _normal_form(g.mul_term(xi).terms, info, GREVLEX)
             for mono, c in nf.items():
                 rows.setdefault((gi, mono), {})[i] = c
@@ -623,13 +671,18 @@ def _claim_appendix_colon(wb: Workbench):
 
 
 def _claim_appendix_unprojection(wb: Workbench):
-    # GRevLex on x1..xn, z restricted to z-free monomials is GRevLex on
-    # x1..xn, so the reduced basis of K_n lifts to that of K_n in R_n[z]
-    q, k = wb.ideal_Q, wb.gb_K
-    substituted = substitute_ideal(q, "z", q.ring.var(f"x{wb.n}"))
-    lifted_k = tuple(q.ring.lift(g, k.ring) for g in k.elements)
-    if buchberger(substituted, GREVLEX, wb.pair_cap).elements != lifted_k:
-        return False, "Q at z -> xn does not equal K"
+    # both ideals are generated by forms, so if the two generator sets span
+    # the same forms in each degree, the ideals are equal
+    q, kid = wb.ideal_Q, wb.ideal_K
+    subst = substitute_ideal(q, "z", q.ring.var(f"x{wb.n}")).gens
+    lifted = tuple(q.ring.lift(g, kid.ring) for g in kid.gens)
+    if not all(g.is_homogeneous() for g in subst + lifted):
+        return False, "Q at z -> xn or K has a generator that is not a form"
+    for d in sorted({g.total_degree() for g in subst + lifted}):
+        a = [g.terms for g in subst if g.total_degree() == d]
+        b = [g.terms for g in lifted if g.total_degree() == d]
+        if not linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b):
+            return False, f"Q at z -> xn and K differ in degree {d}"
     return True, None
 
 

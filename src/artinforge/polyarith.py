@@ -154,10 +154,6 @@ class TermOrder:
         self.kind = kind
         self.key, self.neg_key = keys[kind]
 
-    def cmp(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.kind == other.kind
 
@@ -171,15 +167,6 @@ class TermOrder:
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
 DEGLEX = TermOrder("deglex")
-
-
-def cmp_monomials(a: Monomial, b: Monomial, order: TermOrder = GREVLEX) -> int:
-    """Compare two monomials, returning -1, 0 or 1."""
-    if len(a) != len(b):
-        raise AmbientMismatchError(
-            f"monomials over {len(a)} and {len(b)} variables"
-        )
-    return order.cmp(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +343,6 @@ class Polynomial:
     def leading_monomial(self, order: TermOrder = GREVLEX) -> Monomial:
         return self.leading_term(order)[0]
 
-    def leading_coefficient(self, order: TermOrder = GREVLEX):
-        return self.leading_term(order)[1]
-
     def monic(self, order: TermOrder = GREVLEX) -> "Polynomial":
         _, c = self.leading_term(order)
         if c == 1:
@@ -467,18 +451,6 @@ def _s_terms(lcm: Monomial, f_info, g_info) -> dict:
     return out
 
 
-def s_polynomial(
-    f: Polynomial, g: Polynomial, order: TermOrder = GREVLEX
-) -> Polynomial:
-    """The S-polynomial: both leading terms are scaled onto their lcm and
-    cancelled, so S(f, f) == 0."""
-    if not f or not g:
-        raise ValueError("S-polynomial of the zero polynomial is undefined")
-    (f_info, g_info), _, _ = _reducer_info((f, g), order)
-    lcm = mono_lcm(f_info[0], g_info[0])
-    return Polynomial(f.nvars, _s_terms(lcm, f_info, g_info))
-
-
 # ---------------------------------------------------------------------------
 # ambient rings, parsing and printing
 
@@ -560,11 +532,6 @@ class PolyRing:
 def xring(n: int, *extra: str) -> PolyRing:
     """The ring F[x1..xn], optionally extended by further variables."""
     return PolyRing(tuple(f"x{i}" for i in range(1, n + 1)) + extra)
-
-
-def yring(n: int) -> PolyRing:
-    """The dual ring F[y1..yn]."""
-    return PolyRing(f"y{i}" for i in range(1, n + 1))
 
 
 def _format(p: Polynomial, names: Sequence[str], order: TermOrder) -> str:

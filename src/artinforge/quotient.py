@@ -3,10 +3,9 @@
 Everything here works inside R/I presented by a reduced Groebner basis: the
 staircase complement (standard monomials) is the vector-space basis, and one
 lazily filled table of normal forms per :class:`QuotientAlgebra`, built from
-the border NF(x_i * b), gives coordinates, multiplication matrices, the
-socle (by sparse exact rank) and the equivariant traces.  The dual side
-(contraction action and annihilators of dual polynomials) realises
-Macaulay's inverse systems.
+the border NF(x_i * b), gives the socle (by sparse exact rank) and the
+equivariant traces.  The dual side (contraction action and annihilators of
+dual polynomials) realises Macaulay's inverse systems.
 """
 
 from __future__ import annotations
@@ -97,19 +96,6 @@ class QuotientAlgebra:
             for r, v in self.vector(m).items():
                 out[r] = out.get(r, 0) + c * v
         return {r: _norm_coeff(v) for r, v in out.items() if v}
-
-    def coords(self, f: Polynomial) -> list:
-        """Coefficient vector of the normal form in the standard basis."""
-        vec = self.combine(f.terms.items())
-        return [vec.get(r, 0) for r in range(self.dimension)]
-
-    def mult_matrix(self, i: int) -> tuple:
-        """Multiplication by the i-th variable; column j holds the
-        coordinates of x_i * basis_j.  Rows are immutable tuples."""
-        cols = [self.vector(_shift(m, i, 1)) for m in self.basis.monomials]
-        return tuple(
-            tuple(col.get(r, 0) for col in cols) for r in range(self.dimension)
-        )
 
 
 def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:

@@ -48,10 +48,6 @@ class Permutation:
             raise ValueError(f"not a permutation: {self.image}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         image = list(range(n))
         for cycle in cycles:
@@ -187,15 +183,6 @@ class ClassFunction:
 
     __hash__ = None
 
-    def inner_product(self, other: "ClassFunction"):
-        """(1/n!) * sum over classes of size * f * g."""
-        self._check(other)
-        total = sum(
-            class_size(lam) * self.values[lam] * other.values[lam]
-            for lam in partitions(self.n)
-        )
-        return _norm_coeff(Fraction(total, factorial(self.n)))
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -204,16 +191,6 @@ class ClassFunction:
                 for lam in partitions(self.n)
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassFunction":
-        return cls(
-            data["n"],
-            {
-                tuple(entry["cycle_type"]): _norm_coeff(Fraction(entry["value"]))
-                for entry in data["values"]
-            },
-        )
 
     def __repr__(self):
         body = ", ".join(f"{lam}: {v}" for lam, v in self.values.items())

@@ -26,7 +26,7 @@ from artinforge.groebner import (
     krull_dim_monomial,
     substitute,
     substitute_ideal,
-    top_form_ideal,
+    top_form_basis,
 )
 from artinforge.paperlab import _k_homogeneous, build_ideal
 from artinforge.polyarith import (
@@ -48,10 +48,14 @@ from artinforge.polyarith import (
     mono_lcm,
     monomials_of_degree,
     reduce,
-    s_polynomial,
     xring,
 )
-from test_polyarith import boundary_exponents, mono_coprime, reference_reduce
+from test_polyarith import (
+    boundary_exponents,
+    mono_coprime,
+    reference_reduce,
+    s_polynomial,
+)
 
 R3 = xring(3)
 J3_MONOMIALS = {
@@ -144,7 +148,7 @@ def test_gb_is_reduced():
     gb = buchberger(build_ideal("I", 4))
     lms = gb.leading_monomials()
     for i, g in enumerate(gb.elements):
-        assert g.leading_coefficient(GREVLEX) == 1
+        assert g.leading_term(GREVLEX)[1] == 1
         for m in g.terms:
             assert not any(
                 j != i and all(a <= b for a, b in zip(lms[j], m))
@@ -421,23 +425,42 @@ def test_initial_ideal_principal():
     assert gb.leading_monomials() == ((1, 0, 0),)
 
 
-def test_top_form_ideal_of_I3():
+# The top-form ideal before ``top_form_basis``, kept as its reference: the top
+# forms of a GRevLex basis as generators, which a completion then reduces.
+def reference_top_form_ideal(gb: GroebnerBasis) -> Ideal:
+    return Ideal(gb.ring, tuple(g.top_degree_part() for g in gb.elements))
+
+
+def test_top_form_basis_of_I3():
     expected = ideal3(
         "x1^2 - x3^2", "x2^2 - x3^2", "x2*x3", "x1*x3", "x1*x2"
     )
-    top = top_form_ideal(buchberger(build_ideal("I", 3)))
-    assert ideal_equal(top, expected)
+    assert top_form_basis(buchberger(build_ideal("I", 3))) == buchberger(expected)
 
 
-def test_top_form_fixes_homogeneous_ideals():
-    ideal = ideal3("x1^2 - x2*x3", "x3^3")
-    assert ideal_equal(top_form_ideal(buchberger(ideal)), ideal)
+def test_top_form_basis_fixes_homogeneous_ideals():
+    gb = buchberger(ideal3("x1^2 - x2*x3", "x3^3"))
+    assert top_form_basis(gb) == gb
 
 
-def test_top_form_ideal_needs_a_grevlex_basis():
-    assert top_form_ideal(buchberger(Ideal(R3, ()))).is_zero
+def test_top_form_basis_needs_a_grevlex_basis():
+    assert top_form_basis(buchberger(Ideal(R3, ()))).elements == ()
     with pytest.raises(ValueError):
-        top_form_ideal(buchberger(build_ideal("I", 3), LEX))
+        top_form_basis(buchberger(build_ideal("I", 3), LEX))
+
+
+@settings(max_examples=100, deadline=None)
+@given(completion_cases())
+def test_top_form_basis_matches_the_completion_on_random_ideals(case):
+    # the generators are mostly inhomogeneous; the drawn order is ignored
+    ideal, _ = case
+    try:
+        gb = buchberger(ideal, GREVLEX, pair_cap=150)
+    except ResourceLimitError:
+        return
+    event(f"homogeneous: {all(g.is_homogeneous() for g in ideal.gens)}")
+    top = top_form_basis(gb)
+    assert top == buchberger(reference_top_form_ideal(gb))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from artinforge import groebner, paperlab, quotient
+from artinforge.groebner import buchberger
 from artinforge.paperlab import (
     CLAIMS,
     SymbolicPoint,
@@ -21,8 +22,9 @@ from artinforge.paperlab import (
     verify,
     verify_points_satisfy_ideal,
 )
-from artinforge.polyarith import GREVLEX, Ideal, Polynomial, xring, yring
+from artinforge.polyarith import GREVLEX, Ideal, Polynomial, xring
 from artinforge.reptheory import partitions, xn_character
+from test_polyarith import yring
 
 
 # ---------------------------------------------------------------------------
@@ -447,31 +449,56 @@ def test_claims_on_one_workbench_share_one_basis_of_I(monkeypatch):
 def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
     wb = Workbench(6)
     inputs = []
-    in_colon = []
-    real_buchberger, real_colon = groebner.buchberger, groebner.colon_ideal
+    real_buchberger = groebner.buchberger
 
     def counting(ideal, order=GREVLEX, pair_cap=None):
-        if not in_colon:
-            gens = tuple(tuple(sorted(g.terms.items())) for g in ideal.gens)
-            inputs.append((ideal.ring, order, gens))
+        gens = tuple(tuple(sorted(g.terms.items())) for g in ideal.gens)
+        inputs.append((ideal.ring, order, gens))
         return real_buchberger(ideal, order, pair_cap)
-
-    def colon(*args):
-        in_colon.append(True)
-        try:
-            return real_colon(*args)
-        finally:
-            in_colon.pop()
 
     for module in (groebner, paperlab, quotient):
         monkeypatch.setattr(module, "buchberger", counting)
-    monkeypatch.setattr(paperlab, "colon_ideal", colon)
     for claim in CLAIMS:
-        if claim != "inverse_system":
-            assert verify(claim, 6, wb).status == "pass", claim
-    # I, K, K_5, L, Q, the top forms of I, L + <x5^2>, Q at z -> x6, Q + <z - x6>
-    assert len(inputs) == 9
+        assert verify(claim, 6, wb).status == "pass", claim
+    # I, K, K_5, L, Q, L + <x5^2>, and Q moved by z -> z + x6 for regularity
+    assert len(inputs) == 7
     assert len(set(inputs)) == len(inputs)
+
+
+def test_thmG_and_inverse_system_share_one_socle(monkeypatch):
+    wb = Workbench(5)
+    calls = []
+    real = paperlab.socle_dimension
+    monkeypatch.setattr(
+        paperlab, "socle_dimension", lambda q: calls.append(q) or real(q)
+    )
+    for claim in ("thmG", "inverse_system", "thmG"):
+        assert verify(claim, 5, wb).status == "pass"
+    assert calls == [wb.quotient_K] and wb.socle_K == (1, True)
+
+
+def test_no_claim_computes_a_colon_or_an_annihilator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a claim called a replaced computation")
+
+    for module, name in [
+        (groebner, "colon_ideal"),
+        (paperlab, "colon_ideal"),
+        (quotient, "annihilator"),
+        (paperlab, "annihilator"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    wb = Workbench(5)
+    kernels = []
+    real_kernel = paperlab.linalg.kernel_basis
+    monkeypatch.setattr(
+        paperlab.linalg,
+        "kernel_basis",
+        lambda *a: kernels.append(1) or real_kernel(*a),
+    )
+    for claim in CLAIMS:
+        assert verify(claim, 5, wb).status == "pass", claim
+    assert len(kernels) == 1  # the degree-one check of appendix_colon
 
 
 def test_verify_skips_below_minimum():
@@ -526,3 +553,147 @@ def test_not_gorenstein_witness_n3():
     report = verify("not_gorenstein_J", 3)
     assert report.status == "pass"
     assert "x1" in report.witness and "x3^2" in report.witness
+
+
+# ---------------------------------------------------------------------------
+# the certificates against the computations they replaced
+
+# The claim bodies before the certificates, kept as their references: each
+# computes the whole object that the claim is about.
+def reference_colon_target(wb: Workbench, f: Polynomial) -> bool:
+    """(L : K) = L + <f>, by the colon and a completion of the target."""
+    lid = wb.ideal_L
+    colon = groebner.colon_ideal(wb.gb_L, wb.ideal_K_prev, wb.pair_cap)
+    target = Ideal(lid.ring, lid.gens + (f,))
+    return colon.elements == buchberger(target, GREVLEX, wb.pair_cap).elements
+
+
+def reference_inverse_system(wb: Workbench, g: Polynomial) -> bool:
+    return quotient.annihilator(g, wb.pair_cap).elements == wb.gb_K.elements
+
+
+def reference_prop4_generators(wb: Workbench) -> bool:
+    """The top forms of the basis of I completed, against the basis of K."""
+    tops = tuple(g.top_degree_part() for g in wb.gb_I.elements)
+    top = buchberger(Ideal(wb.gb_I.ring, tops), GREVLEX, wb.pair_cap)
+    return top.elements == wb.gb_K.elements
+
+
+def reference_appendix_unprojection(wb: Workbench) -> bool:
+    """Q at z -> xn completed, against the basis of K lifted to R_n[z]."""
+    q, k = wb.ideal_Q, wb.gb_K
+    substituted = groebner.substitute_ideal(q, "z", q.ring.var(f"x{wb.n}"))
+    lifted = tuple(q.ring.lift(g, k.ring) for g in k.elements)
+    return buchberger(substituted, GREVLEX, wb.pair_cap).elements == lifted
+
+
+def _status(claim: str, wb: Workbench) -> bool:
+    report = verify(claim, wb.n, wb)
+    assert report.status in ("pass", "fail")
+    return report.status == "pass"
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_colon_certificate_agrees_with_the_colon_reference(n):
+    wb = Workbench(n)
+    m, ring = n - 1, wb.ideal_L.ring
+    report = verify("appendix_colon", n, wb)
+    assert report.status == "pass" and report.witness is None
+    # x1^2 - x_m^2 lies in L, so L + <x1^2> is the colon too; x_m^3 gives an
+    # ideal inside the colon but too small, x1 and x1*x_m fall outside it
+    targets = {f"x{m}^2": True, "x1^2": True, f"x{m}^3": False, "x1": False}
+    targets[f"x1*x{m}"] = False
+    for text, holds in targets.items():
+        f = ring.poly(text)
+        assert reference_colon_target(wb, f) is holds, text
+        assert (paperlab._colon_certificate(wb, f) is None) is holds, text
+    assert "differs from L + <" in paperlab._colon_certificate(wb, ring.poly(f"x{m}^3"))
+    assert "is not inside L" in paperlab._colon_certificate(wb, ring.poly("x1"))
+
+
+def test_colon_certificate_needs_L_inside_K():
+    # without x1^2 - x3^2, K_3 no longer contains that generator of L
+    wb = Workbench(4)
+    k = wb.ideal_K_prev
+    dropped = k.ring.poly("x1^2 - x3^2")
+    wb.ideal_K_prev = Ideal(k.ring, tuple(g for g in k.gens if g != dropped))
+    wb.gb_K_prev = buchberger(wb.ideal_K_prev)
+    witness = paperlab._colon_certificate(wb, k.ring.poly("x3^2"))
+    assert witness == "L is not inside K_3"
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_inverse_system_agrees_with_the_annihilator_reference(n):
+    wb = Workbench(n)
+    g = build_ideal("g_dual", n)
+    assert _status("inverse_system", wb) is reference_inverse_system(wb, g) is True
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_inverse_system_fails_for_g_with_one_term_dropped(n, monkeypatch):
+    wb = Workbench(n)
+    g = build_ideal("g_dual", n)
+    for drop in sorted(g.terms)[:: max(1, len(g.terms) // 4)]:
+        short = Polynomial(n, {m: c for m, c in g.terms.items() if m != drop})
+        real = paperlab.build_ideal
+        monkeypatch.setattr(
+            paperlab, "build_ideal", lambda w, k: short if w == "g_dual" else real(w, k)
+        )
+        report = verify("inverse_system", n, wb)
+        monkeypatch.undo()
+        assert report.status == "fail" and "does not annihilate g_n" in report.witness
+        assert not reference_inverse_system(wb, short)
+
+
+def test_inverse_system_checks_every_step_of_its_certificate(monkeypatch):
+    wb = Workbench(4)
+    g = build_ideal("g_dual", 4)
+    real = paperlab.build_ideal
+    monkeypatch.setattr(
+        paperlab, "build_ideal", lambda w, k: g * g if w == "g_dual" else real(w, k)
+    )
+    assert verify("inverse_system", 4, wb).witness == "g_n is not a nonzero form of degree 4"
+    monkeypatch.undo()
+    wb.socle_K = (2, False)
+    assert verify("inverse_system", 4, wb).witness == "R/K_n has socle dimension 2"
+    # a staircase that ends one degree above deg g_4
+    wb = Workbench(4)
+    wb.socle_K = (1, True)
+    wb.quotient_K.basis.by_degree += ((),)
+    witness = verify("inverse_system", 4, wb).witness
+    assert witness == "the Hilbert series of R/K_n ends in degree 5"
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_prop4_and_unprojection_agree_with_the_completion_references(n):
+    wb = Workbench(n)
+    assert _status("prop4_generators", wb) is reference_prop4_generators(wb) is True
+    assert _status("appendix_unprojection", wb)
+    assert reference_appendix_unprojection(wb)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_unprojection_fails_for_Q_with_a_flipped_sign(n):
+    wb = Workbench(n)
+    q = wb.ideal_Q
+    ring = q.ring
+    original, flipped = (ring.poly(f"x{n}*z {s} x{n - 1}^2") for s in "-+")
+    assert original in q.gens
+    gens = tuple(flipped if g == original else g for g in q.gens)
+    wb.ideal_Q = Ideal(ring, gens)
+    report = verify("appendix_unprojection", n, wb)
+    assert report.status == "fail"
+    assert report.witness == "Q at z -> xn and K differ in degree 2"
+    assert not reference_appendix_unprojection(wb)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_prop4_fails_for_a_K_without_one_omitted_product(n):
+    wb = Workbench(n)
+    k = wb.ideal_K
+    product = Polynomial.monomial(tuple(1 if j else 0 for j in range(n)))
+    assert product in k.gens
+    wb.gb_K = buchberger(Ideal(k.ring, tuple(g for g in k.gens if g != product)))
+    report = verify("prop4_generators", n, wb)
+    assert report.status == "fail"
+    assert not reference_prop4_generators(wb)

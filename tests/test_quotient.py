@@ -21,7 +21,6 @@ from artinforge.polyarith import (
     mono_divides,
     monomials_of_degree,
     xring,
-    yring,
 )
 from artinforge.quotient import (
     QuotientAlgebra,
@@ -35,6 +34,7 @@ from artinforge.quotient import (
     standard_monomials,
 )
 from artinforge.reptheory import Permutation, conjugacy_classes
+from test_polyarith import yring
 
 R3 = xring(3)
 
@@ -141,19 +141,33 @@ def test_next_level_matches_reference_on_whole_staircases(lms, order):
 # ---------------------------------------------------------------------------
 # coordinates and multiplication matrices
 
+# Moved here from ``QuotientAlgebra``, where nothing called them; both read
+# the table of normal forms.
+def coords(q, f: Polynomial) -> list:
+    """Coefficient vector of the normal form in the standard basis."""
+    vec = q.combine(f.terms.items())
+    return [vec.get(r, 0) for r in range(q.dimension)]
+
+
+def mult_matrix(q, i: int) -> tuple:
+    """Multiplication by the i-th variable; column j holds the coordinates
+    of x_i * basis_j.  Rows are immutable tuples."""
+    cols = [q.vector(_shift(m, i, 1)) for m in q.basis.monomials]
+    return tuple(tuple(col.get(r, 0) for col in cols) for r in range(q.dimension))
+
 def test_coords_examples():
     qk = quotient_K(3)
-    vec = qk.coords(R3.poly("x1^2"))
+    vec = coords(qk, R3.poly("x1^2"))
     x3sq = qk.basis.monomials.index((0, 0, 2))
     assert vec[x3sq] == 1 and sum(map(abs, vec)) == 1
-    assert qk.coords(Polynomial.zero(3)) == [0] * 5
+    assert coords(qk, Polynomial.zero(3)) == [0] * 5
     qj = quotient_J(3)
-    assert qj.coords(R3.poly("x3^3")) == [0] * 5
+    assert coords(qj, R3.poly("x3^3")) == [0] * 5
 
 
 def test_mult_matrix_J3_by_x3():
     q = quotient_J(3)
-    m = q.mult_matrix(2)
+    m = mult_matrix(q, 2)
     idx = {mono: i for i, mono in enumerate(q.basis.monomials)}
     one, x3, x3sq = idx[(0, 0, 0)], idx[(0, 0, 1)], idx[(0, 0, 2)]
     x1, x2 = idx[(1, 0, 0)], idx[(0, 1, 0)]
@@ -168,7 +182,7 @@ def test_mult_matrices_commute():
     for q in (quotient_K(3), quotient_K(4), quotient_J(4)):
         n = q.ring.nvars
         d = q.dimension
-        mats = [q.mult_matrix(i) for i in range(n)]
+        mats = [mult_matrix(q, i) for i in range(n)]
 
         def mul(a, b):
             return [
@@ -183,8 +197,8 @@ def test_mult_matrices_commute():
 
 def test_trivial_quotient_mult_matrix():
     q = QuotientAlgebra(buchberger(build_ideal("I", 2)))
-    assert q.mult_matrix(0) == ((0,),)
-    assert q.mult_matrix(1) == ((0,),)
+    assert mult_matrix(q, 0) == ((0,),)
+    assert mult_matrix(q, 1) == ((0,),)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +248,7 @@ def test_socle_invariant_under_variable_relabelling():
 
 def test_trace_at_identity_is_hilbert():
     q = quotient_K(3)
-    assert equivariant_graded_trace(q, Permutation.identity(3)) == [1, 3, 1]
+    assert equivariant_graded_trace(q, Permutation((0, 1, 2))) == [1, 3, 1]
 
 
 def test_trace_K3_three_cycle():
@@ -367,9 +381,9 @@ def assert_matches_reference(q, polys=(), perms=()):
     """Every table-driven consumer equals its per-call reference on q."""
     nv = q.ring.nvars
     for i in range(nv):
-        assert q.mult_matrix(i) == reference_mult_matrix(q, i)
+        assert mult_matrix(q, i) == reference_mult_matrix(q, i)
     for f in polys:
-        assert q.coords(f) == reference_coords(q, f)
+        assert coords(q, f) == reference_coords(q, f)
     dim = reference_intersection_socle_dimension(q)
     if all(g.is_homogeneous() for g in q.gb.elements):
         assert reference_graded_socle_dimension(q) == dim
@@ -396,7 +410,7 @@ def _sample_polys(q, rng, count=6):
 
 
 def _sample_perms(nv, rng, count=3):
-    out = [Permutation.identity(nv)]
+    out = [Permutation(tuple(range(nv)))]
     for _ in range(count):
         image = list(range(nv))
         rng.shuffle(image)
