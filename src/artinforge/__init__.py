@@ -61,9 +61,7 @@ from .quotient import (
 from .reptheory import (
     ClassFunction,
     GradedClassFunction,
-    Permutation,
     conjugacy_classes,
-    cycle_type,
     half_powerset_character,
     partitions,
     powerset_character,

@@ -10,15 +10,14 @@ one :class:`paperlab.Workbench` per n and emits the reports sorted by claim
 and n, then a pass/fail/skipped summary on stderr.
 
 Exit codes: 0 all selected checks pass, 1 at least one failure, 2 usage
-error, 3 resource limit hit.  ``ARTINFORGE_PAIR_CAP`` is the fallback for
-``--pair-cap``.
+error, 3 resource limit hit.  ``--pair-cap`` is the only source of the
+S-pair cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -62,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pair-cap",
         default=None,
-        help="S-pair queue bound (default: ARTINFORGE_PAIR_CAP or 10^6)",
+        help="S-pair queue bound, a positive integer (default: 10^6)",
     )
     common.add_argument(
         "--allow-large-n",
@@ -130,15 +129,13 @@ def _check_n(parser, args, values) -> None:
 
 
 def _resolve_cap(parser, args) -> int:
-    """``--pair-cap``, else ``ARTINFORGE_PAIR_CAP``, else the default;
-    anything but a positive integer is a usage error."""
-    source, text = "--pair-cap", args.pair_cap
+    """``--pair-cap``, else the default; anything but a positive integer is
+    a usage error."""
+    text = args.pair_cap
     if text is None:
-        source, text = "ARTINFORGE_PAIR_CAP", os.environ.get("ARTINFORGE_PAIR_CAP")
-        if not text:
-            return DEFAULT_PAIR_CAP
+        return DEFAULT_PAIR_CAP
     if not text.strip().isdecimal() or int(text) < 1:
-        parser.error(f"{source} must be a positive integer, got {text!r}")
+        parser.error(f"--pair-cap must be a positive integer, got {text!r}")
     return int(text)
 
 

@@ -482,12 +482,6 @@ class PolyRing:
     def var(self, name: str) -> Polynomial:
         return Polynomial.variable(self.nvars, self.index[name])
 
-    def one(self) -> Polynomial:
-        return Polynomial.constant(self.nvars, 1)
-
-    def zero(self) -> Polynomial:
-        return Polynomial.zero(self.nvars)
-
     def lift(self, p: Polynomial, source: "PolyRing") -> Polynomial:
         """Re-express ``p`` (over ``source``) in this ring, matching by name.
 
@@ -591,7 +585,10 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         exp = [0] * ring.nvars
         for factor in chunk.split("*"):
             if _RATIONAL_RE.match(factor):
-                coeff *= parse_coeff(factor)
+                try:
+                    coeff *= parse_coeff(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
                 continue
             m = _FACTOR_RE.match(factor)
             if not m or m.group(1) not in ring.index:

@@ -116,15 +116,15 @@ def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:
 
 
 def _perm_image(perm, nvars: int) -> tuple[int, ...]:
-    image = tuple(getattr(perm, "image", perm))
+    image = tuple(perm)
     if sorted(image) != list(range(nvars)):
         raise ValueError(f"not a permutation of {nvars} letters: {image}")
     return image
 
 
 def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
-    """Trace, degree by degree, of the linear map induced on R/I by
-    permuting the variables.
+    """Trace, degree by degree, of the linear map induced on R/I by the
+    permutation x_i -> x_perm[i] of the variables, given as its image tuple.
 
     The permutation must leave the defining ideal invariant (checked by
     reducing the image of every Groebner basis element); permuting variables

@@ -37,68 +37,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0, ..., n-1} stored as its image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
-            raise ValueError(f"not a permutation: {self.image}")
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Permutation":
-        image = list(range(n))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                image[a] = b
-        return cls(tuple(image))
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
-            raise ValueError("permutations of different degrees")
-        return Permutation(tuple(self.image[other.image[i]] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def extend(self, n: int) -> "Permutation":
-        """Embed into a larger symmetric group, fixing the new points."""
-        if n < self.n:
-            raise ValueError("cannot extend to a smaller degree")
-        return Permutation(self.image + tuple(range(self.n, n)))
-
-    def cycles(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cycle = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cycle.append(i)
-                i = self.image[i]
-            out.append(cycle)
-        return out
-
-
-def cycle_type(p: Permutation) -> Partition:
-    return tuple(sorted((len(c) for c in p.cycles()), reverse=True))
-
-
 def class_size(lam: Partition) -> int:
     """n!/z_lambda with z = prod(l^m_l * m_l!) over cycle lengths l."""
     n = sum(lam)
@@ -109,8 +47,9 @@ def class_size(lam: Partition) -> int:
     return factorial(n) // z
 
 
-def representative(lam: Partition) -> Permutation:
-    """Canonical representative: cycles laid out on consecutive blocks."""
+def representative(lam: Partition) -> tuple[int, ...]:
+    """Canonical representative as its image tuple (i -> image[i]): cycles
+    laid out on consecutive blocks."""
     n = sum(lam)
     image = list(range(n))
     pos = 0
@@ -118,10 +57,10 @@ def representative(lam: Partition) -> Permutation:
         for i in range(length):
             image[pos + i] = pos + (i + 1) % length
         pos += length
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
-def conjugacy_classes(n: int) -> list[tuple[Partition, int, Permutation]]:
+def conjugacy_classes(n: int) -> list[tuple[Partition, int, tuple[int, ...]]]:
     """(cycle type, class size, canonical representative) for each class."""
     if n < 1:
         raise ValueError("conjugacy classes need n >= 1")

@@ -178,7 +178,7 @@ def test_criterion_06_graded_character_of_monomial_quotient():
         q = Workbench(n).quotient_J
         chars = [subset_character(n - 1, l) for l in range(n)]
         for lam, _, rep in conjugacy_classes(n - 1):
-            traces = equivariant_graded_trace(q, rep.extend(n))
+            traces = equivariant_graded_trace(q, rep + (n - 1,))
             expected = [
                 sum(chars[l](lam) for l in range(min(k, 2 * n - 4 - k) + 1))
                 for k in range(2 * n - 3)

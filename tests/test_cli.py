@@ -112,13 +112,6 @@ def test_non_positive_pair_cap_is_usage_error(capsys):
         assert err.count("\n") == 1 and "--pair-cap" in err
 
 
-def test_malformed_pair_cap_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ARTINFORGE_PAIR_CAP", "abc")
-    code, out, err = run(capsys, "verify", "--n", "3", "--claims", "thm1")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "ARTINFORGE_PAIR_CAP" in err
-
-
 def test_pair_cap_exhaustion_exits_3(capsys):
     code, _, err = run(
         capsys,
@@ -126,12 +119,6 @@ def test_pair_cap_exhaustion_exits_3(capsys):
     )
     assert code == 3
     assert "resource limit" in err
-
-
-def test_pair_cap_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("ARTINFORGE_PAIR_CAP", "2")
-    code, _, err = run(capsys, "verify", "--n", "5..5", "--claims", "prop3_basis")
-    assert code == 3
 
 
 def test_verify_determinism_across_runs(capsys):
@@ -150,7 +137,6 @@ def test_verify_determinism_across_processes_and_hash_seeds():
     outputs = set()
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        env.pop("ARTINFORGE_PAIR_CAP", None)
         done = subprocess.run(
             [sys.executable, "-m", "artinforge", *argv],
             env=env,
@@ -284,8 +270,7 @@ PINNED = [
 
 
 @pytest.mark.parametrize("record", PINNED, ids=[" ".join(r["argv"]) for r in PINNED])
-def test_output_matches_the_pinned_bytes(capsys, monkeypatch, record):
-    monkeypatch.delenv("ARTINFORGE_PAIR_CAP", raising=False)
+def test_output_matches_the_pinned_bytes(capsys, record):
     code, out, err = run(capsys, *record["argv"])
     assert (code, out, err) == (record["code"], record["stdout"], record["stderr"])
 
@@ -293,7 +278,6 @@ def test_output_matches_the_pinned_bytes(capsys, monkeypatch, record):
 def test_verify_summary_follows_the_reports():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("ARTINFORGE_PAIR_CAP", None)
     done = subprocess.run(
         [sys.executable, "-u", "-m", "artinforge", "verify", "--n", "3..4",
          "--claims", "thm1"],

@@ -125,6 +125,9 @@ def test_point_validation():
         SymbolicPoint(4, 0, (1, 1, 1, -1))  # sign product must be +1
     with pytest.raises(ValueError):
         SymbolicPoint(4, 5, (1, 1, 1, 1))
+    # with m = 2(n - 2) = 0 there is no root of unity to evaluate at
+    with pytest.raises(ValueError, match="point check needs n >= 3"):
+        verify_points_satisfy_ideal(build_ideal("I", 2), [SymbolicPoint(2)])
 
 
 def test_points_satisfy_ideal():
@@ -557,6 +560,19 @@ def test_not_gorenstein_witness_n3():
 
 # ---------------------------------------------------------------------------
 # the certificates against the computations they replaced
+
+def test_not_gorenstein_J_staircase_socle_matches_the_rank(monkeypatch):
+    # the claim reads the socle of R/J_n off the staircase; the rank of the
+    # stacked multiplication matrices is its reference
+    monkeypatch.setattr(paperlab, "socle_dimension", None)
+    for n in range(3, 9):
+        wb = Workbench(n)
+        dim, gorenstein = quotient.socle_dimension(wb.quotient_J)
+        report = verify("not_gorenstein_J", n, wb)
+        assert report.status == "pass" and not gorenstein
+        assert report.witness.startswith(f"socle dimension {dim}, spanned by ")
+        assert report.witness.count(",") == dim
+
 
 # The claim bodies before the certificates, kept as their references: each
 # computes the whole object that the claim is about.

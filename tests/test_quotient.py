@@ -33,7 +33,7 @@ from artinforge.quotient import (
     socle_dimension,
     standard_monomials,
 )
-from artinforge.reptheory import Permutation, conjugacy_classes
+from artinforge.reptheory import conjugacy_classes
 from test_polyarith import yring
 
 R3 = xring(3)
@@ -248,38 +248,46 @@ def test_socle_invariant_under_variable_relabelling():
 
 def test_trace_at_identity_is_hilbert():
     q = quotient_K(3)
-    assert equivariant_graded_trace(q, Permutation((0, 1, 2))) == [1, 3, 1]
+    assert equivariant_graded_trace(q, (0, 1, 2)) == [1, 3, 1]
 
 
 def test_trace_K3_three_cycle():
     q = quotient_K(3)
-    rho = Permutation.from_cycles(3, [[0, 1, 2]])
+    rho = (1, 2, 0)  # the 3-cycle 0 -> 1 -> 2 -> 0
     assert equivariant_graded_trace(q, rho) == [1, 0, 1]
 
 
 def test_trace_J3_transposition_of_first_two():
     q = quotient_J(3)
-    tau = Permutation.from_cycles(3, [[0, 1]])
+    tau = (1, 0, 2)
     assert equivariant_graded_trace(q, tau) == [1, 1, 1]
 
 
 def test_trace_rejects_non_invariant_permutation():
     q = quotient_J(3)
     with pytest.raises(EquivarianceError):
-        equivariant_graded_trace(q, Permutation.from_cycles(3, [[0, 2]]))
+        equivariant_graded_trace(q, (2, 1, 0))
+
+
+def test_trace_rejects_a_tuple_that_is_no_permutation():
+    q = quotient_J(3)
+    for image in [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="not a permutation of 3 letters"):
+            equivariant_graded_trace(q, image)
 
 
 def test_trace_depends_only_on_conjugacy_class():
     q = quotient_K(4)
     rng = random.Random(11)
-    sigma = Permutation.from_cycles(4, [[0, 1], [2, 3]])
+    sigma = (1, 0, 3, 2)  # (0 1)(2 3)
     base = equivariant_graded_trace(q, sigma)
     for _ in range(5):
-        image = list(range(4))
-        rng.shuffle(image)
-        tau = Permutation(tuple(image))
-        conj = tau * sigma * tau.inverse()
-        assert equivariant_graded_trace(q, conj) == base
+        tau = list(range(4))
+        rng.shuffle(tau)
+        conj = [0] * 4  # tau sigma tau^-1 sends tau[i] to tau[sigma[i]]
+        for i in range(4):
+            conj[tau[i]] = tau[sigma[i]]
+        assert equivariant_graded_trace(q, tuple(conj)) == base
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +360,7 @@ def reference_intersection_socle_dimension(q) -> int:
     return len(current)
 
 
-def reference_equivariant_graded_trace(q, perm) -> list:
-    image = tuple(getattr(perm, "image", perm))
+def reference_equivariant_graded_trace(q, image) -> list:
 
     def act(m):
         out = [0] * len(m)
@@ -410,11 +417,11 @@ def _sample_polys(q, rng, count=6):
 
 
 def _sample_perms(nv, rng, count=3):
-    out = [Permutation(tuple(range(nv)))]
+    out = [tuple(range(nv))]
     for _ in range(count):
         image = list(range(nv))
         rng.shuffle(image)
-        out.append(Permutation(tuple(image)))
+        out.append(tuple(image))
     return out
 
 
@@ -423,7 +430,7 @@ def test_table_matches_reference_on_J_and_K():
     for n in range(2, 7):
         wb = Workbench(n)
         for q in (wb.quotient_J, wb.quotient_K):
-            perms = [rep.extend(n) for _, _, rep in conjugacy_classes(n - 1)]
+            perms = [rep + (n - 1,) for _, _, rep in conjugacy_classes(n - 1)]
             perms += [rep for _, _, rep in conjugacy_classes(n)]
             assert_matches_reference(q, _sample_polys(q, rng), perms)
 
