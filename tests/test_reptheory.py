@@ -14,6 +14,7 @@ from artinforge.reptheory import (
     half_powerset_character,
     partitions,
     powerset_character,
+    representative,
     subset_character,
     trivial_character,
     xn_character,
@@ -41,6 +42,17 @@ def cycles(image: tuple) -> list[list[int]]:
 
 def cycle_type(image: tuple) -> tuple:
     return tuple(sorted((len(c) for c in cycles(image)), reverse=True))
+
+
+def test_cycle_type_examples():
+    assert cycle_type((0, 1, 2)) == (1, 1, 1)
+    assert cycle_type((1, 0, 2)) == (2, 1)
+    assert cycle_type((1, 2, 0)) == (3,)
+    assert cycle_type((2, 3, 0, 1, 4)) == (2, 2, 1)
+    # the canonical representative of each class has that class's cycle type
+    for n in range(1, 8):
+        for lam in partitions(n):
+            assert cycle_type(representative(lam)) == lam
 
 
 def test_conjugacy_classes_n3():
