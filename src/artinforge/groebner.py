@@ -318,7 +318,7 @@ def substitute(f: Polynomial, var: int, value: Polynomial) -> Polynomial:
 
 def substitute_ideal(ideal: Ideal, name: str, value: Polynomial) -> Ideal:
     """Generatorwise substitution; the ambient ring is unchanged."""
-    i = ideal.ring.index[name]
+    i = ideal.ring.var(name).leading_monomial().index(1)
     return Ideal(ideal.ring, tuple(substitute(g, i, value) for g in ideal.gens))
 
 

@@ -480,6 +480,8 @@ class PolyRing:
         return len(self.names)
 
     def var(self, name: str) -> Polynomial:
+        if name not in self.index:
+            raise ValueError(f"no variable {name!r} in {self!r}")
         return Polynomial.variable(self.nvars, self.index[name])
 
     def lift(self, p: Polynomial, source: "PolyRing") -> Polynomial:

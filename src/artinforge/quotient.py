@@ -2,10 +2,10 @@
 
 Everything here works inside R/I presented by a reduced Groebner basis: the
 staircase complement (standard monomials) is the vector-space basis, and one
-lazily filled table of normal forms per :class:`QuotientAlgebra`, built from
-the border NF(x_i * b), gives the socle (by sparse exact rank) and the
-equivariant traces.  The dual side (contraction action and annihilators of
-dual polynomials) realises Macaulay's inverse systems.
+lazily filled table of normal forms per :class:`QuotientAlgebra`, which
+divides only leading monomials of the basis, gives the socle (by sparse
+exact rank) and the equivariant traces.  The dual side (contraction action
+and annihilators of dual polynomials) realises Macaulay's inverse systems.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class QuotientAlgebra:
 
     ``_table`` maps a monomial to its normal form as a sparse coordinate
     vector ``{basis index: coeff}`` and fills on demand.  A standard
-    monomial is its own unit vector.  A border monomial (some m/x_i is
-    standard) is divided once, through :meth:`normal_form`.  Any other
-    monomial m is reduced through its last variable x_i with m_i > 0:
-    NF(m) = sum of c_b NF(x_i b) over the terms c_b b of NF(m/x_i), and each
-    x_i b is standard or on the border, so no further division happens.
+    monomial is its own unit vector, and a leading monomial of the basis is
+    divided once, through :meth:`normal_form`.  Any other monomial m off the
+    staircase is x_i * (m/x_i) for the last variable x_i with m/x_i off the
+    staircase too (a leading monomial divides m properly, so one exists):
+    NF(m) = sum of c_b NF(x_i b) over the terms c_b b of NF(m/x_i).
     """
 
     def __init__(self, gb: GroebnerBasis):
@@ -57,6 +57,7 @@ class QuotientAlgebra:
         self.basis = standard_monomials(gb)
         self._index = {m: i for i, m in enumerate(self.basis.monomials)}
         self._info = _reducer_info(gb.elements, gb.order)
+        self._lms = set(gb.leading_monomials())
         self._table = {m: {i: 1} for m, i in self._index.items()}
 
     @property
@@ -72,21 +73,28 @@ class QuotientAlgebra:
 
     def vector(self, m: Monomial) -> dict:
         """NF(m) as ``{basis index: coeff}``; shared, do not mutate."""
-        table, index = self._table, self._index
-        chain = []  # (m, i) down to a known or border monomial, no recursion
-        while m not in table:
-            support = [i for i, e in enumerate(m) if e]
-            if not support or any(_shift(m, i, -1) in index for i in support):
-                nf = self.normal_form(Polynomial.monomial(m))
-                table[m] = {index[t]: c for t, c in nf.terms.items()}
-                break
-            chain.append((m, support[-1]))
-            m = _shift(m, support[-1], -1)
-        basis = self.basis.monomials
-        for up, i in reversed(chain):
-            below = table[m].items()
-            table[up] = self.combine((_shift(basis[b], i, 1), c) for b, c in below)
-            m = up
+        table, index, basis = self._table, self._index, self.basis.monomials
+        todo = [m]  # a stack, not recursion: each entry waits on those above it
+        while todo:
+            top = todo[-1]
+            if top in table:
+                todo.pop()
+            elif top in self._lms:
+                nf = self.normal_form(Polynomial.monomial(top))
+                table[top] = {index[t]: c for t, c in nf.terms.items()}
+            else:  # top = x_i * below for the last x_i with below off the staircase
+                i = len(top) - 1
+                while not top[i] or _shift(top, i, -1) in index:
+                    i -= 1
+                below = _shift(top, i, -1)
+                if below not in table:
+                    todo.append(below)
+                    continue
+                ups = [(_shift(basis[b], i, 1), c) for b, c in table[below].items()]
+                missing = [u for u, _ in ups if u not in table]
+                todo += missing
+                if not missing:
+                    table[top] = self.combine(ups)
         return table[m]
 
     def combine(self, terms) -> dict:

@@ -782,6 +782,9 @@ def test_substitute_examples():
         q4.ring, tuple(q4.ring.lift(g, k4.ring) for g in k4.gens)
     )
     assert ideal_equal(substituted, lifted)
+    k = build_ideal("K_expected", 3)
+    with pytest.raises(ValueError, match=r"no variable 'z' in PolyRing\(x1, x2, x3\)"):
+        substitute_ideal(k, "z", k.ring.var("x3"))
 
 
 # ---------------------------------------------------------------------------

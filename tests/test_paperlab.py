@@ -128,6 +128,9 @@ def test_point_validation():
     # with m = 2(n - 2) = 0 there is no root of unity to evaluate at
     with pytest.raises(ValueError, match="point check needs n >= 3"):
         verify_points_satisfy_ideal(build_ideal("I", 2), [SymbolicPoint(2)])
+    # x4 would be left out of every evaluation
+    with pytest.raises(ValueError, match="a point of n=3 for 4 variables"):
+        verify_points_satisfy_ideal(build_ideal("I", 4), enumerate_points(3))
 
 
 def test_points_satisfy_ideal():
@@ -491,17 +494,10 @@ def test_no_claim_computes_a_colon_or_an_annihilator(monkeypatch):
         (paperlab, "annihilator"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(paperlab.linalg, "kernel_basis", forbidden)
     wb = Workbench(5)
-    kernels = []
-    real_kernel = paperlab.linalg.kernel_basis
-    monkeypatch.setattr(
-        paperlab.linalg,
-        "kernel_basis",
-        lambda *a: kernels.append(1) or real_kernel(*a),
-    )
     for claim in CLAIMS:
         assert verify(claim, 5, wb).status == "pass", claim
-    assert len(kernels) == 1  # the degree-one check of appendix_colon
 
 
 def test_verify_skips_below_minimum():
@@ -625,6 +621,21 @@ def test_colon_certificate_agrees_with_the_colon_reference(n):
         assert (paperlab._colon_certificate(wb, f) is None) is holds, text
     assert "differs from L + <" in paperlab._colon_certificate(wb, ring.poly(f"x{m}^3"))
     assert "is not inside L" in paperlab._colon_certificate(wb, ring.poly("x1"))
+
+
+def test_appendix_colon_needs_every_colon_generator_in_degree_two(monkeypatch):
+    # with the certificate passed, a term of degree < 2 in a generator of
+    # L + <x_m^2> leaves a linear form possibly in the colon
+    monkeypatch.setattr(paperlab, "_colon_certificate", lambda wb, f: None)
+    for extra in ("x1", "x1^2 + x2"):
+        wb = Workbench(4)
+        ring = wb.ideal_L.ring
+        wb.ideal_L = Ideal(ring, wb.ideal_L.gens + (ring.poly(extra),))
+        report = verify("appendix_colon", 4, wb)
+        assert report.status == "fail"
+        assert report.witness == (
+            f"the colon generator {ring.fmt(ring.poly(extra))} has a term of degree < 2"
+        )
 
 
 def test_colon_certificate_needs_L_inside_K():

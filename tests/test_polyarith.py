@@ -496,6 +496,8 @@ def test_dual_and_extended_variables():
     assert y.poly("y1^2 + y2^2").terms == {(2, 0): 1, (0, 2): 1}
     rz = xring(2, "z", "t")
     assert rz.poly("x1*z - t").terms == {(1, 0, 1, 0): 1, (0, 0, 0, 1): -1}
+    with pytest.raises(ValueError, match=r"no variable 'z' in PolyRing\(x1, x2\)"):
+        xring(2).var("z")
 
 
 @given(polys3())

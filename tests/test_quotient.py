@@ -12,7 +12,7 @@ from artinforge.errors import (
     NotArtinianError,
 )
 from artinforge.groebner import buchberger, ideal_member
-from artinforge.paperlab import Workbench, build_ideal, expected_codimension
+from artinforge.paperlab import Workbench, build_ideal, expected_codimension, verify
 from artinforge.polyarith import (
     GREVLEX,
     LEX,
@@ -449,24 +449,52 @@ def test_table_matches_reference_on_points_and_relabelled_K4():
     )
 
 
-def test_table_divides_each_border_monomial_once():
-    q = quotient_K(5)
-    calls = []
+def record_divisions(q) -> list:
+    """Make q record the monomial of each division its table makes."""
+    divided = []
     real = q.normal_form
-    q.normal_form = lambda f: calls.append(f) or real(f)
+
+    def recording(f):
+        assert len(f.terms) == 1
+        divided.append(next(iter(f.terms)))
+        return real(f)
+
+    q.normal_form = recording
+    return divided
+
+
+def assert_divides_only_leading_monomials(q, divided):
+    assert len(divided) == len(set(divided))
+    assert set(divided) <= set(q.gb.leading_monomials())
+
+
+def test_table_divides_only_leading_monomials_each_at_most_once():
+    q = quotient_K(5)
+    divided = record_divisions(q)
     socle_dimension(q)
     for lam, _, rep in conjugacy_classes(5):
         equivariant_graded_trace(q, rep)
-    divided = [next(iter(f.terms)) for f in calls]
-    assert len(divided) == len(set(divided)) <= q.dimension * 5
-    assert all(
-        m not in q.basis.monomials
-        and any(
-            e and m[:i] + (m[i] - 1,) + m[i + 1 :] in q.basis.monomials
-            for i, e in enumerate(m)
-        )
-        for m in divided
+    assert_divides_only_leading_monomials(q, divided)
+
+
+def test_quotient_claims_at_n7_divide_each_leading_monomial_once(monkeypatch):
+    calls = []
+    real = QuotientAlgebra.normal_form
+    monkeypatch.setattr(
+        QuotientAlgebra,
+        "normal_form",
+        lambda q, f: calls.append((q, *f.terms)) or real(q, f),
     )
+    wb = Workbench(7)
+    for claim in ("thmG", "challenge", "thm3", "not_gorenstein_J"):
+        assert verify(claim, 7, wb).status == "pass"
+    # R/J_7 and R/K_7 each divide the 70 leading monomials that J_7 and K_7 share
+    lms = set(wb.gb_K.leading_monomials())
+    assert len(lms) == 70 and set(wb.gb_J.leading_monomials()) == lms
+    for q in (wb.quotient_J, wb.quotient_K):
+        divided = [m for p, m in calls if p is q]
+        assert len(divided) == len(set(divided)) and set(divided) == lms
+    assert len(calls) == 140
 
 
 coefficients = st.one_of(
@@ -506,8 +534,21 @@ def artinian_ideals(draw):
 @given(artinian_ideals(), st.randoms(use_true_random=False))
 def test_table_matches_reference_on_random_artinian_ideals(gb, rng):
     q = QuotientAlgebra(gb)
-    nv = q.ring.nvars
-    assert_matches_reference(q, _sample_polys(q, rng), _sample_perms(nv, rng))
+    polys, perms = _sample_polys(q, rng), _sample_perms(q.ring.nvars, rng)
+    # fill the table first: the references divide through q.normal_form too
+    divided = record_divisions(q)
+    for i in range(q.ring.nvars):
+        mult_matrix(q, i)
+    for f in polys:
+        coords(q, f)
+    for perm in perms:
+        try:
+            equivariant_graded_trace(q, perm)
+        except EquivarianceError:
+            pass
+    assert_divides_only_leading_monomials(q, divided)
+    del q.normal_form
+    assert_matches_reference(q, polys, perms)
 
 
 def test_table_handles_a_non_monic_binomial():
