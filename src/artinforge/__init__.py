@@ -16,12 +16,11 @@ from .groebner import (
     colon_ideal,
     ideal_equal,
     ideal_member,
-    is_regular_element,
     krull_dim_monomial,
+    multiplicity,
     standard_monomials,
     substitute,
     substitute_ideal,
-    top_form_basis,
 )
 from .paperlab import (
     CLAIMS,
@@ -34,6 +33,7 @@ from .paperlab import (
     cyclotomic_poly,
     enumerate_points,
     expected_codimension,
+    points_certificate,
     verify,
     verify_points_satisfy_ideal,
 )
@@ -55,6 +55,7 @@ from .quotient import (
     annihilator,
     contract,
     equivariant_graded_trace,
+    graded_traces,
     hilbert_series,
     socle_dimension,
 )

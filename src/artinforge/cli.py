@@ -225,8 +225,11 @@ def _cmd_character(parser, args):
 
 def _cmd_socle(parser, args):
     wb = paperlab.Workbench(args.n, args.pair_cap)
-    q = wb.quotient_J if args.ideal == "J" else wb.quotient_K
-    dim, gorenstein = quotient.socle_dimension(q)
+    if args.ideal == "J":
+        dim = len(wb.socle_J)
+        gorenstein = dim == 1
+    else:
+        dim, gorenstein = wb.socle_K
     record = {
         "gorenstein": gorenstein,
         "ideal": args.ideal,

@@ -15,17 +15,14 @@ elements, and it is sorted by leading monomial.  The result is the
 canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
 Every basis built here is reduced, and its leading monomials, in the order
-the basis lists them, are the minimal generators of the initial ideal.  The
-top forms of a GRevLex basis give the reduced basis of the top-form ideal
-with no completion; a linear form is tested for regularity by the
-reverse-lex criterion on one completion.  A colon ideal of an Artinian
-quotient is one exact kernel on its staircase.
+the basis lists them, are the minimal generators of the initial ideal; the
+staircase, the Krull dimension and, in dimension one, the multiplicity of
+R/in(I) are read off them.  A colon ideal of an Artinian quotient is one
+exact kernel on its staircase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -51,13 +48,27 @@ from .polyarith import (
 DEFAULT_PAIR_CAP = 10**6
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """An order-tagged reduced Groebner basis."""
 
-    ring: PolyRing
-    order: TermOrder
-    elements: tuple[Polynomial, ...]
+    __slots__ = ("ring", "order", "elements")
+
+    def __init__(self, ring: PolyRing, order: TermOrder, elements: tuple):
+        self.ring = ring
+        self.order = order
+        self.elements = elements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.order, self.elements) == (
+            other.ring,
+            other.order,
+            other.elements,
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.order, self.elements))
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.elements)
@@ -222,8 +233,14 @@ def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
     raised.  The complement is closed under divisibility, so the first
     empty degree level ends the enumeration.
     """
-    nv = gb.ring.nvars
     lms = gb.leading_monomials()
+    return StandardBasis(_staircase(lms, gb.ring.nvars, gb.order.key))
+
+
+def _staircase(lms, nv: int, key) -> list:
+    """The degree levels of the monomials in ``nv`` variables that no member
+    of ``lms`` divides; ``lms`` generates the monomial ideal, minimally or
+    not."""
     for i in range(nv):
         if not any(sum(lm) == lm[i] for lm in lms):
             raise NotArtinianError(
@@ -233,25 +250,8 @@ def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
     levels = []
     while level:
         levels.append(level)
-        level = _next_level(level, lms, gb.order.key)
-    return StandardBasis(levels)
-
-
-def top_form_basis(gb: GroebnerBasis) -> GroebnerBasis:
-    """The reduced basis of the ideal of top-degree forms of the ideal I
-    with reduced GRevLex basis ``gb``, with no completion.
-
-    GRevLex refines the degree, so lm(top f) = lm(f) for every f: the top
-    forms of ``gb`` have its leading monomials, which generate in(I) =
-    in(top I), so they are a Groebner basis of top(I) (Kreuzer and Robbiano,
-    *Computational Commutative Algebra 2*, 4.2).  They are monic, their
-    leading monomials are minimal and every other term is a term of the
-    reduced ``gb``, divisible by no leading monomial: the basis is reduced.
-    """
-    if gb.order != GREVLEX:
-        raise ValueError("top_form_basis needs a GRevLex basis")
-    tops = tuple(g.top_degree_part() for g in gb.elements)
-    return GroebnerBasis(gb.ring, GREVLEX, tops)
+        level = _next_level(level, lms, key)
+    return levels
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -322,33 +322,6 @@ def substitute_ideal(ideal: Ideal, name: str, value: Polynomial) -> Ideal:
     return Ideal(ideal.ring, tuple(substitute(g, i, value) for g in ideal.gens))
 
 
-def is_regular_element(
-    ideal: Ideal, f: Polynomial, pair_cap: "int | None" = None
-) -> bool:
-    """True when the linear form f = c*x_last + l (c != 0, l free of the last
-    variable) is a non zero-divisor on S/I, for I generated by the
-    homogeneous ``ideal.gens``; any other f raises ``ValueError``.
-
-    The automorphism x_last -> (x_last - l)/c sends f to x_last and I to a
-    homogeneous J, so f is regular on S/I exactly when x_last is regular on
-    S/J.  x_last is the cheapest variable under GRevLex, so
-    in(J : x_last) = in(J) : x_last (Bayer-Stillman; Eisenbud, Prop. 15.12),
-    and that holds exactly when no minimal generator of in(J), i.e. no
-    leading monomial of the reduced basis of J, contains x_last.
-    """
-    last = ideal.ring.nvars - 1
-    x = Polynomial.variable(ideal.ring.nvars, last)
-    c = f.coefficient(x.leading_monomial())
-    if not c or f.total_degree() != 1 or not f.is_homogeneous():
-        raise ValueError("the regularity criterion needs a linear form in x_last")
-    if not all(g.is_homogeneous() for g in ideal.gens):
-        raise ValueError("the regularity criterion needs a homogeneous ideal")
-    value = (x - (f - c * x)) * Fraction(1, c)
-    image = Ideal(ideal.ring, tuple(substitute(g, last, value) for g in ideal.gens))
-    lms = buchberger(image, GREVLEX, pair_cap).leading_monomials()
-    return not any(m[last] for m in lms)
-
-
 def krull_dim_monomial(gb: GroebnerBasis) -> int:
     """Krull dimension of R/in(I) for ``gb`` a reduced basis of I: the
     largest number of variables supporting no leading monomial entirely."""
@@ -363,3 +336,33 @@ def krull_dim_monomial(gb: GroebnerBasis) -> int:
             if all(not sup <= s for sup in supports):
                 return size
     return 0
+
+
+def multiplicity(gb: GroebnerBasis) -> int:
+    """The multiplicity e(R/in(I)) for ``gb`` a reduced basis of I with
+    R/in(I) of Krull dimension one; for a homogeneous I it is e(R/I), as I
+    and in(I) share their Hilbert function.  Any other dimension raises
+    ``ValueError``.
+
+    The minimal primes of dimension one of M = in(I) are P_j = (x_i : i != j)
+    for the variables x_j with no pure power among the leading monomials,
+    and the length of R/M localised at P_j counts the standard monomials of
+    M with x_j set to 1, in the other variables.  The associativity formula
+    sums those lengths (Bruns and Herzog, *Cohen-Macaulay Rings*, Cor. 4.7.8;
+    Eisenbud, *Commutative Algebra*, 12.1).  Were some pair {x_i, x_j} free
+    of M, dimension two or more, M with x_j set to 1 would have no pure
+    power of x_i.
+    """
+    nv = gb.ring.nvars
+    lms = gb.leading_monomials()
+    free = [j for j in range(nv) if not any(sum(m) == m[j] for m in lms)]
+    if not free:
+        raise ValueError("R/in(I) has dimension 0, not 1")
+    total = 0
+    for j in free:
+        cut = [m[:j] + m[j + 1 :] for m in lms]
+        try:
+            total += sum(map(len, _staircase(cut, nv - 1, gb.order.key)))
+        except NotArtinianError:
+            raise ValueError("R/in(I) has dimension > 1") from None
+    return total

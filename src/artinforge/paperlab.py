@@ -31,13 +31,15 @@ machine-checked verdict:
 
 Checks either pass, fail with a finite witness, or are skipped below the
 claim's minimum n.  A claim is a function of one :class:`Workbench`, which
-builds the ideals, bases and quotients that the claims at its n share, each
-at most once.
+builds the ideals, bases, quotients and certificates that the claims at its
+n share, each at most once.  No claim completes I_n: the J claims read the
+staircase of K_n once a point-count sandwich certifies J_n = in(K_n), and
+appendix_regularity compares a multiplicity with dim R_n/K_n instead of
+completing Q_n again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
@@ -52,24 +54,26 @@ from .groebner import (
     buchberger,
     colon_ideal,  # noqa: F401  unused here; bench/tracing.py wraps this binding
     ideal_member,
-    is_regular_element,
     krull_dim_monomial,
+    multiplicity,
     standard_monomials,
     substitute_ideal,
-    top_form_basis,
 )
 from .polyarith import (
     GREVLEX,
     Ideal,
+    Monomial,
     Polynomial,
     monomials_of_degree,
     xring,
 )
 from .quotient import (
     QuotientAlgebra,
+    _act,
     annihilator,  # noqa: F401  unused here; bench/tracing.py wraps this binding
     contract,
-    equivariant_graded_trace,
+    equivariant_graded_trace,  # noqa: F401  bench/tracing.py wraps this binding
+    graded_traces,
     hilbert_series,
     socle_dimension,
 )
@@ -152,29 +156,42 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the point configuration
 
-@dataclass(frozen=True)
 class SymbolicPoint:
     """A point of the vanishing locus X_n: either the origin, or a root
     index k in 0..n-3 with a sign vector whose product is (-1)^k."""
 
-    n: int
-    k: "int | None" = None
-    eps: "tuple[int, ...] | None" = None
+    __slots__ = ("n", "k", "eps")
 
-    def __post_init__(self):
-        if (self.k is None) != (self.eps is None):
+    def __init__(
+        self, n: int, k: "int | None" = None, eps: "tuple[int, ...] | None" = None
+    ):
+        if (k is None) != (eps is None):
             raise ValueError("root index and sign vector come together")
-        if self.k is not None:
-            if not 0 <= self.k <= self.n - 3:
-                raise ValueError(f"root index {self.k} out of range for n={self.n}")
-            if len(self.eps) != self.n or any(e not in (1, -1) for e in self.eps):
+        if k is not None:
+            if not 0 <= k <= n - 3:
+                raise ValueError(f"root index {k} out of range for n={n}")
+            if len(eps) != n or any(e not in (1, -1) for e in eps):
                 raise ValueError("sign vector must be a +-1 tuple of length n")
-            parity = 1 if self.k % 2 == 0 else -1
+            parity = 1 if k % 2 == 0 else -1
             prod = 1
-            for e in self.eps:
+            for e in eps:
                 prod *= e
             if prod != parity:
                 raise ValueError("sign product must equal (-1)^k")
+        self.n = n
+        self.k = k
+        self.eps = eps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.eps) == (other.n, other.k, other.eps)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.eps))
+
+    def __repr__(self):
+        return f"SymbolicPoint(n={self.n!r}, k={self.k!r}, eps={self.eps!r})"
 
     @property
     def is_origin(self) -> bool:
@@ -242,6 +259,60 @@ def verify_points_satisfy_ideal(
             if any(_value_at(g, exps, m)):
                 return f"generator {ideal.ring.fmt(g)} nonzero at {pt}"
     return None
+
+
+def _symmetric_generators(k: int, n: int) -> dict:
+    """(1 2) and (1 2 ... k), which generate S_k, as image tuples on n >= k
+    letters fixing the last n - k, keyed by their cycle notation; none for
+    k < 2 and one for k = 2."""
+    gens = {}
+    if k >= 2:
+        gens["(1 2)"] = (1, 0) + tuple(range(2, n))
+    if k >= 3:
+        gens[f"(1 2 ... {k})"] = tuple(range(1, k)) + (0,) + tuple(range(k, n))
+    return gens
+
+
+def _permutes(image: tuple[int, ...], polys) -> bool:
+    """Whether x_i -> x_image[i] permutes the set ``polys``."""
+    act = _act(image)
+    before = {frozenset(g.terms.items()) for g in polys}
+    after = {frozenset((act(m), c) for m, c in g.terms.items()) for g in polys}
+    return after == before
+
+
+def points_certificate(ideal: Ideal, points: "list[SymbolicPoint]") -> "str | None":
+    """None when ``points`` are c_n pairwise distinct points of V(``ideal``),
+    for the ideal I_n of n >= 3 variables, else a witness of the first
+    failure.
+
+    The count and the distinctness are checked over all points.  c_n
+    distinct valid points are then the whole configuration X_n, which S_n
+    permutes: it moves (k, eps) to (k, eps') with eps' a rearrangement of
+    eps.  If (1 2) and (1 2 ... n) permute the generators of the ideal,
+    V(ideal) is S_n-stable too, so one point per orbit, per root index k
+    and number of -1 signs, is evaluated (``verify_points_satisfy_ideal``).
+    """
+    n = ideal.ring.nvars
+    if n < 3:
+        raise ValueError("point check needs n >= 3")
+    c = expected_codimension(n)
+    if len(points) != c:
+        return f"point count {len(points)} != {c}"
+    m = 2 * (n - 2)
+    seen, orbits = set(), {}
+    for pt in points:
+        if pt.n != n:
+            raise ValueError(f"a point of n={pt.n} for {n} variables")
+        exps = pt.exponents(m)
+        if exps in seen:
+            return f"duplicate point {pt}"
+        seen.add(exps)
+        orbits.setdefault((pt.k, pt.eps and pt.eps.count(-1)), pt)
+    for name, image in _symmetric_generators(n, n).items():
+        if not _permutes(image, ideal.gens):
+            return f"{name} does not permute the generators of I_{n}"
+    return verify_points_satisfy_ideal(ideal, list(orbits.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +455,13 @@ class Workbench:
         return _k_homogeneous(self.n - 1)
 
     @cached_property
-    def gb_I(self) -> GroebnerBasis:
-        return buchberger(self.ideal_I, GREVLEX, self.pair_cap)
-
-    @cached_property
     def gb_J(self) -> GroebnerBasis:
-        """J_n = in(I_n); its minimal monomial generators, the leading
-        monomials of the reduced basis of I_n, are a reduced basis."""
-        lms = self.gb_I.leading_monomials()
+        """J_n = in(I_n) = in(K_n) once ``sandwich_check`` passes: the
+        leading monomials of the reduced basis of K_n, its minimal monomial
+        generators, are a reduced basis."""
+        lms = self.gb_K.leading_monomials()
         elems = tuple(Polynomial.monomial(m) for m in lms)
-        return GroebnerBasis(self.gb_I.ring, GREVLEX, elems)
+        return GroebnerBasis(self.gb_K.ring, GREVLEX, elems)
 
     @cached_property
     def gb_K(self) -> GroebnerBasis:
@@ -412,10 +480,6 @@ class Workbench:
         return buchberger(self.ideal_Q, GREVLEX, self.pair_cap)
 
     @cached_property
-    def quotient_J(self) -> QuotientAlgebra:
-        return QuotientAlgebra(self.gb_J)
-
-    @cached_property
     def quotient_K(self) -> QuotientAlgebra:
         return QuotientAlgebra(self.gb_K)
 
@@ -425,30 +489,115 @@ class Workbench:
         and whether it is one."""
         return socle_dimension(self.quotient_K)
 
+    @cached_property
+    def socle_J(self) -> tuple[Monomial, ...]:
+        """The standard monomials that span the socle of R_n/J_n, read off
+        the one staircase of in(K_n) = J_n.  J_n is a monomial ideal, so
+        x_i sends a standard monomial to a standard one or to 0: the socle is
+        spanned by the standard m with every x_i*m off the staircase."""
+        staircase = set(self.quotient_K.basis.monomials)
+        return tuple(
+            m
+            for m in self.quotient_K.basis.monomials
+            if all(_shift(m, i, 1) not in staircase for i in range(self.n))
+        )
+
+    @cached_property
+    def points_check(self) -> "str | None":
+        """``points_certificate`` of I_n and ``enumerate_points(n)``; for
+        n = 2 the one point is the origin, where no generator of I_2 has a
+        constant term."""
+        if self.n == 2:
+            if any((0, 0) in g.terms for g in self.ideal_I.gens):
+                return "a generator of I_2 is nonzero at the origin"
+            return None
+        return points_certificate(self.ideal_I, enumerate_points(self.n))
+
+    @cached_property
+    def sandwich_check(self) -> "str | None":
+        """None when in(I_n) = in(K_n), top(I_n) = K_n and dim R_n/I_n = c_n
+        are certified, else a witness.
+
+        Each closed-form generator of K_n is the top-degree form of an
+        element of I_n: with f_i = P_i - x_i, P_i = top(f_i) and
+        x_i^2 - x_n^2 = x_n*f_n - x_i*f_i (x_1^2 - x_2^2 = x_1*x_1 - x_2*x_2
+        for I_2 = (x_1, x_2)).  GRevLex refines the degree, so
+        in(top I) = in(I) (Kreuzer and Robbiano, *Computational Commutative
+        Algebra 2*, 4.2), and in(K) lies in in(I): dim R/I <= dim R/K = c_n.
+        c_n distinct points of V(I_n) give dim R/I >= c_n.  So the two
+        initial ideals are equal, and so are K_n and top(I_n), which share
+        it.
+        """
+        n, ring, gens = self.n, self.ideal_I.ring, self.ideal_I.gens
+        x = [ring.var(name) for name in ring.names]
+        if n == 2:
+            moves = [x[0] * gens[0] - x[1] * gens[1]]
+        else:
+            moves = [x[-1] * gens[-1] - x[i] * gens[i] for i in range(n - 1)]
+        tops = [g.top_degree_part() for g in gens + tuple(moves)]
+        for k in self.ideal_K.gens:
+            if k not in tops:
+                return f"{ring.fmt(k)} is not the top form of a listed element of I_{n}"
+        try:
+            dim = self.quotient_K.dimension
+        except NotArtinianError:
+            return f"R/K_{n} is not Artinian"
+        c = expected_codimension(n)
+        if dim != c:
+            return f"quotient dimension {dim} != {c}"
+        return self.points_check
+
+    @cached_property
+    def unprojection_check(self) -> "str | None":
+        """None when Q_n at z -> x_n equals K_n, else a witness.  Both are
+        generated by forms, so if the two generator sets span the same forms
+        in each degree, the ideals are equal."""
+        q, kid = self.ideal_Q, self.ideal_K
+        subst = substitute_ideal(q, "z", q.ring.var(f"x{self.n}")).gens
+        lifted = tuple(q.ring.lift(g, kid.ring) for g in kid.gens)
+        if not all(g.is_homogeneous() for g in subst + lifted):
+            return "Q at z -> xn or K has a generator that is not a form"
+        for d in sorted({g.total_degree() for g in subst + lifted}):
+            a = [g.terms for g in subst if g.total_degree() == d]
+            b = [g.terms for g in lifted if g.total_degree() == d]
+            if not linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b):
+                return f"Q at z -> xn and K differ in degree {d}"
+        return None
+
 
 def challenge_series(wb: Workbench) -> GradedClassFunction:
-    """The graded S_n-character of R_n/K_n as a class-function polynomial."""
+    """The graded S_n-character of R_n/K_n as a class-function polynomial;
+    K_n's invariance is checked once, under (1 2) and (1 2 ... n)."""
     n, q = wb.n, wb.quotient_K
-    traces = {}
-    for lam, _, rep in conjugacy_classes(n):
-        traces[lam] = equivariant_graded_trace(q, rep)
-    ndegrees = len(q.basis.by_degree)
+    classes = conjugacy_classes(n)
+    group = _symmetric_generators(n, n).values()
+    traces = graded_traces(q, [rep for _, _, rep in classes], group)
     terms = []
-    for d in range(ndegrees):
-        terms.append((d, ClassFunction(n, {lam: traces[lam][d] for lam in traces})))
+    for d in range(len(q.basis.by_degree)):
+        values = {lam: t[d] for (lam, _, _), t in zip(classes, traces)}
+        terms.append((d, ClassFunction(n, values)))
     return GradedClassFunction(n, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
 # claims
 
-@dataclass
 class VerificationReport:
-    claim: str
-    n: int
-    status: str  # pass | fail | skipped
-    witness: "str | None" = None
-    millis: int = 0
+    __slots__ = ("claim", "n", "status", "witness", "millis")
+
+    def __init__(
+        self,
+        claim: str,
+        n: int,
+        status: str,  # pass | fail | skipped
+        witness: "str | None" = None,
+        millis: int = 0,
+    ):
+        self.claim = claim
+        self.n = n
+        self.status = status
+        self.witness = witness
+        self.millis = millis
 
     def to_json_dict(self, include_millis: bool = False) -> dict:
         out = {"claim": self.claim, "n": self.n, "status": self.status}
@@ -460,19 +609,9 @@ class VerificationReport:
 
 
 def _claim_prop2_codim(wb: Workbench):
-    n = wb.n
-    dim = wb.quotient_J.dimension
-    c = expected_codimension(n)
-    if dim != c:
-        return False, f"quotient dimension {dim} != {c}"
-    if n >= 3:
-        pts = enumerate_points(n)
-        if len(pts) != c:
-            return False, f"point count {len(pts)} != {c}"
-        witness = verify_points_satisfy_ideal(wb.ideal_I, pts)
-        if witness:
-            return False, witness
-    return True, None
+    # dim R/I_n = c_n, and c_n distinct points of V(I_n) make I_n reduced
+    witness = wb.sandwich_check
+    return witness is None, witness
 
 
 def _claim_thm1(wb: Workbench):
@@ -491,8 +630,10 @@ def _claim_thm1(wb: Workbench):
 
 
 def _claim_prop3_generators(wb: Workbench):
-    n = wb.n
-    got = set(wb.gb_I.leading_monomials())
+    n, witness = wb.n, wb.sandwich_check
+    if witness:
+        return False, witness
+    got = set(wb.gb_J.leading_monomials())
     expected = {g.leading_monomial() for g in build_ideal("J_expected", n).gens}
     if got != expected:
         ring = xring(n)
@@ -521,8 +662,10 @@ def _expected_standard_monomials(n: int) -> set:
 
 
 def _claim_prop3_basis(wb: Workbench):
-    n = wb.n
-    basis = wb.quotient_J.basis
+    n, witness = wb.n, wb.sandwich_check
+    if witness:
+        return False, witness
+    basis = wb.quotient_K.basis  # the staircase of in(K_n) = J_n
     got = set(basis.monomials)
     expected = _expected_standard_monomials(n)
     if got != expected:
@@ -538,7 +681,10 @@ def _claim_prop3_basis(wb: Workbench):
 
 
 def _claim_thm2(wb: Workbench):
-    series = hilbert_series(wb.quotient_J.basis)
+    witness = wb.sandwich_check
+    if witness:
+        return False, witness
+    series = hilbert_series(wb.quotient_K.basis)
     row = bernoulli(wb.n)
     if series != row:
         return False, f"Hilbert series {series} != triangle row {row}"
@@ -546,10 +692,22 @@ def _claim_thm2(wb: Workbench):
 
 
 def _claim_thm3(wb: Workbench):
-    n, q = wb.n, wb.quotient_J
+    # J_n is monomial; once S_{n-1} permutes its minimal generators it
+    # permutes the staircase, and the trace of sigma in degree k counts the
+    # standard monomials of degree k that sigma fixes
+    n, witness = wb.n, wb.sandwich_check
+    if witness:
+        return False, witness
+    lms = set(wb.gb_J.leading_monomials())
+    for name, image in _symmetric_generators(n - 1, n).items():
+        act = _act(image)
+        if {act(m) for m in lms} != lms:
+            return False, f"{name} does not permute the generators of J_{n}"
+    levels = wb.quotient_K.basis.by_degree
     chars = [subset_character(n - 1, l) for l in range(n)]
     for lam, _, rep in conjugacy_classes(n - 1):
-        traces = equivariant_graded_trace(q, rep + (n - 1,))
+        act = _act(rep + (n - 1,))
+        traces = [sum(act(m) == m for m in level) for level in levels]
         expected = [
             sum(chars[l](lam) for l in range(min(k, 2 * n - 4 - k) + 1))
             for k in range(2 * n - 3)
@@ -560,13 +718,10 @@ def _claim_thm3(wb: Workbench):
 
 
 def _claim_prop4_generators(wb: Workbench):
-    if top_form_basis(wb.gb_I).elements != wb.gb_K.elements:
-        return False, "top-form ideal differs from the closed-form generators"
-    hj = hilbert_series(wb.quotient_J.basis)
-    hk = hilbert_series(wb.quotient_K.basis)
-    if hj != hk:
-        return False, f"Hilbert series differ: {hj} vs {hk}"
-    return True, None
+    # the sandwich gives top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and
+    # R/J_n share the Hilbert series
+    witness = wb.sandwich_check
+    return witness is None, witness
 
 
 def _claim_thmG(wb: Workbench):
@@ -597,20 +752,14 @@ def _claim_inverse_system(wb: Workbench):
 
 
 def _claim_not_gorenstein_J(wb: Workbench):
-    # J is a monomial ideal and the staircase its complement, so x_i sends a
-    # standard monomial to a standard one or to 0: the socle of R/J is
-    # spanned by the standard m with every x_i*m off the staircase
-    n, q = wb.n, wb.quotient_J
-    staircase = set(q.basis.monomials)
-    socle_monos = [
-        m
-        for m in q.basis.monomials
-        if all(_shift(m, i, 1) not in staircase for i in range(n))
-    ]
+    witness = wb.sandwich_check
+    if witness:
+        return False, witness
+    socle_monos = wb.socle_J
     dim = len(socle_monos)
     if dim <= 1:
         return False, f"socle dimension {dim} is not > 1"
-    ring = q.ring
+    ring = wb.ideal_K.ring
     witness = ", ".join(ring.fmt(Polynomial.monomial(m)) for m in socle_monos)
     return True, f"socle dimension {dim}, spanned by {witness}"
 
@@ -658,25 +807,26 @@ def _claim_appendix_colon(wb: Workbench):
 
 
 def _claim_appendix_unprojection(wb: Workbench):
-    # both ideals are generated by forms, so if the two generator sets span
-    # the same forms in each degree, the ideals are equal
-    q, kid = wb.ideal_Q, wb.ideal_K
-    subst = substitute_ideal(q, "z", q.ring.var(f"x{wb.n}")).gens
-    lifted = tuple(q.ring.lift(g, kid.ring) for g in kid.gens)
-    if not all(g.is_homogeneous() for g in subst + lifted):
-        return False, "Q at z -> xn or K has a generator that is not a form"
-    for d in sorted({g.total_degree() for g in subst + lifted}):
-        a = [g.terms for g in subst if g.total_degree() == d]
-        b = [g.terms for g in lifted if g.total_degree() == d]
-        if not linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b):
-            return False, f"Q at z -> xn and K differ in degree {d}"
-    return True, None
+    witness = wb.unprojection_check
+    return witness is None, witness
 
 
 def _claim_appendix_regularity(wb: Workbench):
-    ring = wb.ideal_Q.ring
-    f = ring.var("z") - ring.var(f"x{wb.n}")
-    if not is_regular_element(wb.ideal_Q, f, wb.pair_cap):
+    # A = R[z]/Q_n is graded and f = z - xn is linear.  A/fA = R/K_n (the
+    # unprojection) has finite length, so 0 :_A f, an A/fA-module, has too,
+    # and the exact sequence 0 -> (0:f)(-1) -> A(-1) -> A -> A/fA -> 0 read
+    # on Hilbert series at t = 1 gives l(A/fA) = e(A) + l(0:f) when dim A = 1.
+    # So f is regular exactly when e(A) = e(R[z]/in Q_n) equals dim R/K_n.
+    witness = wb.unprojection_check
+    if witness:
+        return False, witness
+    if not all(g.is_homogeneous() for g in wb.ideal_Q.gens):
+        return False, "Q has a generator that is not a form"
+    try:
+        e = multiplicity(wb.gb_Q)
+    except ValueError as exc:
+        return False, str(exc)
+    if e != wb.quotient_K.dimension:
         return False, "z - xn is a zero divisor on R[z]/Q"
     return True, None
 
@@ -698,28 +848,23 @@ def _claim_challenge(wb: Workbench):
     return True, None
 
 
-@dataclass(frozen=True)
-class Claim:
-    min_n: int
-    fn: object
-
-
-CLAIMS: dict[str, Claim] = {
-    "prop2_codim": Claim(2, _claim_prop2_codim),
-    "thm1": Claim(2, _claim_thm1),
-    "prop3_generators": Claim(3, _claim_prop3_generators),
-    "prop3_basis": Claim(3, _claim_prop3_basis),
-    "thm2": Claim(2, _claim_thm2),
-    "thm3": Claim(2, _claim_thm3),
-    "prop4_generators": Claim(3, _claim_prop4_generators),
-    "thmG": Claim(2, _claim_thmG),
-    "inverse_system": Claim(3, _claim_inverse_system),
-    "not_gorenstein_J": Claim(3, _claim_not_gorenstein_J),
-    "appendix_colon": Claim(3, _claim_appendix_colon),
-    "appendix_unprojection": Claim(3, _claim_appendix_unprojection),
-    "appendix_regularity": Claim(3, _claim_appendix_regularity),
-    "appendix_krull": Claim(3, _claim_appendix_krull),
-    "challenge": Claim(2, _claim_challenge),
+# claim id -> (the least n it is defined for, the claim function)
+CLAIMS: dict[str, tuple] = {
+    "prop2_codim": (2, _claim_prop2_codim),
+    "thm1": (2, _claim_thm1),
+    "prop3_generators": (3, _claim_prop3_generators),
+    "prop3_basis": (3, _claim_prop3_basis),
+    "thm2": (2, _claim_thm2),
+    "thm3": (2, _claim_thm3),
+    "prop4_generators": (3, _claim_prop4_generators),
+    "thmG": (2, _claim_thmG),
+    "inverse_system": (3, _claim_inverse_system),
+    "not_gorenstein_J": (3, _claim_not_gorenstein_J),
+    "appendix_colon": (3, _claim_appendix_colon),
+    "appendix_unprojection": (3, _claim_appendix_unprojection),
+    "appendix_regularity": (3, _claim_appendix_regularity),
+    "appendix_krull": (3, _claim_appendix_krull),
+    "challenge": (2, _claim_challenge),
 }
 
 
@@ -733,12 +878,10 @@ def verify(
     wb = Workbench(n) if workbench is None else workbench
     if wb.n != n:
         raise ValueError(f"workbench for n={wb.n} used to verify n={n}")
-    entry = CLAIMS[claim]
-    if n < entry.min_n:
-        return VerificationReport(
-            claim, n, "skipped", f"defined for n >= {entry.min_n}"
-        )
+    min_n, fn = CLAIMS[claim]
+    if n < min_n:
+        return VerificationReport(claim, n, "skipped", f"defined for n >= {min_n}")
     start = perf_counter()
-    ok, witness = entry.fn(wb)
+    ok, witness = fn(wb)
     millis = int((perf_counter() - start) * 1000)
     return VerificationReport(claim, n, "pass" if ok else "fail", witness, millis)

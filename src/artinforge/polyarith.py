@@ -16,7 +16,6 @@ the staircases computed here rely on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement
@@ -608,22 +607,29 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 # ---------------------------------------------------------------------------
 # ideals
 
-@dataclass(frozen=True)
 class Ideal:
     """A finitely generated ideal, tagged with its ambient ring.
 
     Zero generators are dropped at construction.
     """
 
-    ring: PolyRing
-    gens: tuple[Polynomial, ...]
+    __slots__ = ("ring", "gens")
 
-    def __post_init__(self):
-        gens = tuple(g for g in self.gens if g)
+    def __init__(self, ring: PolyRing, gens: tuple[Polynomial, ...]):
+        gens = tuple(g for g in gens if g)
         for g in gens:
-            if g.nvars != self.ring.nvars:
+            if g.nvars != ring.nvars:
                 raise AmbientMismatchError("generator outside the ambient ring")
-        object.__setattr__(self, "gens", gens)
+        self.ring = ring
+        self.gens = gens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.gens) == (other.ring, other.gens)
+
+    def __hash__(self):
+        return hash((self.ring, self.gens))
 
     @property
     def is_zero(self) -> bool:

@@ -4,11 +4,14 @@ Everything here works inside R/I presented by a reduced Groebner basis: the
 staircase complement (standard monomials) is the vector-space basis, and one
 lazily filled table of normal forms per :class:`QuotientAlgebra`, which
 divides only leading monomials of the basis, gives the socle (by sparse
-exact rank) and the equivariant traces.  The dual side (contraction action
-and annihilators of dual polynomials) realises Macaulay's inverse systems.
+exact rank) and the equivariant traces, whose invariance check runs once per
+generator of the group.  The dual side (contraction action and annihilators
+of dual polynomials) realises Macaulay's inverse systems.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from . import linalg
 from .errors import AmbientMismatchError, EquivarianceError
@@ -130,31 +133,46 @@ def _perm_image(perm, nvars: int) -> tuple[int, ...]:
     return image
 
 
-def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
-    """Trace, degree by degree, of the linear map induced on R/I by the
-    permutation x_i -> x_perm[i] of the variables, given as its image tuple.
+def _act(image: tuple[int, ...]):
+    """The map on monomials induced by x_i -> x_image[i]: exponent i moves to
+    place image[i], so place j reads exponent inverse[j], one ``itemgetter``
+    built once per permutation."""
+    inverse = [0] * len(image)
+    for i, j in enumerate(image):
+        inverse[j] = i
+    return itemgetter(*inverse) if len(inverse) > 1 else tuple
 
-    The permutation must leave the defining ideal invariant (checked by
-    reducing the image of every Groebner basis element); permuting variables
-    preserves degree, so the map is block diagonal over the degree levels.
+
+def graded_traces(q: QuotientAlgebra, perms, group=None) -> list:
+    """For each of ``perms`` (image tuples), the trace, degree by degree, of
+    the linear map induced on R/I by the permutation x_i -> x_perm[i].
+
+    The defining ideal must be invariant under every permutation of
+    ``group`` (default: ``perms`` themselves), given as generators of a
+    group that contains ``perms``; it is checked once per generator by
+    reducing the image of every Groebner basis element.  Permuting variables
+    preserves degree, so each map is block diagonal over the degree levels.
     """
-    image = _perm_image(perm, q.ring.nvars)
-
-    def act(m: Monomial) -> Monomial:
-        out = [0] * len(m)
-        for i, e in enumerate(m):
-            out[image[i]] = e
-        return tuple(out)
-
-    for g in q.gb.elements:
-        if q.combine((act(m), c) for m, c in g.terms.items()):
-            raise EquivarianceError(
-                "defining ideal is not invariant under the permutation"
-            )
+    nv = q.ring.nvars
+    acts = [_act(_perm_image(perm, nv)) for perm in perms]
+    checks = acts if group is None else [_act(_perm_image(p, nv)) for p in group]
+    for act in checks:
+        for g in q.gb.elements:
+            if q.combine((act(m), c) for m, c in g.terms.items()):
+                raise EquivarianceError(
+                    "defining ideal is not invariant under the permutation"
+                )
+    index, levels = q._index, q.basis.by_degree
     return [
-        sum(q.vector(act(m)).get(q._index[m], 0) for m in level)
-        for level in q.basis.by_degree
+        [sum(q.vector(act(m)).get(index[m], 0) for m in level) for level in levels]
+        for act in acts
     ]
+
+
+def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
+    """The graded trace of one permutation, given as its image tuple; see
+    :func:`graded_traces`."""
+    return graded_traces(q, (perm,))[0]
 
 
 # ---------------------------------------------------------------------------

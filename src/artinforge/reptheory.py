@@ -8,7 +8,6 @@ virtual representations; no decomposition into irreducibles happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -136,18 +135,25 @@ class ClassFunction:
         return f"ClassFunction(S{self.n}; {body})"
 
 
-@dataclass(frozen=True)
 class GradedClassFunction:
     """A polynomial in t whose coefficients are class functions on S_n."""
 
-    n: int
-    terms: tuple[tuple[int, ClassFunction], ...]
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        for _, cf in self.terms:
-            if cf.n != self.n:
+    def __init__(self, n: int, terms: tuple[tuple[int, ClassFunction], ...]):
+        for _, cf in terms:
+            if cf.n != n:
                 raise ValueError("graded class function mixes symmetric groups")
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=lambda t: t[0])))
+        self.n = n
+        self.terms = tuple(sorted(terms, key=lambda t: t[0]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.terms) == (other.n, other.terms)
+
+    def __hash__(self):
+        return hash((self.n, self.terms))
 
     def at_t1(self) -> ClassFunction:
         out = ClassFunction.from_function(self.n, lambda lam: 0)

@@ -275,6 +275,15 @@ def test_output_matches_the_pinned_bytes(capsys, record):
     assert (code, out, err) == (record["code"], record["stdout"], record["stderr"])
 
 
+def test_verify_n2_to_7_matches_the_pinned_registry(capsys):
+    # every claim at n = 2..7, byte for byte
+    pinned = (Path(__file__).parent / "data" / "verify-n2-7.jsonl").read_text()
+    code, out, err = run(
+        capsys, "verify", "--n", "2..7", "--claims", "all", "--format", "json"
+    )
+    assert (code, out, err) == (0, pinned, "81 pass, 0 fail, 9 skipped\n")
+
+
 def test_verify_summary_follows_the_reports():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -22,11 +22,11 @@ from artinforge.groebner import (
     colon_ideal,
     ideal_equal,
     ideal_member,
-    is_regular_element,
     krull_dim_monomial,
+    multiplicity,
+    standard_monomials,
     substitute,
     substitute_ideal,
-    top_form_basis,
 )
 from artinforge.paperlab import _k_homogeneous, build_ideal
 from artinforge.polyarith import (
@@ -425,6 +425,26 @@ def test_initial_ideal_principal():
     assert gb.leading_monomials() == ((1, 0, 0),)
 
 
+# ``top_form_basis`` read the reduced basis of K_n off that of I_n before the
+# family claims certified K_n = top(I_n) without completing I_n; kept as
+# their reference, with the completion of the top forms it replaced.
+def top_form_basis(gb: GroebnerBasis) -> GroebnerBasis:
+    """The reduced basis of the ideal of top-degree forms of the ideal I
+    with reduced GRevLex basis ``gb``, with no completion.
+
+    GRevLex refines the degree, so lm(top f) = lm(f) for every f: the top
+    forms of ``gb`` have its leading monomials, which generate in(I) =
+    in(top I), so they are a Groebner basis of top(I) (Kreuzer and Robbiano,
+    *Computational Commutative Algebra 2*, 4.2).  They are monic, their
+    leading monomials are minimal and every other term is a term of the
+    reduced ``gb``, divisible by no leading monomial: the basis is reduced.
+    """
+    if gb.order != GREVLEX:
+        raise ValueError("top_form_basis needs a GRevLex basis")
+    tops = tuple(g.top_degree_part() for g in gb.elements)
+    return GroebnerBasis(gb.ring, GREVLEX, tops)
+
+
 # The top-form ideal before ``top_form_basis``, kept as its reference: the top
 # forms of a GRevLex basis as generators, which a completion then reduces.
 def reference_top_form_ideal(gb: GroebnerBasis) -> Ideal:
@@ -790,6 +810,36 @@ def test_substitute_examples():
 # ---------------------------------------------------------------------------
 # regularity and Krull dimension
 
+# The reverse-lex regularity test, one completion of the moved ideal, which
+# ``appendix_regularity`` ran before its multiplicity certificate; kept as
+# that claim's reference.
+def is_regular_element(
+    ideal: Ideal, f: Polynomial, pair_cap: "int | None" = None
+) -> bool:
+    """True when the linear form f = c*x_last + l (c != 0, l free of the last
+    variable) is a non zero-divisor on S/I, for I generated by the
+    homogeneous ``ideal.gens``; any other f raises ``ValueError``.
+
+    The automorphism x_last -> (x_last - l)/c sends f to x_last and I to a
+    homogeneous J, so f is regular on S/I exactly when x_last is regular on
+    S/J.  x_last is the cheapest variable under GRevLex, so
+    in(J : x_last) = in(J) : x_last (Bayer-Stillman; Eisenbud, Prop. 15.12),
+    and that holds exactly when no minimal generator of in(J), i.e. no
+    leading monomial of the reduced basis of J, contains x_last.
+    """
+    last = ideal.ring.nvars - 1
+    x = Polynomial.variable(ideal.ring.nvars, last)
+    c = f.coefficient(x.leading_monomial())
+    if not c or f.total_degree() != 1 or not f.is_homogeneous():
+        raise ValueError("the regularity criterion needs a linear form in x_last")
+    if not all(g.is_homogeneous() for g in ideal.gens):
+        raise ValueError("the regularity criterion needs a homogeneous ideal")
+    value = (x - (f - c * x)) * Fraction(1, c)
+    image = Ideal(ideal.ring, tuple(substitute(g, last, value) for g in ideal.gens))
+    lms = buchberger(image, GREVLEX, pair_cap).leading_monomials()
+    return not any(m[last] for m in lms)
+
+
 def reference_is_regular_element(
     ideal: Ideal, f: Polynomial, pair_cap: "int | None" = None
 ) -> bool:
@@ -944,6 +994,75 @@ def test_regularity_matches_colon_reference(case):
     event("regular" if regular else "zero-divisor")
     assert regular == reference_is_regular_element(ideal, f)
     assert regular == reference_hilbert_is_regular_element(buchberger(ideal), f)
+
+
+# ---------------------------------------------------------------------------
+# multiplicity of a one-dimensional initial ideal
+
+def quotient_length(ideal: Ideal, f: Polynomial) -> int:
+    """dim R/(I + <f>), by a completion."""
+    gb = buchberger(Ideal(ideal.ring, ideal.gens + (f,)))
+    return len(standard_monomials(gb))
+
+
+def test_multiplicity_examples():
+    ring = PolyRing(("x", "z"))
+    # A = k[x, z]/(xz, x^2): e(A) = 1 but A/zA = k[x]/(x^2) has length 2,
+    # as x*z = 0 with x != 0
+    ideal = Ideal(ring, (ring.poly("x*z"), ring.poly("x^2")))
+    z = ring.poly("z")
+    assert multiplicity(buchberger(ideal)) == 1
+    assert quotient_length(ideal, z) == 2
+    assert not is_regular_element(ideal, z)
+    assert multiplicity(buchberger(Ideal(ring, (ring.poly("x^3"),)))) == 3
+    assert multiplicity(buchberger(Ideal(xring(1), ()))) == 1
+    # two one-dimensional components: x1 = x2 = 0 of length 2 (x3 = 1 leaves
+    # x1^2, x2) and x1 = x3 = 0 of length 4 (x2 = 1 leaves x1^2, x3^2)
+    assert multiplicity(buchberger(ideal3("x1^2", "x2*x3^2"))) == 2 + 4
+    with pytest.raises(ValueError, match="dimension 0"):
+        multiplicity(buchberger(ideal3("x1", "x2", "x3^2")))
+    with pytest.raises(ValueError, match="dimension > 1"):
+        multiplicity(buchberger(ideal3("x1*x2")))
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_multiplicity_sees_the_zero_divisor_of_a_truncated_Q(n):
+    # Q_n meets (x1, ..., xn, z)^3 in its forms of degree >= 3, an ideal of
+    # depth 0: the socle of R[z]/Q_n ∩ m^3 holds the nonzero degree-2 classes
+    # of Q_n, and z - xn kills them.  The multiplicity is unchanged, so it now
+    # differs from the length of A/fA.
+    q = build_ideal("Q", n)
+    nv, f = q.ring.nvars, q.ring.var("z") - q.ring.var(f"x{n}")
+    gens = tuple(
+        g.mul_term(m)
+        for g in q.gens
+        for m in monomials_of_degree(nv, max(0, 3 - g.total_degree()))
+    )
+    truncated = Ideal(q.ring, gens)
+    e = multiplicity(buchberger(q))
+    assert e == multiplicity(buchberger(truncated)) == quotient_length(q, f)
+    assert quotient_length(truncated, f) > e
+    assert not is_regular_element(truncated, f)
+    assert not reference_is_regular_element(truncated, f)
+
+
+@settings(max_examples=200)
+@given(regularity_cases())
+def test_multiplicity_decides_regularity_in_dimension_one(case):
+    # for a homogeneous I of dimension one and a linear f with R/(I + f) of
+    # finite length, f is regular exactly when e(R/I) = l(R/(I + f))
+    ideal, f = case
+    gb = buchberger(ideal)
+    try:
+        e = multiplicity(gb)
+        length = quotient_length(ideal, f)
+    except (ValueError, NotArtinianError):
+        event("dimension is not one, or R/(I + f) is not Artinian")
+        return
+    regular = e == length
+    event("regular" if regular else "zero-divisor")
+    assert regular == is_regular_element(ideal, f)
+    assert regular == reference_is_regular_element(ideal, f)
 
 
 def times_one_minus_t(p, power):

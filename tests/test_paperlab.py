@@ -19,11 +19,26 @@ from artinforge.paperlab import (
     enumerate_points,
     expected_codimension,
     partial_binomial_sum,
+    points_certificate,
     verify,
     verify_points_satisfy_ideal,
 )
 from artinforge.polyarith import GREVLEX, Ideal, Polynomial, xring
-from artinforge.reptheory import partitions, xn_character
+from artinforge.quotient import QuotientAlgebra, equivariant_graded_trace
+from artinforge.errors import EquivarianceError
+from artinforge.groebner import standard_monomials
+from artinforge.reptheory import (
+    ClassFunction,
+    GradedClassFunction,
+    conjugacy_classes,
+    partitions,
+    xn_character,
+)
+from test_groebner import (
+    is_regular_element,
+    reference_is_regular_element,
+    top_form_basis,
+)
 from test_polyarith import yring
 
 
@@ -162,7 +177,7 @@ def test_prop2_codim_enumerates_the_points_once(monkeypatch):
         raise AssertionError(f"rebuilt {which}_{n}")
 
     wb = Workbench(5)
-    wb.gb_I  # built before the claim: it reads I_5 from the workbench
+    wb.ideal_I  # built before the claim: it reads I_5 from the workbench
     monkeypatch.setattr(paperlab, "enumerate_points", counted)
     monkeypatch.setattr(paperlab, "build_ideal", no_rebuild)
     assert paperlab._claim_prop2_codim(wb) == (True, None)
@@ -437,7 +452,7 @@ def test_verify_input_validation():
         Workbench(9)
 
 
-def test_claims_on_one_workbench_share_one_basis_of_I(monkeypatch):
+def test_claims_on_one_workbench_share_one_basis_of_K(monkeypatch):
     wb = Workbench(5)
     inputs = []
     real = paperlab.buchberger
@@ -447,9 +462,10 @@ def test_claims_on_one_workbench_share_one_basis_of_I(monkeypatch):
         return real(ideal, *args, **kwargs)
 
     monkeypatch.setattr(paperlab, "buchberger", counting)
+    # the J claims read the staircase of in(K_5) = J_5; I_5 is not completed
     for claim in ("prop2_codim", "prop3_basis", "prop3_generators", "thm2"):
         assert verify(claim, 5, wb).status == "pass"
-    assert len(inputs) == 1 and inputs[0] is wb.ideal_I
+    assert len(inputs) == 1 and inputs[0] is wb.ideal_K
 
 
 def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
@@ -466,8 +482,9 @@ def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
         monkeypatch.setattr(module, "buchberger", counting)
     for claim in CLAIMS:
         assert verify(claim, 6, wb).status == "pass", claim
-    # I, K, K_5, L, Q, L + <x5^2>, and Q moved by z -> z + x6 for regularity
-    assert len(inputs) == 7
+    # K, K_5, L, Q and L + <x5^2>: no claim completes I_6, or Q_6 moved by
+    # z -> z + x6
+    assert len(inputs) == 5
     assert len(set(inputs)) == len(inputs)
 
 
@@ -563,7 +580,7 @@ def test_not_gorenstein_J_staircase_socle_matches_the_rank(monkeypatch):
     monkeypatch.setattr(paperlab, "socle_dimension", None)
     for n in range(3, 9):
         wb = Workbench(n)
-        dim, gorenstein = quotient.socle_dimension(wb.quotient_J)
+        dim, gorenstein = quotient.socle_dimension(QuotientAlgebra(wb.gb_J))
         report = verify("not_gorenstein_J", n, wb)
         assert report.status == "pass" and not gorenstein
         assert report.witness.startswith(f"socle dimension {dim}, spanned by ")
@@ -586,8 +603,9 @@ def reference_inverse_system(wb: Workbench, g: Polynomial) -> bool:
 
 def reference_prop4_generators(wb: Workbench) -> bool:
     """The top forms of the basis of I completed, against the basis of K."""
-    tops = tuple(g.top_degree_part() for g in wb.gb_I.elements)
-    top = buchberger(Ideal(wb.gb_I.ring, tops), GREVLEX, wb.pair_cap)
+    gb_i = buchberger(wb.ideal_I, GREVLEX, wb.pair_cap)
+    tops = tuple(g.top_degree_part() for g in gb_i.elements)
+    top = buchberger(Ideal(gb_i.ring, tops), GREVLEX, wb.pair_cap)
     return top.elements == wb.gb_K.elements
 
 
@@ -724,3 +742,233 @@ def test_prop4_fails_for_a_K_without_one_omitted_product(n):
     report = verify("prop4_generators", n, wb)
     assert report.status == "fail"
     assert not reference_prop4_generators(wb)
+
+
+# ---------------------------------------------------------------------------
+# J_n = in(K_n) by the sandwich, against the completion of I_n it replaced
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sandwich_agrees_with_the_completion_of_I(n):
+    wb = Workbench(n)
+    assert wb.sandwich_check is None
+    gb_i = buchberger(wb.ideal_I, GREVLEX, wb.pair_cap)
+    assert gb_i.leading_monomials() == wb.gb_J.leading_monomials()
+    assert top_form_basis(gb_i) == wb.gb_K
+    assert len(standard_monomials(gb_i)) == expected_codimension(n)
+
+
+J_CLAIMS = (
+    "prop2_codim",
+    "prop3_generators",
+    "prop3_basis",
+    "thm2",
+    "thm3",
+    "prop4_generators",
+    "not_gorenstein_J",
+)
+
+
+def assert_J_claims_fail_with(wb: Workbench, witness: str):
+    for claim in J_CLAIMS:
+        report = verify(claim, wb.n, wb)
+        assert (report.status, report.witness) == ("fail", witness), claim
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_sandwich_fails_for_K_without_one_generator(n):
+    ring = xring(n)
+    k = build_ideal("K_expected", n)
+    square = ring.poly(f"x1^2 - x{n}^2")
+    product = Polynomial.monomial((1,) * (n - 1) + (0,))
+    # without x1^2 - xn^2 the x1-axis lies on V(K); without x1*...*x_{n-1}
+    # the quotient is Artinian but larger than c_n
+    for dropped, witness in [
+        (square, f"R/K_{n} is not Artinian"),
+        (product, "quotient dimension "),
+    ]:
+        wb = Workbench(n)
+        wb.ideal_K = Ideal(ring, tuple(g for g in k.gens if g != dropped))
+        assert wb.sandwich_check.startswith(witness)
+        assert_J_claims_fail_with(wb, wb.sandwich_check)
+
+
+def test_sandwich_needs_every_generator_of_K_as_a_top_form():
+    wb = Workbench(4)
+    ring = wb.ideal_K.ring
+    wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1*x4"),))
+    assert wb.sandwich_check == "x1*x4 is not the top form of a listed element of I_4"
+    assert_J_claims_fail_with(wb, wb.sandwich_check)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_sandwich_fails_for_a_point_missing_or_doubled(n, monkeypatch):
+    pts = enumerate_points(n)
+    c = expected_codimension(n)
+    for bad, witness in [
+        (pts[:-1], f"point count {c - 1} != {c}"),
+        (pts[:-1] + [pts[1]], f"duplicate point {pts[1]}"),
+    ]:
+        assert points_certificate(build_ideal("I", n), bad) == witness
+        monkeypatch.setattr(paperlab, "enumerate_points", lambda k: bad)
+        assert_J_claims_fail_with(Workbench(n), witness)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_points_certificate_needs_the_generators_permuted(n):
+    # x1*f2 lies in I_n and vanishes on X_n, but (1 2) sends it to x2*f1
+    i = build_ideal("I", n)
+    x1 = i.ring.var("x1")
+    pts = enumerate_points(n)
+    extra = Ideal(i.ring, i.gens + (x1 * i.gens[1],))
+    assert verify_points_satisfy_ideal(extra, pts) is None
+    witness = f"(1 2) does not permute the generators of I_{n}"
+    assert points_certificate(extra, pts) == witness
+    # dropping f1 leaves the transposition nothing to swap f2 with
+    fewer = Ideal(i.ring, i.gens[1:])
+    assert points_certificate(fewer, pts) == witness
+    # the order of the generators does not matter, only their set
+    rotated = Ideal(i.ring, i.gens[2:] + i.gens[:2])
+    assert points_certificate(rotated, pts) is None
+
+
+def test_points_are_evaluated_once_per_orbit(monkeypatch):
+    evaluated = []
+    real = paperlab.verify_points_satisfy_ideal
+    monkeypatch.setattr(
+        paperlab,
+        "verify_points_satisfy_ideal",
+        lambda ideal, pts: evaluated.append(pts) or real(ideal, pts),
+    )
+    for n in range(3, 9):
+        assert points_certificate(build_ideal("I", n), enumerate_points(n)) is None
+    # the origin, and per root index k one orbit per count of -1 signs of
+    # the right parity: 21 of the 321 points at n = 7
+    assert [len(pts) for pts in evaluated] == [
+        1 + sum(len(range(k % 2, n + 1, 2)) for k in range(n - 2)) for n in range(3, 9)
+    ]
+    assert len(evaluated[4]) == 21
+    for pts in evaluated:
+        keys = {(p.k, p.eps and p.eps.count(-1)) for p in pts}
+        assert len(keys) == len(pts)
+
+
+def test_points_certificate_rejects_a_point_of_another_n():
+    with pytest.raises(ValueError, match="point check needs n >= 3"):
+        points_certificate(build_ideal("I", 2), [SymbolicPoint(2)])
+    pts = enumerate_points(4)
+    pts[5] = SymbolicPoint(3, 0, (1, 1, 1))
+    with pytest.raises(ValueError, match="a point of n=3 for 4 variables"):
+        points_certificate(build_ideal("I", 4), pts)
+
+
+# ---------------------------------------------------------------------------
+# traces by fixed points and once-per-group invariance
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_thm3_fixed_point_traces_equal_the_table_traces(n):
+    wb = Workbench(n)
+    assert verify("thm3", n, wb).status == "pass"
+    q = QuotientAlgebra(wb.gb_J)
+    for _, _, rep in conjugacy_classes(n - 1):
+        image = rep + (n - 1,)
+        act = quotient._act(image)
+        levels = wb.quotient_K.basis.by_degree
+        fixed = [sum(act(m) == m for m in level) for level in levels]
+        assert fixed == equivariant_graded_trace(q, image)
+
+
+def test_thm3_needs_J_stable_under_the_smaller_symmetric_group():
+    wb = Workbench(4)
+    wb.sandwich_check = None
+    ring = wb.ideal_K.ring
+    bigger = buchberger(Ideal(ring, wb.gb_J.elements + (ring.poly("x1*x4"),)))
+    wb.gb_J, wb.quotient_K = bigger, QuotientAlgebra(bigger)
+    report = verify("thm3", 4, wb)
+    assert (report.status, report.witness) == (
+        "fail",
+        "(1 2) does not permute the generators of J_4",
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_challenge_equals_the_per_class_traces(n):
+    wb = Workbench(n)
+    q = wb.quotient_K
+    traces = {
+        lam: equivariant_graded_trace(q, rep) for lam, _, rep in conjugacy_classes(n)
+    }
+    terms = tuple(
+        (d, ClassFunction(n, {lam: t[d] for lam, t in traces.items()}))
+        for d in range(len(q.basis.by_degree))
+    )
+    assert challenge_series(wb) == GradedClassFunction(n, terms)
+
+
+def test_challenge_rejects_a_K_that_S_n_does_not_fix():
+    wb = Workbench(4)
+    ring = wb.ideal_K.ring
+    wb.gb_K = buchberger(Ideal(ring, wb.ideal_K.gens + (ring.poly("x1"),)))
+    with pytest.raises(EquivarianceError):
+        challenge_series(wb)
+
+
+# ---------------------------------------------------------------------------
+# z - xn regular by a multiplicity count, against the completions it replaced
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_regularity_certificate_agrees_with_the_completion_references(n):
+    wb = Workbench(n)
+    assert verify("appendix_regularity", n, wb).status == "pass"
+    ring = wb.ideal_Q.ring
+    f = ring.var("z") - ring.var(f"x{n}")
+    assert is_regular_element(wb.ideal_Q, f)
+    if n <= 5:
+        assert reference_is_regular_element(wb.ideal_Q, f)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_regularity_fails_when_z_minus_xn_kills_x1(n):
+    # Q + <x1*(z - xn)> has the same image under z -> xn, so A/fA is still
+    # R/K_n, but f*x1 = 0 with x1 != 0: the multiplicity drops below dim R/K
+    wb = Workbench(n)
+    ring = wb.ideal_Q.ring
+    f = ring.var("z") - ring.var(f"x{n}")
+    wb.ideal_Q = Ideal(ring, wb.ideal_Q.gens + (ring.var("x1") * f,))
+    wb.gb_Q = buchberger(wb.ideal_Q)
+    assert wb.unprojection_check is None
+    report = verify("appendix_regularity", n, wb)
+    assert report.status == "fail"
+    assert report.witness == "z - xn is a zero divisor on R[z]/Q"
+    assert groebner.multiplicity(wb.gb_Q) < wb.quotient_K.dimension
+    assert not is_regular_element(wb.ideal_Q, f)
+    assert not reference_is_regular_element(wb.ideal_Q, f)
+
+
+def test_regularity_checks_every_step_of_its_certificate():
+    # in(Q_4) has two one-dimensional components, along x4 and z; a basis
+    # with pure powers of both in place of gb_Q has dimension 0
+    wb = Workbench(4)
+    ring = wb.ideal_Q.ring
+    powers = (ring.poly("x4^6"), ring.poly("z^6"))
+    wb.gb_Q = buchberger(Ideal(ring, wb.ideal_Q.gens + powers))
+    assert wb.unprojection_check is None
+    report = verify("appendix_regularity", 4, wb)
+    assert (report.status, report.witness) == ("fail", "R/in(I) has dimension 0, not 1")
+    # a flipped sign breaks the unprojection, which both claims share
+    wb = Workbench(4)
+    original, flipped = ring.poly("x4*z - x3^2"), ring.poly("x4*z + x3^2")
+    gens = tuple(flipped if g == original else g for g in wb.ideal_Q.gens)
+    wb.ideal_Q = Ideal(ring, gens)
+    for claim in ("appendix_unprojection", "appendix_regularity"):
+        report = verify(claim, 4, wb)
+        assert (report.status, report.witness) == (
+            "fail",
+            "Q at z -> xn and K differ in degree 2",
+        )
+    wb = Workbench(4)
+    wb.ideal_Q = Ideal(ring, wb.ideal_Q.gens + (ring.poly("z^3 - x4*z"),))
+    wb.unprojection_check = None
+    report = verify("appendix_regularity", 4, wb)
+    assert report.status == "fail"
+    assert report.witness == "Q has a generator that is not a form"

@@ -28,7 +28,9 @@ from artinforge.quotient import (
     _shift,
     annihilator,
     contract,
+    _act,
     equivariant_graded_trace,
+    graded_traces,
     hilbert_series,
     socle_dimension,
     standard_monomials,
@@ -40,7 +42,7 @@ R3 = xring(3)
 
 
 def quotient_J(n):
-    return Workbench(n).quotient_J
+    return QuotientAlgebra(Workbench(n).gb_J)
 
 
 def quotient_K(n):
@@ -290,6 +292,33 @@ def test_trace_depends_only_on_conjugacy_class():
         assert equivariant_graded_trace(q, tuple(conj)) == base
 
 
+def test_act_moves_exponent_i_to_place_image_i():
+    rng = random.Random(3)
+    for nv in (1, 2, 5):
+        for image in _sample_perms(nv, rng):
+            act = _act(image)
+            for m in monomials_of_degree(nv, 3):
+                moved = [0] * nv
+                for i, e in enumerate(m):
+                    moved[image[i]] = e
+                assert act(m) == tuple(moved)
+
+
+def test_graded_traces_check_the_group_once_and_trace_each_permutation():
+    q = quotient_K(4)
+    reps = [rep for _, _, rep in conjugacy_classes(4)]
+    group = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    expected = [equivariant_graded_trace(q, rep) for rep in reps]
+    assert graded_traces(q, reps, group) == graded_traces(q, reps) == expected
+    # R/J_3 is invariant under the identity but not under x1 <-> x3
+    q = quotient_J(3)
+    assert graded_traces(q, [(0, 1, 2)]) == [[1, 3, 1]]
+    with pytest.raises(EquivarianceError):
+        graded_traces(q, [(0, 1, 2)], [(1, 0, 2), (2, 1, 0)])
+    with pytest.raises(ValueError, match="not a permutation of 3 letters"):
+        graded_traces(q, [(0, 1, 2)], [(0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # the border table against the per-call normal forms it replaced
 
@@ -429,7 +458,7 @@ def test_table_matches_reference_on_J_and_K():
     rng = random.Random(4)
     for n in range(2, 7):
         wb = Workbench(n)
-        for q in (wb.quotient_J, wb.quotient_K):
+        for q in (QuotientAlgebra(wb.gb_J), wb.quotient_K):
             perms = [rep + (n - 1,) for _, _, rep in conjugacy_classes(n - 1)]
             perms += [rep for _, _, rep in conjugacy_classes(n)]
             assert_matches_reference(q, _sample_polys(q, rng), perms)
@@ -488,13 +517,14 @@ def test_quotient_claims_at_n7_divide_each_leading_monomial_once(monkeypatch):
     wb = Workbench(7)
     for claim in ("thmG", "challenge", "thm3", "not_gorenstein_J"):
         assert verify(claim, 7, wb).status == "pass"
-    # R/J_7 and R/K_7 each divide the 70 leading monomials that J_7 and K_7 share
+    # only R/K_7 divides, each of its 70 leading monomials once: the J claims
+    # read the staircase of in(K_7) = J_7 and build no table
     lms = set(wb.gb_K.leading_monomials())
     assert len(lms) == 70 and set(wb.gb_J.leading_monomials()) == lms
-    for q in (wb.quotient_J, wb.quotient_K):
-        divided = [m for p, m in calls if p is q]
-        assert len(divided) == len(set(divided)) and set(divided) == lms
-    assert len(calls) == 140
+    divided = [m for q, m in calls]
+    assert all(q is wb.quotient_K for q, _ in calls)
+    assert len(divided) == len(set(divided)) and set(divided) == lms
+    assert len(calls) == 70
 
 
 coefficients = st.one_of(
