@@ -53,69 +53,87 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
+def _arg(*flags, **options):
+    """One ``add_argument`` call, kept for when its subparser is built."""
+    return flags, options
+
+
+# every subcommand takes these first
+_COMMON = (
+    _arg("--format", choices=("text", "json"), default="text", help="output format"),
+    _arg(
         "--pair-cap",
         default=None,
         help="S-pair queue bound, a positive integer (default: 10^6)",
-    )
-    common.add_argument(
+    ),
+    _arg(
         "--allow-large-n",
         action="store_true",
         help="permit n = 8 (computations grow steeply)",
-    )
+    ),
+)
+_N = _arg("--n", type=int, required=True)
 
+# name -> (help, the arguments it takes after the common ones)
+_SUBCOMMANDS = {
+    "verify": (
+        "run registered claims",
+        _arg("--n", type=_parse_n_range, default=range(2, 7), metavar="A..B"),
+        _arg("--claims", default="all", help="comma list of claim ids or 'all'"),
+        _arg("--timings", action="store_true", help="include millis in JSON reports"),
+    ),
+    "groebner": (
+        "print a reduced basis",
+        _arg("--ideal", choices=("I", "J", "K", "L", "Q"), required=True),
+        _N,
+        _arg("--order", choices=tuple(_ORDERS), default="grevlex"),
+    ),
+    "hilbert": (
+        "print a Hilbert series",
+        _arg("--ideal", choices=("I", "J", "K"), required=True),
+        _N,
+    ),
+    "character": (
+        "print a class function",
+        _arg(
+            "--kind",
+            choices=("xn", "powerset", "half-powerset", "subset", "trivial"),
+            required=True,
+        ),
+        _N,
+        _arg("--k", type=int, default=None, help="subset size (kind=subset)"),
+    ),
+    "socle": (
+        "socle dimension of R/J or R/K",
+        _arg("--ideal", choices=("J", "K"), required=True),
+        _N,
+    ),
+    "challenge": ("graded character of R/K as t-series", _N),
+    "points": ("list the point configuration", _N),
+    "triangle": (
+        "symmetrised triangle rows",
+        _arg("--n", type=_parse_n_range, required=True, metavar="A..B"),
+    ),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When ``argv`` starts with a command name
+    only that command's subparser is built, which reads and prints the same
+    as in the full parser; anything else (``-h``, a typo) gets all of them,
+    so usage lines and choice lists are unchanged."""
     parser = _Parser(
         prog="artinforge",
         description="exact verification workbench for a family of binomial "
         "ideals and their Artinian quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="run registered claims")
-    p.add_argument("--n", type=_parse_n_range, default=range(2, 7), metavar="A..B")
-    p.add_argument("--claims", default="all", help="comma list of claim ids or 'all'")
-    p.add_argument(
-        "--timings", action="store_true", help="include millis in JSON reports"
-    )
-
-    p = sub.add_parser("groebner", parents=[common], help="print a reduced basis")
-    p.add_argument("--ideal", choices=("I", "J", "K", "L", "Q"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", choices=tuple(_ORDERS), default="grevlex")
-
-    p = sub.add_parser("hilbert", parents=[common], help="print a Hilbert series")
-    p.add_argument("--ideal", choices=("I", "J", "K"), required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("character", parents=[common], help="print a class function")
-    p.add_argument(
-        "--kind",
-        choices=("xn", "powerset", "half-powerset", "subset", "trivial"),
-        required=True,
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="subset size (kind=subset)")
-
-    p = sub.add_parser("socle", parents=[common], help="socle dimension of R/J or R/K")
-    p.add_argument("--ideal", choices=("J", "K"), required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser(
-        "challenge", parents=[common], help="graded character of R/K as t-series"
-    )
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("points", parents=[common], help="list the point configuration")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("triangle", parents=[common], help="symmetrised triangle rows")
-    p.add_argument("--n", type=_parse_n_range, required=True, metavar="A..B")
-
+    names = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, *arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in (*_COMMON, *arguments):
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -287,7 +305,8 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse ``argv``, run one command and print its output: a JSON object
     per record under ``--format json``, its text lines otherwise."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         args.pair_cap = _resolve_cap(parser, args)

@@ -35,10 +35,12 @@ from .polyarith import (
     PolyRing,
     Polynomial,
     TermOrder,
+    _by_fields,
     _normal_form,
     _pack,
     _packed_divides,
     _packed_lcm,
+    _read_only,
     _reducer_info,
     _s_terms,
     mono_lcm,
@@ -54,9 +56,12 @@ class GroebnerBasis:
     __slots__ = ("ring", "order", "elements")
 
     def __init__(self, ring: PolyRing, order: TermOrder, elements: tuple):
-        self.ring = ring
-        self.order = order
-        self.elements = elements
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "elements", elements)
+
+    __setattr__ = __delattr__ = _read_only
+    __reduce__ = _by_fields
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

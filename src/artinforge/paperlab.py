@@ -64,6 +64,8 @@ from .polyarith import (
     Ideal,
     Monomial,
     Polynomial,
+    _by_fields,
+    _read_only,
     monomials_of_degree,
     xring,
 )
@@ -178,9 +180,12 @@ class SymbolicPoint:
                 prod *= e
             if prod != parity:
                 raise ValueError("sign product must equal (-1)^k")
-        self.n = n
-        self.k = k
-        self.eps = eps
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "eps", eps)
+
+    __setattr__ = __delattr__ = _read_only
+    __reduce__ = _by_fields
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -599,6 +604,20 @@ class VerificationReport:
         self.witness = witness
         self.millis = millis
 
+    def _fields(self) -> tuple:
+        return (self.claim, self.n, self.status, self.witness, self.millis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable: equal by value, not hashable
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"VerificationReport({body})"
+
     def to_json_dict(self, include_millis: bool = False) -> dict:
         out = {"claim": self.claim, "n": self.n, "status": self.status}
         if self.witness is not None:
@@ -698,10 +717,8 @@ def _claim_thm3(wb: Workbench):
     n, witness = wb.n, wb.sandwich_check
     if witness:
         return False, witness
-    lms = set(wb.gb_J.leading_monomials())
     for name, image in _symmetric_generators(n - 1, n).items():
-        act = _act(image)
-        if {act(m) for m in lms} != lms:
+        if not _permutes(image, wb.gb_J.elements):
             return False, f"{name} does not permute the generators of J_{n}"
     levels = wb.quotient_K.basis.by_degree
     chars = [subset_character(n - 1, l) for l in range(n)]

@@ -607,6 +607,19 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 # ---------------------------------------------------------------------------
 # ideals
 
+def _read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes
+    (``Ideal``, ``GroebnerBasis``, ``GradedClassFunction``, ``SymbolicPoint``);
+    their ``__init__`` sets each field with ``object.__setattr__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+def _by_fields(self):
+    """``__reduce__`` of the same classes: copy and pickle rebuild an
+    instance by passing its fields, in ``__slots__`` order, to ``__init__``."""
+    return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
 class Ideal:
     """A finitely generated ideal, tagged with its ambient ring.
 
@@ -620,8 +633,11 @@ class Ideal:
         for g in gens:
             if g.nvars != ring.nvars:
                 raise AmbientMismatchError("generator outside the ambient ring")
-        self.ring = ring
-        self.gens = gens
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", gens)
+
+    __setattr__ = __delattr__ = _read_only
+    __reduce__ = _by_fields
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

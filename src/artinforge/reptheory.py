@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from .polyarith import _norm_coeff
+from .polyarith import _by_fields, _norm_coeff, _read_only
 
 Partition = tuple[int, ...]
 
@@ -144,8 +144,11 @@ class GradedClassFunction:
         for _, cf in terms:
             if cf.n != n:
                 raise ValueError("graded class function mixes symmetric groups")
-        self.n = n
-        self.terms = tuple(sorted(terms, key=lambda t: t[0]))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[0])))
+
+    __setattr__ = __delattr__ = _read_only
+    __reduce__ = _by_fields
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -146,6 +148,34 @@ def test_point_validation():
     # x4 would be left out of every evaluation
     with pytest.raises(ValueError, match="a point of n=3 for 4 variables"):
         verify_points_satisfy_ideal(build_ideal("I", 4), enumerate_points(3))
+
+
+def test_value_classes_are_immutable_and_copy_by_their_fields():
+    wb = Workbench(4)
+    values = (wb.ideal_I, wb.gb_K, enumerate_points(4)[3], challenge_series(wb))
+    for value in values:
+        field = value.__slots__[0]
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, field)
+        twin = copy.deepcopy(value)
+        assert twin == value and twin is not value
+    pt = values[2]
+    assert hash(pickle.loads(pickle.dumps(pt))) == hash(pt)
+    assert repr(pt) == "SymbolicPoint(n=4, k=0, eps=(1, -1, 1, -1))"
+
+
+def test_verification_report_compares_and_prints_its_fields():
+    r = verify("thm3", 4)
+    assert r == paperlab.VerificationReport("thm3", 4, "pass", None, r.millis)
+    assert r != paperlab.VerificationReport("thm3", 4, "fail", None, r.millis)
+    assert repr(r) == (
+        f"VerificationReport(claim='thm3', n=4, status='pass', witness=None, "
+        f"millis={r.millis})"
+    )
+    with pytest.raises(TypeError):
+        hash(r)
 
 
 def test_points_satisfy_ideal():
