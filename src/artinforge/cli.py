@@ -74,49 +74,6 @@ _COMMON = (
 )
 _N = _arg("--n", type=int, required=True)
 
-# name -> (help, the arguments it takes after the common ones)
-_SUBCOMMANDS = {
-    "verify": (
-        "run registered claims",
-        _arg("--n", type=_parse_n_range, default=range(2, 7), metavar="A..B"),
-        _arg("--claims", default="all", help="comma list of claim ids or 'all'"),
-        _arg("--timings", action="store_true", help="include millis in JSON reports"),
-    ),
-    "groebner": (
-        "print a reduced basis",
-        _arg("--ideal", choices=("I", "J", "K", "L", "Q"), required=True),
-        _N,
-        _arg("--order", choices=tuple(_ORDERS), default="grevlex"),
-    ),
-    "hilbert": (
-        "print a Hilbert series",
-        _arg("--ideal", choices=("I", "J", "K"), required=True),
-        _N,
-    ),
-    "character": (
-        "print a class function",
-        _arg(
-            "--kind",
-            choices=("xn", "powerset", "half-powerset", "subset", "trivial"),
-            required=True,
-        ),
-        _N,
-        _arg("--k", type=int, default=None, help="subset size (kind=subset)"),
-    ),
-    "socle": (
-        "socle dimension of R/J or R/K",
-        _arg("--ideal", choices=("J", "K"), required=True),
-        _N,
-    ),
-    "challenge": ("graded character of R/K as t-series", _N),
-    "points": ("list the point configuration", _N),
-    "triangle": (
-        "symmetrised triangle rows",
-        _arg("--n", type=_parse_n_range, required=True, metavar="A..B"),
-    ),
-}
-
-
 def _build_parser(argv) -> argparse.ArgumentParser:
     """The parser for ``argv``.  When ``argv`` starts with a command name
     only that command's subparser is built, which reads and prints the same
@@ -128,9 +85,9 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         "ideals and their Artinian quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
     for name in names:
-        help_text, *arguments = _SUBCOMMANDS[name]
+        _, help_text, *arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flags, options in (*_COMMON, *arguments):
             p.add_argument(*flags, **options)
@@ -290,15 +247,52 @@ def _cmd_triangle(parser, args):
     return records, [" ".join(str(c) for c in row) for row in rows], EXIT_OK
 
 
+# name -> (the command, its help, the arguments it takes after the common ones)
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "groebner": _cmd_groebner,
-    "hilbert": _cmd_hilbert,
-    "character": _cmd_character,
-    "socle": _cmd_socle,
-    "challenge": _cmd_challenge,
-    "points": _cmd_points,
-    "triangle": _cmd_triangle,
+    "verify": (
+        _cmd_verify,
+        "run registered claims",
+        _arg("--n", type=_parse_n_range, default=range(2, 7), metavar="A..B"),
+        _arg("--claims", default="all", help="comma list of claim ids or 'all'"),
+        _arg("--timings", action="store_true", help="include millis in JSON reports"),
+    ),
+    "groebner": (
+        _cmd_groebner,
+        "print a reduced basis",
+        _arg("--ideal", choices=("I", "J", "K", "L", "Q"), required=True),
+        _N,
+        _arg("--order", choices=tuple(_ORDERS), default="grevlex"),
+    ),
+    "hilbert": (
+        _cmd_hilbert,
+        "print a Hilbert series",
+        _arg("--ideal", choices=("I", "J", "K"), required=True),
+        _N,
+    ),
+    "character": (
+        _cmd_character,
+        "print a class function",
+        _arg(
+            "--kind",
+            choices=("xn", "powerset", "half-powerset", "subset", "trivial"),
+            required=True,
+        ),
+        _N,
+        _arg("--k", type=int, default=None, help="subset size (kind=subset)"),
+    ),
+    "socle": (
+        _cmd_socle,
+        "socle dimension of R/J or R/K",
+        _arg("--ideal", choices=("J", "K"), required=True),
+        _N,
+    ),
+    "challenge": (_cmd_challenge, "graded character of R/K as t-series", _N),
+    "points": (_cmd_points, "list the point configuration", _N),
+    "triangle": (
+        _cmd_triangle,
+        "symmetrised triangle rows",
+        _arg("--n", type=_parse_n_range, required=True, metavar="A..B"),
+    ),
 }
 
 
@@ -311,7 +305,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         args.pair_cap = _resolve_cap(parser, args)
         _check_n(parser, args, args.n if isinstance(args.n, range) else (args.n,))
-        records, lines, code = _COMMANDS[args.command](parser, args)
+        records, lines, code = _COMMANDS[args.command][0](parser, args)
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -35,12 +35,11 @@ from .polyarith import (
     PolyRing,
     Polynomial,
     TermOrder,
-    _by_fields,
+    Value,
     _normal_form,
     _pack,
     _packed_divides,
     _packed_lcm,
-    _read_only,
     _reducer_info,
     _s_terms,
     mono_lcm,
@@ -50,30 +49,13 @@ from .polyarith import (
 DEFAULT_PAIR_CAP = 10**6
 
 
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """An order-tagged reduced Groebner basis."""
 
     __slots__ = ("ring", "order", "elements")
 
     def __init__(self, ring: PolyRing, order: TermOrder, elements: tuple):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "elements", elements)
-
-    __setattr__ = __delattr__ = _read_only
-    __reduce__ = _by_fields
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.order, self.elements) == (
-            other.ring,
-            other.order,
-            other.elements,
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.order, self.elements))
+        self._set(ring, order, elements)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.elements)

@@ -64,8 +64,7 @@ from .polyarith import (
     Ideal,
     Monomial,
     Polynomial,
-    _by_fields,
-    _read_only,
+    Value,
     monomials_of_degree,
     xring,
 )
@@ -158,9 +157,10 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the point configuration
 
-class SymbolicPoint:
+class SymbolicPoint(Value):
     """A point of the vanishing locus X_n: either the origin, or a root
-    index k in 0..n-3 with a sign vector whose product is (-1)^k."""
+    index k in 0..n-3 with a sign vector whose product is (-1)^k, kept as a
+    tuple."""
 
     __slots__ = ("n", "k", "eps")
 
@@ -170,33 +170,14 @@ class SymbolicPoint:
         if (k is None) != (eps is None):
             raise ValueError("root index and sign vector come together")
         if k is not None:
+            eps = tuple(eps)
             if not 0 <= k <= n - 3:
                 raise ValueError(f"root index {k} out of range for n={n}")
             if len(eps) != n or any(e not in (1, -1) for e in eps):
                 raise ValueError("sign vector must be a +-1 tuple of length n")
-            parity = 1 if k % 2 == 0 else -1
-            prod = 1
-            for e in eps:
-                prod *= e
-            if prod != parity:
+            if eps.count(-1) % 2 != k % 2:
                 raise ValueError("sign product must equal (-1)^k")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "eps", eps)
-
-    __setattr__ = __delattr__ = _read_only
-    __reduce__ = _by_fields
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k, self.eps) == (other.n, other.k, other.eps)
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.eps))
-
-    def __repr__(self):
-        return f"SymbolicPoint(n={self.n!r}, k={self.k!r}, eps={self.eps!r})"
+        self._set(n, k, eps)
 
     @property
     def is_origin(self) -> bool:
@@ -217,12 +198,8 @@ def enumerate_points(n: int) -> list[SymbolicPoint]:
         raise ValueError("point enumeration needs n >= 3")
     points = [SymbolicPoint(n)]
     for k in range(n - 2):
-        parity = 1 if k % 2 == 0 else -1
         for eps in product((1, -1), repeat=n):
-            prod = 1
-            for e in eps:
-                prod *= e
-            if prod == parity:
+            if eps.count(-1) % 2 == k % 2:  # the sign product is (-1)^k
                 points.append(SymbolicPoint(n, k, eps))
     return points
 
@@ -323,13 +300,35 @@ def points_certificate(ideal: Ideal, points: "list[SymbolicPoint]") -> "str | No
 # ---------------------------------------------------------------------------
 # ideal builders
 
-def _omitted_product(nv: int, omit: int, among: int) -> tuple[int, ...]:
-    """Exponent tuple of prod x_j over j < among, j != omit."""
-    return tuple(1 if (j < among and j != omit) else 0 for j in range(nv))
+def _power(nv: int, i: int, e: int) -> Monomial:
+    """x_{i+1}^e as an exponent tuple over nv variables."""
+    return tuple(e if j == i else 0 for j in range(nv))
+
+
+def _square_differences(m: int, nv: int) -> list[Polynomial]:
+    """x_i^2 - x_m^2 for i = 1..m-1, over nv >= m variables."""
+    last = _power(nv, m - 1, 2)
+    return [Polynomial(nv, {_power(nv, i, 2): 1, last: -1}) for i in range(m - 1)]
+
+
+def _omitted_products(m: int) -> list[Monomial]:
+    """The exponent tuples of prod_{j != i} x_j over x1..xm, for i = 1..m."""
+    return [tuple(0 if j == i else 1 for j in range(m)) for i in range(m)]
+
+
+def _t_sets(n: int):
+    """The pairs (T, j) with 0 <= j <= n-2 and T a subset of {x1..x_{n-1}}
+    of size n-2-j, T given as the exponent tuple of x_T over x1..x_{n-1}.
+    x_T*x_n^(2j+1) are the generators of J_n beyond the squares and
+    x1...x_{n-1}; the x_T*x_n^s with s <= 2j are its standard monomials."""
+    for j in range(n - 1):
+        for t_set in combinations(range(n - 1), n - 2 - j):
+            yield tuple(1 if i in t_set else 0 for i in range(n - 1)), j
 
 
 def build_ideal(which: str, n: int):
-    """Construct one of the named objects of the family.
+    """Construct one of the named objects of the family from the closed-form
+    pieces above, each generator list in a fixed order.
 
     ``I`` needs n >= 2, the rest need n >= 3.  ``L`` lives in n-1 variables
     and ``Q`` in n+1 (x1..xn plus z), matching their definitions; ``g_dual``
@@ -341,50 +340,33 @@ def build_ideal(which: str, n: int):
         ring = xring(n)
         if n == 2:
             return Ideal(ring, (ring.var("x1"), ring.var("x2")))
-        gens = []
-        for i in range(n):
-            prod_mono = _omitted_product(n, i, n)
-            xi = tuple(1 if j == i else 0 for j in range(n))
-            gens.append(
-                Polynomial(n, {prod_mono: 1, xi: -1})
-            )
+        gens = [
+            Polynomial(n, {p: 1, _power(n, i, 1): -1})
+            for i, p in enumerate(_omitted_products(n))
+        ]
         return Ideal(ring, tuple(gens))
     if n < 3:
         raise ValueError(f"{which} is defined for n >= 3")
     if which == "J_expected":
-        ring = xring(n)
-        gens = []
-        for i in range(n - 1):
-            gens.append(Polynomial.monomial(tuple(2 if j == i else 0 for j in range(n))))
-        gens.append(Polynomial.monomial(tuple(1 if j < n - 1 else 0 for j in range(n))))
-        for j in range(n - 1):
-            for t_set in combinations(range(n - 1), n - 2 - j):
-                exp = [0] * n
-                for i in t_set:
-                    exp[i] = 1
-                exp[n - 1] = 2 * j + 1
-                gens.append(Polynomial.monomial(tuple(exp)))
-        return Ideal(ring, tuple(gens))
+        monos = [_power(n, i, 2) for i in range(n - 1)]
+        monos.append(_omitted_products(n)[-1])
+        monos += [t + (2 * j + 1,) for t, j in _t_sets(n)]
+        return Ideal(xring(n), tuple(Polynomial.monomial(m) for m in monos))
     if which == "K_expected":
         return _k_homogeneous(n)
     if which == "L":
-        ring = xring(n - 1)
-        gens = _complete_intersection_gens(n - 1)
-        return Ideal(ring, tuple(gens))
+        gens = _square_differences(n - 1, n - 1)
+        gens.append(Polynomial.monomial((1,) * (n - 1)))
+        return Ideal(xring(n - 1), tuple(gens))
     if which == "Q":
-        m = n - 1
-        ring = xring(n, "z")
-        nv = ring.nvars
-        gens = []
-        for g in _complete_intersection_gens(m):
-            gens.append(Polynomial(nv, {mono + (0, 0): c for mono, c in g.terms.items()}))
-        for i in range(m):
-            p_i = _omitted_product(nv, i, m)
-            gens.append(Polynomial.monomial(tuple(e + (1 if j == n - 1 else 0) for j, e in enumerate(p_i))))
-        xn_z = tuple((1 if j in (n - 1, nv - 1) else 0) for j in range(nv))
-        xm_sq = tuple((2 if j == m - 1 else 0) for j in range(nv))
-        gens.append(Polynomial(nv, {xn_z: 1, xm_sq: -1}))
-        return Ideal(ring, tuple(gens))
+        # L_{n-1} and x_n times each omitted product of x1..x_{n-1}, in
+        # x1..xn, z; then x_n*z - x_{n-1}^2
+        m, nv = n - 1, n + 1
+        gens = _square_differences(m, nv)
+        gens.append(Polynomial.monomial((1,) * m + (0, 0)))
+        gens += [Polynomial.monomial(p + (1, 0)) for p in _omitted_products(m)]
+        gens.append(Polynomial(nv, {(0,) * m + (1, 1): 1, _power(nv, m - 1, 2): -1}))
+        return Ideal(xring(n, "z"), tuple(gens))
     if which == "g_dual":
         terms = {}
         for mono in monomials_of_degree(n, n - 2):
@@ -393,31 +375,14 @@ def build_ideal(which: str, n: int):
     raise ValueError(f"unknown ideal name {which!r}")
 
 
-def _complete_intersection_gens(m: int) -> list[Polynomial]:
-    """h_1, ..., h_{m-1}, x1...xm over m variables, with h_i = x_i^2 - x_m^2."""
-    gens = []
-    for i in range(m - 1):
-        sq_i = tuple(2 if j == i else 0 for j in range(m))
-        sq_m = tuple(2 if j == m - 1 else 0 for j in range(m))
-        gens.append(Polynomial(m, {sq_i: 1, sq_m: -1}))
-    gens.append(Polynomial.monomial((1,) * m))
-    return gens
-
-
 def _k_homogeneous(n: int) -> Ideal:
     """The closed-form homogeneous ideal: the square differences plus all n
     products that omit one variable.  Valid for n >= 2; at n = 2 it
     degenerates to (x1^2 - x2^2, x2, x1), the presentation the inductive
     colon argument uses."""
-    ring = xring(n)
-    gens = []
-    for i in range(n - 1):
-        sq_i = tuple(2 if j == i else 0 for j in range(n))
-        sq_n = tuple(2 if j == n - 1 else 0 for j in range(n))
-        gens.append(Polynomial(n, {sq_i: 1, sq_n: -1}))
-    for i in range(n):
-        gens.append(Polynomial.monomial(_omitted_product(n, i, n)))
-    return Ideal(ring, tuple(gens))
+    gens = _square_differences(n, n)
+    gens += [Polynomial.monomial(p) for p in _omitted_products(n)]
+    return Ideal(xring(n), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +552,14 @@ def challenge_series(wb: Workbench) -> GradedClassFunction:
 # ---------------------------------------------------------------------------
 # claims
 
-class VerificationReport:
+class VerificationReport(Value):
+    """One claim's verdict at one n.  Unlike the other values it can be
+    changed, so it compares by its fields but has no hash."""
+
     __slots__ = ("claim", "n", "status", "witness", "millis")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(
         self,
@@ -598,25 +569,7 @@ class VerificationReport:
         witness: "str | None" = None,
         millis: int = 0,
     ):
-        self.claim = claim
-        self.n = n
-        self.status = status
-        self.witness = witness
-        self.millis = millis
-
-    def _fields(self) -> tuple:
-        return (self.claim, self.n, self.status, self.witness, self.millis)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable: equal by value, not hashable
-
-    def __repr__(self):
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"VerificationReport({body})"
+        self._set(claim, n, status, witness, millis)
 
     def to_json_dict(self, include_millis: bool = False) -> dict:
         out = {"claim": self.claim, "n": self.n, "status": self.status}
@@ -666,18 +619,9 @@ def _claim_prop3_generators(wb: Workbench):
 
 
 def _expected_standard_monomials(n: int) -> set:
-    """The set {m(T, s)}: x_n^s times a squarefree monomial in x1..x_{n-1}
-    with |T| = n-2-j and 0 <= s <= 2j."""
-    out = set()
-    for j in range(n - 1):
-        for t_set in combinations(range(n - 1), n - 2 - j):
-            for s in range(2 * j + 1):
-                exp = [0] * n
-                for i in t_set:
-                    exp[i] = 1
-                exp[n - 1] = s
-                out.add(tuple(exp))
-    return out
+    """The set {m(T, s)}: x_n^s times a squarefree monomial x_T in
+    x1..x_{n-1} with |T| = n-2-j and 0 <= s <= 2j."""
+    return {t + (s,) for t, j in _t_sets(n) for s in range(2 * j + 1)}
 
 
 def _claim_prop3_basis(wb: Workbench):
@@ -811,7 +755,7 @@ def _colon_certificate(wb: Workbench, f: Polynomial) -> "str | None":
 
 def _claim_appendix_colon(wb: Workbench):
     m = wb.n - 1
-    last_sq = Polynomial.monomial(tuple(2 if j == m - 1 else 0 for j in range(m)))
+    last_sq = Polynomial.monomial(_power(m, m - 1, 2))
     witness = _colon_certificate(wb, last_sq)
     if witness:
         return False, witness

@@ -605,22 +605,52 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# ideals
+# immutable values; ideals
 
-def _read_only(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the immutable value classes
-    (``Ideal``, ``GroebnerBasis``, ``GradedClassFunction``, ``SymbolicPoint``);
-    their ``__init__`` sets each field with ``object.__setattr__``."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+class Value:
+    """The base of the immutable value classes (``Ideal``, ``GroebnerBasis``,
+    ``GradedClassFunction``, ``SymbolicPoint``).
+
+    A subclass lists its fields as ``__slots__`` and its ``__init__`` sets
+    them once, in that order, through ``_set``; after that no field can be
+    set or deleted.  Two values of one class are equal when their fields
+    are, the hash is that of the fields, copy and pickle rebuild a value by
+    passing its fields to ``__init__``, and the repr names each field.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot change {name!r}"
+        )
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({body})"
 
 
-def _by_fields(self):
-    """``__reduce__`` of the same classes: copy and pickle rebuild an
-    instance by passing its fields, in ``__slots__`` order, to ``__init__``."""
-    return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-
-class Ideal:
+class Ideal(Value):
     """A finitely generated ideal, tagged with its ambient ring.
 
     Zero generators are dropped at construction.
@@ -633,19 +663,7 @@ class Ideal:
         for g in gens:
             if g.nvars != ring.nvars:
                 raise AmbientMismatchError("generator outside the ambient ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", gens)
-
-    __setattr__ = __delattr__ = _read_only
-    __reduce__ = _by_fields
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.gens) == (other.ring, other.gens)
-
-    def __hash__(self):
-        return hash((self.ring, self.gens))
+        self._set(ring, gens)
 
     @property
     def is_zero(self) -> bool:

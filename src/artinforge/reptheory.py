@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from .polyarith import _by_fields, _norm_coeff, _read_only
+from .polyarith import Value, _norm_coeff
 
 Partition = tuple[int, ...]
 
@@ -135,7 +135,7 @@ class ClassFunction:
         return f"ClassFunction(S{self.n}; {body})"
 
 
-class GradedClassFunction:
+class GradedClassFunction(Value):
     """A polynomial in t whose coefficients are class functions on S_n."""
 
     __slots__ = ("n", "terms")
@@ -144,19 +144,7 @@ class GradedClassFunction:
         for _, cf in terms:
             if cf.n != n:
                 raise ValueError("graded class function mixes symmetric groups")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[0])))
-
-    __setattr__ = __delattr__ = _read_only
-    __reduce__ = _by_fields
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.terms) == (other.n, other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.terms))
+        self._set(n, tuple(sorted(terms, key=lambda t: t[0])))
 
     def at_t1(self) -> ClassFunction:
         out = ClassFunction.from_function(self.n, lambda lam: 0)

@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,6 +15,8 @@ from artinforge.paperlab import (
     SymbolicPoint,
     Workbench,
     _divmod_monic,
+    _expected_standard_monomials,
+    _k_homogeneous,
     _value_at,
     bernoulli,
     build_ideal,
@@ -25,7 +29,14 @@ from artinforge.paperlab import (
     verify,
     verify_points_satisfy_ideal,
 )
-from artinforge.polyarith import GREVLEX, Ideal, Polynomial, xring
+from artinforge.polyarith import (
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    Value,
+    monomials_of_degree,
+    xring,
+)
 from artinforge.quotient import QuotientAlgebra, equivariant_graded_trace
 from artinforge.errors import EquivarianceError
 from artinforge.groebner import standard_monomials
@@ -117,6 +128,143 @@ def test_build_ideal_range_errors():
         build_ideal("nonsense", 4)
 
 
+# The builders before they shared their closed-form pieces, kept verbatim as
+# the reference for the generator lists and their order.
+
+def reference_omitted_product(nv: int, omit: int, among: int) -> tuple[int, ...]:
+    """Exponent tuple of prod x_j over j < among, j != omit."""
+    return tuple(1 if (j < among and j != omit) else 0 for j in range(nv))
+
+
+def reference_build_ideal(which: str, n: int):
+    if which == "I":
+        if n < 2:
+            raise ValueError("I is defined for n >= 2")
+        ring = xring(n)
+        if n == 2:
+            return Ideal(ring, (ring.var("x1"), ring.var("x2")))
+        gens = []
+        for i in range(n):
+            prod_mono = reference_omitted_product(n, i, n)
+            xi = tuple(1 if j == i else 0 for j in range(n))
+            gens.append(
+                Polynomial(n, {prod_mono: 1, xi: -1})
+            )
+        return Ideal(ring, tuple(gens))
+    if n < 3:
+        raise ValueError(f"{which} is defined for n >= 3")
+    if which == "J_expected":
+        ring = xring(n)
+        gens = []
+        for i in range(n - 1):
+            gens.append(Polynomial.monomial(tuple(2 if j == i else 0 for j in range(n))))
+        gens.append(Polynomial.monomial(tuple(1 if j < n - 1 else 0 for j in range(n))))
+        for j in range(n - 1):
+            for t_set in combinations(range(n - 1), n - 2 - j):
+                exp = [0] * n
+                for i in t_set:
+                    exp[i] = 1
+                exp[n - 1] = 2 * j + 1
+                gens.append(Polynomial.monomial(tuple(exp)))
+        return Ideal(ring, tuple(gens))
+    if which == "K_expected":
+        return reference_k_homogeneous(n)
+    if which == "L":
+        ring = xring(n - 1)
+        gens = reference_complete_intersection_gens(n - 1)
+        return Ideal(ring, tuple(gens))
+    if which == "Q":
+        m = n - 1
+        ring = xring(n, "z")
+        nv = ring.nvars
+        gens = []
+        for g in reference_complete_intersection_gens(m):
+            gens.append(Polynomial(nv, {mono + (0, 0): c for mono, c in g.terms.items()}))
+        for i in range(m):
+            p_i = reference_omitted_product(nv, i, m)
+            gens.append(Polynomial.monomial(tuple(e + (1 if j == n - 1 else 0) for j, e in enumerate(p_i))))
+        xn_z = tuple((1 if j in (n - 1, nv - 1) else 0) for j in range(nv))
+        xm_sq = tuple((2 if j == m - 1 else 0) for j in range(nv))
+        gens.append(Polynomial(nv, {xn_z: 1, xm_sq: -1}))
+        return Ideal(ring, tuple(gens))
+    if which == "g_dual":
+        terms = {}
+        for mono in monomials_of_degree(n, n - 2):
+            terms[tuple(2 * e for e in mono)] = 1
+        return Polynomial(n, terms)
+    raise ValueError(f"unknown ideal name {which!r}")
+
+
+def reference_complete_intersection_gens(m: int) -> list[Polynomial]:
+    """h_1, ..., h_{m-1}, x1...xm over m variables, with h_i = x_i^2 - x_m^2."""
+    gens = []
+    for i in range(m - 1):
+        sq_i = tuple(2 if j == i else 0 for j in range(m))
+        sq_m = tuple(2 if j == m - 1 else 0 for j in range(m))
+        gens.append(Polynomial(m, {sq_i: 1, sq_m: -1}))
+    gens.append(Polynomial.monomial((1,) * m))
+    return gens
+
+
+def reference_k_homogeneous(n: int) -> Ideal:
+    ring = xring(n)
+    gens = []
+    for i in range(n - 1):
+        sq_i = tuple(2 if j == i else 0 for j in range(n))
+        sq_n = tuple(2 if j == n - 1 else 0 for j in range(n))
+        gens.append(Polynomial(n, {sq_i: 1, sq_n: -1}))
+    for i in range(n):
+        gens.append(Polynomial.monomial(reference_omitted_product(n, i, n)))
+    return Ideal(ring, tuple(gens))
+
+
+def reference_expected_standard_monomials(n: int) -> set:
+    out = set()
+    for j in range(n - 1):
+        for t_set in combinations(range(n - 1), n - 2 - j):
+            for s in range(2 * j + 1):
+                exp = [0] * n
+                for i in t_set:
+                    exp[i] = 1
+                exp[n - 1] = s
+                out.add(tuple(exp))
+    return out
+
+
+def _term_lists(obj) -> list:
+    """The generators (or a polynomial's terms) with their term order, so
+    equal lists also mean equal insertion order."""
+    if isinstance(obj, Polynomial):
+        return list(obj.terms.items())
+    return [obj.ring.names] + [list(g.terms.items()) for g in obj.gens]
+
+
+BUILT_NAMES = ("I", "J_expected", "K_expected", "L", "Q", "g_dual")
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_builders_match_the_reference_in_order(n):
+    for which in BUILT_NAMES:
+        if n < 3 and which != "I":
+            continue
+        got, ref = build_ideal(which, n), reference_build_ideal(which, n)
+        assert got == ref
+        assert _term_lists(got) == _term_lists(ref), which
+    assert _term_lists(_k_homogeneous(n)) == _term_lists(reference_k_homogeneous(n))
+    assert _expected_standard_monomials(n) == reference_expected_standard_monomials(n)
+
+
+@pytest.mark.parametrize("n", range(-1, 3))
+def test_builders_raise_the_reference_range_errors(n):
+    for which in BUILT_NAMES + ("nonsense",):
+        if n == 2 and which == "I":
+            continue
+        with pytest.raises(ValueError) as ref:
+            reference_build_ideal(which, n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            build_ideal(which, n)
+
+
 # ---------------------------------------------------------------------------
 # points
 
@@ -150,20 +298,55 @@ def test_point_validation():
         verify_points_satisfy_ideal(build_ideal("I", 4), enumerate_points(3))
 
 
-def test_value_classes_are_immutable_and_copy_by_their_fields():
-    wb = Workbench(4)
-    values = (wb.ideal_I, wb.gb_K, enumerate_points(4)[3], challenge_series(wb))
-    for value in values:
-        field = value.__slots__[0]
-        with pytest.raises(AttributeError, match="is immutable"):
-            setattr(value, field, None)
-        with pytest.raises(AttributeError, match="is immutable"):
-            delattr(value, field)
-        twin = copy.deepcopy(value)
-        assert twin == value and twin is not value
-    pt = values[2]
-    assert hash(pickle.loads(pickle.dumps(pt))) == hash(pt)
-    assert repr(pt) == "SymbolicPoint(n=4, k=0, eps=(1, -1, 1, -1))"
+# one instance of each immutable subclass of the value base, and its repr:
+# field by field, or the formatted one of Ideal and GroebnerBasis
+VALUES = {
+    Ideal: (
+        lambda: Workbench(3).ideal_I,
+        "Ideal(x2*x3 - x1, x1*x3 - x2, x1*x2 - x3)",
+    ),
+    groebner.GroebnerBasis: (
+        lambda: Workbench(3).gb_K,
+        "GroebnerBasis[TermOrder('grevlex')]"
+        "(x2*x3, x1*x3, x2^2 - x3^2, x1*x2, x1^2 - x3^2, x3^3)",
+    ),
+    SymbolicPoint: (
+        lambda: enumerate_points(4)[3],
+        "SymbolicPoint(n=4, k=0, eps=(1, -1, 1, -1))",
+    ),
+    GradedClassFunction: (
+        lambda: challenge_series(Workbench(2)),
+        "GradedClassFunction(n=2, terms=((0, ClassFunction(S2; (1, 1): 1, (2,): 1)),))",
+    ),
+}
+
+
+def test_every_immutable_value_class_is_checked():
+    subclasses = set(Value.__subclasses__()) - {paperlab.VerificationReport}
+    assert subclasses == set(VALUES)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_classes_are_immutable_and_copy_by_their_fields(cls):
+    make, text = VALUES[cls]
+    value = make()
+    assert type(value) is cls and repr(value) == text
+    field = value.__slots__[0]
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(value, field)
+    twin = copy.deepcopy(value)
+    assert twin == value and twin is not value
+    if cls is not groebner.GroebnerBasis:  # its TermOrder holds lambdas
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_point_built_from_a_sign_list_equals_the_tuple_point():
+    listed, tupled = SymbolicPoint(4, 0, [1, 1, 1, 1]), SymbolicPoint(4, 0, (1, 1, 1, 1))
+    assert listed.eps == (1, 1, 1, 1) and repr(listed) == repr(tupled)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert hash(pickle.loads(pickle.dumps(listed))) == hash(tupled)
 
 
 def test_verification_report_compares_and_prints_its_fields():
