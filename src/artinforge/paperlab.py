@@ -32,10 +32,12 @@ machine-checked verdict:
 Checks either pass, fail with a finite witness, or are skipped below the
 claim's minimum n.  A claim is a function of one :class:`Workbench`, which
 builds the ideals, bases, quotients and certificates that the claims at its
-n share, each at most once.  No claim completes I_n: the J claims read the
-staircase of K_n once a point-count sandwich certifies J_n = in(K_n), and
-appendix_regularity compares a multiplicity with dim R_n/K_n instead of
-completing Q_n again.
+n share, each at most once.  Each entry of ``CLAIMS`` names the certificate
+the claim rests on, if any; ``verify`` reads it first and fails the claim
+with its witness, so no claim function reads a certificate.  No claim
+completes I_n: the J claims rest on a point-count sandwich that certifies
+J_n = in(K_n) and then read the staircase of K_n, and appendix_regularity
+compares a multiplicity with dim R_n/K_n instead of completing Q_n again.
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ def partial_binomial_sum(n: int, k: int) -> int:
     return sum(comb(n, j) for j in range(k + 1))
 
 
+def _mirrored_sums(terms, n: int) -> list[int]:
+    """Entry k, 0 <= k <= 2n-4, is terms[0] + ... + terms[min(k, 2n-4-k)]:
+    the partial sums up to the middle, then mirrored."""
+    return [sum(terms[: min(k, 2 * n - 4 - k) + 1]) for k in range(2 * n - 3)]
+
+
 def bernoulli(n: int) -> list[int]:
     """The symmetrised triangle row a_{n,k} = b_{n-1, min(k, 2n-4-k)} for
     0 <= k <= 2n-4: the first half copies b_{n-1,k} and the second half
@@ -113,9 +121,7 @@ def bernoulli(n: int) -> list[int]:
     middle entry 2^(n-1) - 1."""
     if n < 2:
         raise ValueError("triangle rows start at n = 2")
-    return [
-        partial_binomial_sum(n - 1, min(k, 2 * n - 4 - k)) for k in range(2 * n - 3)
-    ]
+    return _mirrored_sums([comb(n - 1, j) for j in range(n - 1)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +224,6 @@ def _value_at(poly: Polynomial, exps: "tuple[int, ...] | None", m: int) -> tuple
     return tuple(_divmod_monic(sums, cyclotomic_poly(m))[1])
 
 
-def verify_points_satisfy_ideal(
-    ideal: Ideal, points: "list[SymbolicPoint]"
-) -> "str | None":
-    """Exact check that each of ``points`` (those of ``enumerate_points(n)``)
-    kills every generator of ``ideal`` (I_n), and that the points are
-    pairwise distinct: with m = 2(n-2), xi has order exactly m, so two points
-    are equal exactly when their exponent tuples are.  Returns None when both
-    hold, else a witness of the first failure."""
-    if ideal.ring.nvars < 3:
-        raise ValueError("point check needs n >= 3")
-    m = 2 * (ideal.ring.nvars - 2)
-    seen = set()
-    for pt in points:
-        if pt.n != ideal.ring.nvars:
-            raise ValueError(f"a point of n={pt.n} for {ideal.ring.nvars} variables")
-        exps = pt.exponents(m)
-        if exps in seen:
-            return f"duplicate point {pt}"
-        seen.add(exps)
-        for g in ideal.gens:
-            if any(_value_at(g, exps, m)):
-                return f"generator {ideal.ring.fmt(g)} nonzero at {pt}"
-    return None
-
-
 def _symmetric_generators(k: int, n: int) -> dict:
     """(1 2) and (1 2 ... k), which generate S_k, as image tuples on n >= k
     letters fixing the last n - k, keyed by their cycle notation; none for
@@ -263,26 +244,25 @@ def _permutes(image: tuple[int, ...], polys) -> bool:
     return after == before
 
 
-def points_certificate(ideal: Ideal, points: "list[SymbolicPoint]") -> "str | None":
-    """None when ``points`` are c_n pairwise distinct points of V(``ideal``),
-    for the ideal I_n of n >= 3 variables, else a witness of the first
-    failure.
+def verify_points_satisfy_ideal(
+    ideal: Ideal, points: "list[SymbolicPoint]"
+) -> "str | None":
+    """Exact check that ``points`` (of ``enumerate_points(n)``, n >= 3) are
+    pairwise distinct and kill every generator of ``ideal``; None when both
+    hold, else a witness of the first failure.  With m = 2(n-2), xi has
+    order exactly m, so two points are equal exactly when their exponent
+    tuples are.
 
-    The count and the distinctness are checked over all points.  c_n
-    distinct valid points are then the whole configuration X_n, which S_n
-    permutes: it moves (k, eps) to (k, eps') with eps' a rearrangement of
-    eps.  If (1 2) and (1 2 ... n) permute the generators of the ideal,
-    V(ideal) is S_n-stable too, so one point per orbit, per root index k
-    and number of -1 signs, is evaluated (``verify_points_satisfy_ideal``).
-    """
+    Points with one root index k and one number of -1 signs differ by a
+    permutation of the coordinates.  If (1 2) and (1 2 ... n) permute the
+    generators, V(ideal) is S_n-stable, so only the first point of each such
+    class is evaluated; otherwise every point is."""
     n = ideal.ring.nvars
     if n < 3:
         raise ValueError("point check needs n >= 3")
-    c = expected_codimension(n)
-    if len(points) != c:
-        return f"point count {len(points)} != {c}"
     m = 2 * (n - 2)
-    seen, orbits = set(), {}
+    stable = all(_permutes(p, ideal.gens) for p in _symmetric_generators(n, n).values())
+    seen, orbits = set(), set()
     for pt in points:
         if pt.n != n:
             raise ValueError(f"a point of n={pt.n} for {n} variables")
@@ -290,11 +270,24 @@ def points_certificate(ideal: Ideal, points: "list[SymbolicPoint]") -> "str | No
         if exps in seen:
             return f"duplicate point {pt}"
         seen.add(exps)
-        orbits.setdefault((pt.k, pt.eps and pt.eps.count(-1)), pt)
-    for name, image in _symmetric_generators(n, n).items():
-        if not _permutes(image, ideal.gens):
-            return f"{name} does not permute the generators of I_{n}"
-    return verify_points_satisfy_ideal(ideal, list(orbits.values()))
+        orbit = (pt.k, pt.eps and pt.eps.count(-1))
+        if stable and orbit in orbits:
+            continue
+        orbits.add(orbit)
+        for g in ideal.gens:
+            if any(_value_at(g, exps, m)):
+                return f"generator {ideal.ring.fmt(g)} nonzero at {pt}"
+    return None
+
+
+def points_certificate(ideal: Ideal, points: "list[SymbolicPoint]") -> "str | None":
+    """None when ``points`` are c_n pairwise distinct points of V(``ideal``),
+    for an ideal in n >= 3 variables, else a witness of the first failure:
+    the count, then ``verify_points_satisfy_ideal``."""
+    c = expected_codimension(ideal.ring.nvars)
+    if len(points) != c:
+        return f"point count {len(points)} != {c}"
+    return verify_points_satisfy_ideal(ideal, points)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +466,6 @@ class Workbench:
         )
 
     @cached_property
-    def points_check(self) -> "str | None":
-        """``points_certificate`` of I_n and ``enumerate_points(n)``; for
-        n = 2 the one point is the origin, where no generator of I_2 has a
-        constant term."""
-        if self.n == 2:
-            if any((0, 0) in g.terms for g in self.ideal_I.gens):
-                return "a generator of I_2 is nonzero at the origin"
-            return None
-        return points_certificate(self.ideal_I, enumerate_points(self.n))
-
-    @cached_property
     def sandwich_check(self) -> "str | None":
         """None when in(I_n) = in(K_n), top(I_n) = K_n and dim R_n/I_n = c_n
         are certified, else a witness.
@@ -494,9 +476,9 @@ class Workbench:
         for I_2 = (x_1, x_2)).  GRevLex refines the degree, so
         in(top I) = in(I) (Kreuzer and Robbiano, *Computational Commutative
         Algebra 2*, 4.2), and in(K) lies in in(I): dim R/I <= dim R/K = c_n.
-        c_n distinct points of V(I_n) give dim R/I >= c_n.  So the two
-        initial ideals are equal, and so are K_n and top(I_n), which share
-        it.
+        c_n distinct points of V(I_n) (``points_certificate``; for n = 2
+        the origin) give dim R/I >= c_n.  So the two initial ideals are
+        equal, and so are K_n and top(I_n), which share it.
         """
         n, ring, gens = self.n, self.ideal_I.ring, self.ideal_I.gens
         x = [ring.var(name) for name in ring.names]
@@ -515,7 +497,11 @@ class Workbench:
         c = expected_codimension(n)
         if dim != c:
             return f"quotient dimension {dim} != {c}"
-        return self.points_check
+        if n == 2:  # the one point is the origin
+            if any((0, 0) in g.terms for g in gens):
+                return "a generator of I_2 is nonzero at the origin"
+            return None
+        return points_certificate(self.ideal_I, enumerate_points(n))
 
     @cached_property
     def unprojection_check(self) -> "str | None":
@@ -580,10 +566,9 @@ class VerificationReport(Value):
         return out
 
 
-def _claim_prop2_codim(wb: Workbench):
-    # dim R/I_n = c_n, and c_n distinct points of V(I_n) make I_n reduced
-    witness = wb.sandwich_check
-    return witness is None, witness
+def _certified(wb: Workbench):
+    # the body of a claim that is exactly its certificate, which verify reads
+    return True, None
 
 
 def _claim_thm1(wb: Workbench):
@@ -602,9 +587,7 @@ def _claim_thm1(wb: Workbench):
 
 
 def _claim_prop3_generators(wb: Workbench):
-    n, witness = wb.n, wb.sandwich_check
-    if witness:
-        return False, witness
+    n = wb.n
     got = set(wb.gb_J.leading_monomials())
     expected = {g.leading_monomial() for g in build_ideal("J_expected", n).gens}
     if got != expected:
@@ -625,28 +608,21 @@ def _expected_standard_monomials(n: int) -> set:
 
 
 def _claim_prop3_basis(wb: Workbench):
-    n, witness = wb.n, wb.sandwich_check
-    if witness:
-        return False, witness
     basis = wb.quotient_K.basis  # the staircase of in(K_n) = J_n
     got = set(basis.monomials)
-    expected = _expected_standard_monomials(n)
+    expected = _expected_standard_monomials(wb.n)
     if got != expected:
         return False, (
             f"{len(got - expected)} unexpected and "
             f"{len(expected - got)} missing standard monomials"
         )
-    for k, count in enumerate(hilbert_series(basis)):
-        predicted = partial_binomial_sum(n - 1, min(k, 2 * n - 4 - k))
+    for k, (count, predicted) in enumerate(zip(hilbert_series(basis), bernoulli(wb.n))):
         if count != predicted:
             return False, f"degree {k} census {count} != {predicted}"
     return True, None
 
 
 def _claim_thm2(wb: Workbench):
-    witness = wb.sandwich_check
-    if witness:
-        return False, witness
     series = hilbert_series(wb.quotient_K.basis)
     row = bernoulli(wb.n)
     if series != row:
@@ -658,9 +634,7 @@ def _claim_thm3(wb: Workbench):
     # J_n is monomial; once S_{n-1} permutes its minimal generators it
     # permutes the staircase, and the trace of sigma in degree k counts the
     # standard monomials of degree k that sigma fixes
-    n, witness = wb.n, wb.sandwich_check
-    if witness:
-        return False, witness
+    n = wb.n
     for name, image in _symmetric_generators(n - 1, n).items():
         if not _permutes(image, wb.gb_J.elements):
             return False, f"{name} does not permute the generators of J_{n}"
@@ -669,20 +643,10 @@ def _claim_thm3(wb: Workbench):
     for lam, _, rep in conjugacy_classes(n - 1):
         act = _act(rep + (n - 1,))
         traces = [sum(act(m) == m for m in level) for level in levels]
-        expected = [
-            sum(chars[l](lam) for l in range(min(k, 2 * n - 4 - k) + 1))
-            for k in range(2 * n - 3)
-        ]
+        expected = _mirrored_sums([char(lam) for char in chars], n)
         if traces != expected:
             return False, f"class {lam}: traces {traces} != {expected}"
     return True, None
-
-
-def _claim_prop4_generators(wb: Workbench):
-    # the sandwich gives top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and
-    # R/J_n share the Hilbert series
-    witness = wb.sandwich_check
-    return witness is None, witness
 
 
 def _claim_thmG(wb: Workbench):
@@ -713,9 +677,6 @@ def _claim_inverse_system(wb: Workbench):
 
 
 def _claim_not_gorenstein_J(wb: Workbench):
-    witness = wb.sandwich_check
-    if witness:
-        return False, witness
     socle_monos = wb.socle_J
     dim = len(socle_monos)
     if dim <= 1:
@@ -767,20 +728,12 @@ def _claim_appendix_colon(wb: Workbench):
     return True, None
 
 
-def _claim_appendix_unprojection(wb: Workbench):
-    witness = wb.unprojection_check
-    return witness is None, witness
-
-
 def _claim_appendix_regularity(wb: Workbench):
     # A = R[z]/Q_n is graded and f = z - xn is linear.  A/fA = R/K_n (the
     # unprojection) has finite length, so 0 :_A f, an A/fA-module, has too,
     # and the exact sequence 0 -> (0:f)(-1) -> A(-1) -> A -> A/fA -> 0 read
     # on Hilbert series at t = 1 gives l(A/fA) = e(A) + l(0:f) when dim A = 1.
     # So f is regular exactly when e(A) = e(R[z]/in Q_n) equals dim R/K_n.
-    witness = wb.unprojection_check
-    if witness:
-        return False, witness
     if not all(g.is_homogeneous() for g in wb.ideal_Q.gens):
         return False, "Q has a generator that is not a form"
     try:
@@ -809,23 +762,27 @@ def _claim_challenge(wb: Workbench):
     return True, None
 
 
-# claim id -> (the least n it is defined for, the claim function)
+# claim id -> (the least n it is defined for, the Workbench certificate it
+# rests on or None, the claim function).  prop2_codim (dim R/I_n = c_n, with
+# c_n distinct points of V(I_n): I_n is reduced), prop4_generators
+# (top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and R/J_n share the Hilbert
+# series) and appendix_unprojection are exactly their certificates.
 CLAIMS: dict[str, tuple] = {
-    "prop2_codim": (2, _claim_prop2_codim),
-    "thm1": (2, _claim_thm1),
-    "prop3_generators": (3, _claim_prop3_generators),
-    "prop3_basis": (3, _claim_prop3_basis),
-    "thm2": (2, _claim_thm2),
-    "thm3": (2, _claim_thm3),
-    "prop4_generators": (3, _claim_prop4_generators),
-    "thmG": (2, _claim_thmG),
-    "inverse_system": (3, _claim_inverse_system),
-    "not_gorenstein_J": (3, _claim_not_gorenstein_J),
-    "appendix_colon": (3, _claim_appendix_colon),
-    "appendix_unprojection": (3, _claim_appendix_unprojection),
-    "appendix_regularity": (3, _claim_appendix_regularity),
-    "appendix_krull": (3, _claim_appendix_krull),
-    "challenge": (2, _claim_challenge),
+    "prop2_codim": (2, "sandwich_check", _certified),
+    "thm1": (2, None, _claim_thm1),
+    "prop3_generators": (3, "sandwich_check", _claim_prop3_generators),
+    "prop3_basis": (3, "sandwich_check", _claim_prop3_basis),
+    "thm2": (2, "sandwich_check", _claim_thm2),
+    "thm3": (2, "sandwich_check", _claim_thm3),
+    "prop4_generators": (3, "sandwich_check", _certified),
+    "thmG": (2, None, _claim_thmG),
+    "inverse_system": (3, None, _claim_inverse_system),
+    "not_gorenstein_J": (3, "sandwich_check", _claim_not_gorenstein_J),
+    "appendix_colon": (3, None, _claim_appendix_colon),
+    "appendix_unprojection": (3, "unprojection_check", _certified),
+    "appendix_regularity": (3, "unprojection_check", _claim_appendix_regularity),
+    "appendix_krull": (3, None, _claim_appendix_krull),
+    "challenge": (2, None, _claim_challenge),
 }
 
 
@@ -833,16 +790,18 @@ def verify(
     claim: str, n: int, workbench: "Workbench | None" = None
 ) -> VerificationReport:
     """Run one registered claim at one n on ``workbench`` (default: a fresh
-    ``Workbench(n)``); resource errors propagate."""
+    ``Workbench(n)``); resource errors propagate.  A claim whose certificate
+    returns a witness fails with it, and its function is not called."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     wb = Workbench(n) if workbench is None else workbench
     if wb.n != n:
         raise ValueError(f"workbench for n={wb.n} used to verify n={n}")
-    min_n, fn = CLAIMS[claim]
+    min_n, certificate, fn = CLAIMS[claim]
     if n < min_n:
         return VerificationReport(claim, n, "skipped", f"defined for n >= {min_n}")
     start = perf_counter()
-    ok, witness = fn(wb)
+    witness = getattr(wb, certificate) if certificate else None
+    ok, witness = (False, witness) if witness is not None else fn(wb)
     millis = int((perf_counter() - start) * 1000)
     return VerificationReport(claim, n, "pass" if ok else "fail", witness, millis)

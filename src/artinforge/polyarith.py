@@ -162,6 +162,9 @@ class TermOrder:
     def __repr__(self):
         return f"TermOrder({self.kind!r})"
 
+    def __reduce__(self):  # the keys are lambdas: rebuild them from the kind
+        return TermOrder, (self.kind,)
+
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")

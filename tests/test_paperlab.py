@@ -338,8 +338,7 @@ def test_value_classes_are_immutable_and_copy_by_their_fields(cls):
         delattr(value, field)
     twin = copy.deepcopy(value)
     assert twin == value and twin is not value
-    if cls is not groebner.GroebnerBasis:  # its TermOrder holds lambdas
-        assert pickle.loads(pickle.dumps(value)) == value
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_a_point_built_from_a_sign_list_equals_the_tuple_point():
@@ -393,7 +392,8 @@ def test_prop2_codim_enumerates_the_points_once(monkeypatch):
     wb.ideal_I  # built before the claim: it reads I_5 from the workbench
     monkeypatch.setattr(paperlab, "enumerate_points", counted)
     monkeypatch.setattr(paperlab, "build_ideal", no_rebuild)
-    assert paperlab._claim_prop2_codim(wb) == (True, None)
+    report = verify("prop2_codim", 5, wb)
+    assert (report.status, report.witness) == ("pass", None)
     assert calls == [5]
 
 
@@ -970,15 +970,40 @@ def test_sandwich_agrees_with_the_completion_of_I(n):
     assert len(standard_monomials(gb_i)) == expected_codimension(n)
 
 
-J_CLAIMS = (
-    "prop2_codim",
-    "prop3_generators",
-    "prop3_basis",
-    "thm2",
-    "thm3",
-    "prop4_generators",
-    "not_gorenstein_J",
+def claims_resting_on(certificate: str) -> set:
+    return {c for c, (_, cert, _) in CLAIMS.items() if cert == certificate}
+
+
+J_CLAIMS = sorted(claims_resting_on("sandwich_check"))
+
+
+@pytest.mark.parametrize(
+    "certificate, claims",
+    [
+        (
+            "sandwich_check",
+            {
+                "prop2_codim",
+                "prop3_generators",
+                "prop3_basis",
+                "thm2",
+                "thm3",
+                "prop4_generators",
+                "not_gorenstein_J",
+            },
+        ),
+        ("unprojection_check", {"appendix_unprojection", "appendix_regularity"}),
+    ],
 )
+def test_a_failed_certificate_fails_exactly_the_claims_resting_on_it(certificate, claims):
+    assert claims_resting_on(certificate) == claims
+    wb = Workbench(5)
+    setattr(wb, certificate, "sentinel witness")
+    reports = {claim: verify(claim, 5, wb) for claim in CLAIMS}
+    failed = {c for c, r in reports.items() if r.status == "fail"}
+    assert failed == claims
+    assert all(reports[c].witness == "sentinel witness" for c in claims)
+    assert all(r.status == "pass" for c, r in reports.items() if c not in claims)
 
 
 def assert_J_claims_fail_with(wb: Workbench, witness: str):
@@ -1027,34 +1052,63 @@ def test_sandwich_fails_for_a_point_missing_or_doubled(n, monkeypatch):
         monkeypatch.undo()
 
 
+def evaluated_points(monkeypatch, check, ideal, points) -> list:
+    """Run ``check(ideal, points)`` and return the points it evaluates the
+    generators at, each of them at every generator once."""
+    calls = []
+    real = paperlab._value_at
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            paperlab, "_value_at", lambda g, exps, m: calls.append(exps) or real(g, exps, m)
+        )
+        assert check(ideal, points) is None
+    distinct = list(dict.fromkeys(calls))
+    assert len(calls) == len(distinct) * len(ideal.gens)
+    by_exps = {p.exponents(2 * (p.n - 2)): p for p in points}
+    return [by_exps[exps] for exps in distinct]
+
+
 @pytest.mark.parametrize("n", range(3, 7))
-def test_points_certificate_needs_the_generators_permuted(n):
-    # x1*f2 lies in I_n and vanishes on X_n, but (1 2) sends it to x2*f1
+def test_points_certificate_evaluates_every_point_of_an_unstable_ideal(n, monkeypatch):
+    # x1*f2 lies in I_n and vanishes on X_n, but (1 2) sends it to x2*f1;
+    # dropping f1 leaves the transposition nothing to swap f2 with
     i = build_ideal("I", n)
     x1 = i.ring.var("x1")
     pts = enumerate_points(n)
-    extra = Ideal(i.ring, i.gens + (x1 * i.gens[1],))
-    assert verify_points_satisfy_ideal(extra, pts) is None
-    witness = f"(1 2) does not permute the generators of I_{n}"
-    assert points_certificate(extra, pts) == witness
-    # dropping f1 leaves the transposition nothing to swap f2 with
-    fewer = Ideal(i.ring, i.gens[1:])
-    assert points_certificate(fewer, pts) == witness
+    for unstable in (Ideal(i.ring, i.gens + (x1 * i.gens[1],)), Ideal(i.ring, i.gens[1:])):
+        for check in (verify_points_satisfy_ideal, points_certificate):
+            assert evaluated_points(monkeypatch, check, unstable, pts) == pts
     # the order of the generators does not matter, only their set
     rotated = Ideal(i.ring, i.gens[2:] + i.gens[:2])
-    assert points_certificate(rotated, pts) is None
+    assert len(evaluated_points(monkeypatch, points_certificate, rotated, pts)) < len(pts)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_an_unstable_ideal_is_refused_off_the_class_representatives(n):
+    # (x1 - x2)(x_{n-1} - xn) is not S_n-stable and vanishes at the first
+    # point of every (k, number of -1 signs) class, but not at every point
+    i = build_ideal("I", n)
+    ring = i.ring
+    x = [ring.var(name) for name in ring.names]
+    extra = (x[0] - x[1]) * (x[-2] - x[-1])
+    bigger = Ideal(ring, i.gens + (extra,))
+    pts = enumerate_points(n)
+    firsts = {}
+    for p in pts:
+        firsts.setdefault((p.k, p.eps and p.eps.count(-1)), p)
+    assert verify_points_satisfy_ideal(bigger, list(firsts.values())) is None
+    witness = verify_points_satisfy_ideal(bigger, pts)
+    assert witness.startswith(f"generator {ring.fmt(extra)} nonzero at ")
+    assert points_certificate(bigger, pts) == witness
 
 
 def test_points_are_evaluated_once_per_orbit(monkeypatch):
-    evaluated = []
-    real = paperlab.verify_points_satisfy_ideal
-    monkeypatch.setattr(
-        paperlab,
-        "verify_points_satisfy_ideal",
-        lambda ideal, pts: evaluated.append(pts) or real(ideal, pts),
-    )
-    for n in range(3, 9):
-        assert points_certificate(build_ideal("I", n), enumerate_points(n)) is None
+    evaluated = [
+        evaluated_points(
+            monkeypatch, points_certificate, build_ideal("I", n), enumerate_points(n)
+        )
+        for n in range(3, 9)
+    ]
     # the origin, and per root index k one orbit per count of -1 signs of
     # the right parity: 21 of the 321 points at n = 7
     assert [len(pts) for pts in evaluated] == [
