@@ -45,8 +45,6 @@ from .polyarith import (
     Polynomial,
     PolyRing,
     TermOrder,
-    format_polynomial,
-    parse_polynomial,
     reduce,
     xring,
 )

@@ -10,8 +10,8 @@ one :class:`paperlab.Workbench` per n and emits the reports sorted by claim
 and n, then a pass/fail/skipped summary on stderr.
 
 Exit codes: 0 all selected checks pass, 1 at least one failure, 2 usage
-error, 3 resource limit hit.  ``--pair-cap`` is the only source of the
-S-pair cap.
+error, 3 resource limit hit.  ``--pair-cap`` is the only way to set the
+S-pair cap; unset, ``buchberger``'s default applies.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 
 from . import paperlab, quotient, reptheory
 from .errors import ResourceLimitError
-from .groebner import DEFAULT_PAIR_CAP, buchberger
+from .groebner import buchberger
 from .polyarith import DEGLEX, GREVLEX, LEX, Ideal
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX, "deglex": DEGLEX}
@@ -103,12 +103,12 @@ def _check_n(parser, args, values) -> None:
             parser.error(f"n={n} requires --allow-large-n")
 
 
-def _resolve_cap(parser, args) -> int:
-    """``--pair-cap``, else the default; anything but a positive integer is
-    a usage error."""
+def _resolve_cap(parser, args) -> "int | None":
+    """``--pair-cap``, else None for ``buchberger``'s default; anything but a
+    positive integer is a usage error."""
     text = args.pair_cap
     if text is None:
-        return DEFAULT_PAIR_CAP
+        return None
     if not text.strip().isdecimal() or int(text) < 1:
         parser.error(f"--pair-cap must be a positive integer, got {text!r}")
     return int(text)

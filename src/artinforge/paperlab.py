@@ -50,7 +50,6 @@ from time import perf_counter
 from . import linalg
 from .errors import NotArtinianError
 from .groebner import (
-    DEFAULT_PAIR_CAP,
     GroebnerBasis,
     _shift,
     buchberger,
@@ -72,7 +71,6 @@ from .polyarith import (
 )
 from .quotient import (
     QuotientAlgebra,
-    _act,
     annihilator,  # noqa: F401  unused here; bench/tracing.py wraps this binding
     contract,
     equivariant_graded_trace,  # noqa: F401  bench/tracing.py wraps this binding
@@ -83,11 +81,14 @@ from .quotient import (
 from .reptheory import (
     ClassFunction,
     GradedClassFunction,
+    act,
     conjugacy_classes,
     half_powerset_character,
     partitions,
+    permutes,
     powerset_character,
     subset_character,
+    symmetric_generators,
     trivial_character,
     xn_character,
 )
@@ -224,26 +225,6 @@ def _value_at(poly: Polynomial, exps: "tuple[int, ...] | None", m: int) -> tuple
     return tuple(_divmod_monic(sums, cyclotomic_poly(m))[1])
 
 
-def _symmetric_generators(k: int, n: int) -> dict:
-    """(1 2) and (1 2 ... k), which generate S_k, as image tuples on n >= k
-    letters fixing the last n - k, keyed by their cycle notation; none for
-    k < 2 and one for k = 2."""
-    gens = {}
-    if k >= 2:
-        gens["(1 2)"] = (1, 0) + tuple(range(2, n))
-    if k >= 3:
-        gens[f"(1 2 ... {k})"] = tuple(range(1, k)) + (0,) + tuple(range(k, n))
-    return gens
-
-
-def _permutes(image: tuple[int, ...], polys) -> bool:
-    """Whether x_i -> x_image[i] permutes the set ``polys``."""
-    act = _act(image)
-    before = {frozenset(g.terms.items()) for g in polys}
-    after = {frozenset((act(m), c) for m, c in g.terms.items()) for g in polys}
-    return after == before
-
-
 def verify_points_satisfy_ideal(
     ideal: Ideal, points: "list[SymbolicPoint]"
 ) -> "str | None":
@@ -261,7 +242,7 @@ def verify_points_satisfy_ideal(
     if n < 3:
         raise ValueError("point check needs n >= 3")
     m = 2 * (n - 2)
-    stable = all(_permutes(p, ideal.gens) for p in _symmetric_generators(n, n).values())
+    stable = all(permutes(p, ideal.gens) for p in symmetric_generators(n, n).values())
     seen, orbits = set(), set()
     for pt in points:
         if pt.n != n:
@@ -385,9 +366,9 @@ class Workbench:
     """The artefacts that the claims at one n share, each built at most once.
 
     Every attribute below is computed on first read and kept for the life of
-    the workbench; the Groebner runs obey ``pair_cap`` (default
-    ``DEFAULT_PAIR_CAP``).  Make one workbench per n and drop it when that n
-    is done, so nothing outlives its n.
+    the workbench; the Groebner runs obey ``pair_cap``, which ``None`` leaves
+    to ``buchberger``'s default.  Make one workbench per n and drop it when
+    that n is done, so nothing outlives its n.
     """
 
     def __init__(self, n: int, pair_cap: "int | None" = None):
@@ -395,7 +376,7 @@ class Workbench:
         if not lo <= n <= hi:
             raise ValueError(f"n={n} outside the supported range {lo}..{hi}")
         self.n = n
-        self.pair_cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
+        self.pair_cap = pair_cap
 
     @cached_property
     def ideal_I(self) -> Ideal:
@@ -526,7 +507,7 @@ def challenge_series(wb: Workbench) -> GradedClassFunction:
     K_n's invariance is checked once, under (1 2) and (1 2 ... n)."""
     n, q = wb.n, wb.quotient_K
     classes = conjugacy_classes(n)
-    group = _symmetric_generators(n, n).values()
+    group = symmetric_generators(n, n).values()
     traces = graded_traces(q, [rep for _, _, rep in classes], group)
     terms = []
     for d in range(len(q.basis.by_degree)):
@@ -539,13 +520,9 @@ def challenge_series(wb: Workbench) -> GradedClassFunction:
 # claims
 
 class VerificationReport(Value):
-    """One claim's verdict at one n.  Unlike the other values it can be
-    changed, so it compares by its fields but has no hash."""
+    """One claim's verdict at one n."""
 
     __slots__ = ("claim", "n", "status", "witness", "millis")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -635,14 +612,14 @@ def _claim_thm3(wb: Workbench):
     # permutes the staircase, and the trace of sigma in degree k counts the
     # standard monomials of degree k that sigma fixes
     n = wb.n
-    for name, image in _symmetric_generators(n - 1, n).items():
-        if not _permutes(image, wb.gb_J.elements):
+    for name, image in symmetric_generators(n - 1, n).items():
+        if not permutes(image, wb.gb_J.elements):
             return False, f"{name} does not permute the generators of J_{n}"
     levels = wb.quotient_K.basis.by_degree
     chars = [subset_character(n - 1, l) for l in range(n)]
     for lam, _, rep in conjugacy_classes(n - 1):
-        act = _act(rep + (n - 1,))
-        traces = [sum(act(m) == m for m in level) for level in levels]
+        move = act(rep + (n - 1,), n)
+        traces = [sum(move(m) == m for m in level) for level in levels]
         expected = _mirrored_sums([char(lam) for char in chars], n)
         if traces != expected:
             return False, f"class {lam}: traces {traces} != {expected}"

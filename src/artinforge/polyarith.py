@@ -47,13 +47,6 @@ def coeff_div(a, b):
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
-def parse_coeff(text: str):
-    num, slash, den = text.partition("/")
-    if slash:
-        return _norm_coeff(Fraction(int(num), int(den)))
-    return int(num)
-
-
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -118,7 +111,51 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# term orders
+# immutable values; term orders
+
+class Value:
+    """The base of the immutable value classes (``TermOrder``, ``PolyRing``,
+    ``Ideal``, ``GroebnerBasis``, ``ClassFunction``, ``GradedClassFunction``,
+    ``SymbolicPoint``, ``VerificationReport``).
+
+    A subclass lists its fields as ``__slots__`` and its ``__init__`` sets
+    them once, in that order, through ``_set``; after that no field can be
+    set or deleted.  Two values of one class are equal when their fields
+    are, the hash is that of the fields, copy and pickle rebuild a value by
+    passing its fields to ``__init__``, and the repr names each field.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot change {name!r}"
+        )
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({body})"
+
 
 def _grevlex_key(m: Monomial):
     return (sum(m), *[-e for e in reversed(m)])
@@ -132,7 +169,15 @@ def _deglex_key(m: Monomial):
     return (sum(m), *m)
 
 
-class TermOrder:
+# kind -> (key, neg_key) of a TermOrder
+_ORDER_KEYS = {
+    "grevlex": (_grevlex_key, lambda m: (-sum(m), *reversed(m))),
+    "lex": (_lex_key, lambda m: (*[-e for e in m],)),
+    "deglex": (_deglex_key, lambda m: (-sum(m), *[-e for e in m])),
+}
+
+
+class TermOrder(Value):
     """A multiplicative total well-order on monomials.
 
     ``kind`` is one of ``grevlex``, ``lex`` or ``deglex``; ``key`` maps a
@@ -140,30 +185,23 @@ class TermOrder:
     every entry negated, so a min-heap pops the largest monomial first.
     """
 
-    __slots__ = ("kind", "key", "neg_key")
+    __slots__ = ("kind",)
 
     def __init__(self, kind: str):
-        keys = {
-            "grevlex": (_grevlex_key, lambda m: (-sum(m), *reversed(m))),
-            "lex": (_lex_key, lambda m: (*[-e for e in m],)),
-            "deglex": (_deglex_key, lambda m: (-sum(m), *[-e for e in m])),
-        }
-        if kind not in keys:
+        if kind not in _ORDER_KEYS:
             raise ValueError(f"unknown term order kind {kind!r}")
-        self.kind = kind
-        self.key, self.neg_key = keys[kind]
+        self._set(kind)
 
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.kind == other.kind
+    @property
+    def key(self):
+        return _ORDER_KEYS[self.kind][0]
 
-    def __hash__(self):
-        return hash(self.kind)
+    @property
+    def neg_key(self):
+        return _ORDER_KEYS[self.kind][1]
 
     def __repr__(self):
         return f"TermOrder({self.kind!r})"
-
-    def __reduce__(self):  # the keys are lambdas: rebuild them from the kind
-        return TermOrder, (self.kind,)
 
 
 GREVLEX = TermOrder("grevlex")
@@ -179,7 +217,7 @@ class Polynomial:
 
     Instances are immutable values; all arithmetic returns new objects.  The
     stored term map is unordered, canonical descending order is produced on
-    demand by :meth:`sorted_terms` / :func:`format_polynomial`.
+    demand by :meth:`sorted_terms` / :meth:`PolyRing.fmt`.
     """
 
     __slots__ = ("nvars", "terms")
@@ -334,7 +372,8 @@ class Polynomial:
         )
 
     def sorted_terms(self, order: TermOrder = GREVLEX) -> list:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        key = order.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading_term(self, order: TermOrder = GREVLEX) -> tuple[Monomial, object]:
         if not self.terms:
@@ -354,10 +393,7 @@ class Polynomial:
         )
 
     def __repr__(self):
-        if not self.terms:
-            return f"Polynomial({self.nvars}, 0)"
-        names = tuple(f"x{i + 1}" for i in range(self.nvars))
-        return f"Polynomial({self.nvars}, {_format(self, names, GREVLEX)})"
+        return f"Polynomial({self.nvars}, {xring(self.nvars).fmt(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +498,11 @@ _RATIONAL_RE = re.compile(r"\d+(?:/\d+)?\Z")
 _FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?\Z")
 
 
-class PolyRing:
-    """An ordered tuple of variable names; earlier names take precedence."""
+class PolyRing(Value):
+    """An ordered tuple of variable names; earlier names take precedence.
+    :meth:`poly` parses and :meth:`fmt` prints the package text format."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -474,17 +511,20 @@ class PolyRing:
                 raise ValueError(f"bad variable name {nm!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        self.names = names
-        self.index = {nm: i for i, nm in enumerate(names)}
+        self._set(names)
 
     @property
     def nvars(self) -> int:
         return len(self.names)
 
+    @property
+    def index(self) -> dict[str, int]:
+        return {nm: i for i, nm in enumerate(self.names)}
+
     def var(self, name: str) -> Polynomial:
-        if name not in self.index:
+        if name not in self.names:
             raise ValueError(f"no variable {name!r} in {self!r}")
-        return Polynomial.variable(self.nvars, self.index[name])
+        return Polynomial.variable(self.nvars, self.names.index(name))
 
     def lift(self, p: Polynomial, source: "PolyRing") -> Polynomial:
         """Re-express ``p`` (over ``source``) in this ring, matching by name.
@@ -493,9 +533,8 @@ class PolyRing:
         """
         if p.nvars != source.nvars:
             raise AmbientMismatchError("polynomial does not match source ring")
-        pos = []
-        for i, nm in enumerate(source.names):
-            pos.append(self.index.get(nm, -1))
+        index = self.index
+        pos = [index.get(nm, -1) for nm in source.names]
         out = {}
         for m, c in p.terms.items():
             exp = [0] * self.nvars
@@ -512,16 +551,73 @@ class PolyRing:
         return Polynomial(self.nvars, out)
 
     def poly(self, text: str) -> Polynomial:
-        return parse_polynomial(text, self)
+        """Parse the text format: terms joined by + or -, factors joined by *.
+
+        A term is an optional integer-or-rational coefficient followed by
+        ``name^exp`` factors; whitespace is insignificant.
+        """
+        s = "".join(text.split())
+        if not s:
+            raise ValueError("empty polynomial text")
+        chunks = _TERM_RE.findall(s)
+        if "".join(chunks) != s:
+            raise ValueError(f"cannot tokenise {text!r}")
+        index = self.index
+        terms: dict[Monomial, object] = {}
+        for chunk in chunks:
+            sign = 1
+            if chunk[0] in "+-":
+                sign = -1 if chunk[0] == "-" else 1
+                chunk = chunk[1:]
+            if not chunk:
+                raise ValueError(f"dangling sign in {text!r}")
+            coeff = sign
+            exp = [0] * self.nvars
+            for factor in chunk.split("*"):
+                if _RATIONAL_RE.match(factor):
+                    try:
+                        coeff *= Fraction(factor)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {text!r}") from None
+                    continue
+                m = _FACTOR_RE.match(factor)
+                if not m or m.group(1) not in index:
+                    raise ValueError(f"bad factor {factor!r} in {text!r}")
+                exp[index[m.group(1)]] += int(m.group(2) or 1)
+            mono = tuple(exp)
+            c = terms.get(mono, 0) + coeff
+            if c:
+                terms[mono] = c
+            else:
+                terms.pop(mono, None)
+        return Polynomial(self.nvars, terms)
 
     def fmt(self, p: Polynomial, order: TermOrder = GREVLEX) -> str:
-        return format_polynomial(p, self, order)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
+        """Render a polynomial in the text format, e.g. ``x2*x3 - x1``."""
+        if p.nvars != self.nvars:
+            raise AmbientMismatchError("polynomial does not live in this ring")
+        if not p:
+            return "0"
+        names = self.names
+        parts = []
+        for m, c in p.sorted_terms(order):
+            factors = [
+                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(m) if e
+            ]
+            neg = c < 0
+            a = -c if neg else c
+            if not factors:
+                body = str(a)
+            elif a == 1:
+                body = "*".join(factors)
+            else:
+                body = str(a) + "*" + "*".join(factors)
+            parts.append((neg, body))
+        first_neg, first = parts[0]
+        out = ("-" if first_neg else "") + first
+        for neg, body in parts[1:]:
+            out += (" - " if neg else " + ") + body
+        return out
 
     def __repr__(self):
         return f"PolyRing({', '.join(self.names)})"
@@ -532,126 +628,8 @@ def xring(n: int, *extra: str) -> PolyRing:
     return PolyRing(tuple(f"x{i}" for i in range(1, n + 1)) + extra)
 
 
-def _format(p: Polynomial, names: Sequence[str], order: TermOrder) -> str:
-    parts = []
-    for m, c in p.sorted_terms(order):
-        factors = [
-            f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(m) if e
-        ]
-        neg = c < 0
-        a = -c if neg else c
-        if not factors:
-            body = str(a)
-        elif a == 1:
-            body = "*".join(factors)
-        else:
-            body = str(a) + "*" + "*".join(factors)
-        parts.append((neg, body))
-    first_neg, first = parts[0]
-    out = ("-" if first_neg else "") + first
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
-def format_polynomial(
-    p: Polynomial, ring: PolyRing, order: TermOrder = GREVLEX
-) -> str:
-    """Render a polynomial in the package text format, e.g. ``x2*x3 - x1``."""
-    if p.nvars != ring.nvars:
-        raise AmbientMismatchError("polynomial does not live in this ring")
-    if not p:
-        return "0"
-    return _format(p, ring.names, order)
-
-
-def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
-    """Parse the text format: terms joined by + or -, factors joined by *.
-
-    A term is an optional integer-or-rational coefficient followed by
-    ``name^exp`` factors; whitespace is insignificant.
-    """
-    s = "".join(text.split())
-    if not s:
-        raise ValueError("empty polynomial text")
-    chunks = _TERM_RE.findall(s)
-    if "".join(chunks) != s:
-        raise ValueError(f"cannot tokenise {text!r}")
-    terms: dict[Monomial, object] = {}
-    for chunk in chunks:
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
-        exp = [0] * ring.nvars
-        for factor in chunk.split("*"):
-            if _RATIONAL_RE.match(factor):
-                try:
-                    coeff *= parse_coeff(factor)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {text!r}") from None
-                continue
-            m = _FACTOR_RE.match(factor)
-            if not m or m.group(1) not in ring.index:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            exp[ring.index[m.group(1)]] += int(m.group(2) or 1)
-        mono = tuple(exp)
-        c = terms.get(mono, 0) + coeff
-        if c:
-            terms[mono] = c
-        else:
-            terms.pop(mono, None)
-    return Polynomial(ring.nvars, terms)
-
-
 # ---------------------------------------------------------------------------
-# immutable values; ideals
-
-class Value:
-    """The base of the immutable value classes (``Ideal``, ``GroebnerBasis``,
-    ``GradedClassFunction``, ``SymbolicPoint``).
-
-    A subclass lists its fields as ``__slots__`` and its ``__init__`` sets
-    them once, in that order, through ``_set``; after that no field can be
-    set or deleted.  Two values of one class are equal when their fields
-    are, the hash is that of the fields, copy and pickle rebuild a value by
-    passing its fields to ``__init__``, and the repr names each field.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(
-            f"{type(self).__name__} is immutable: cannot change {name!r}"
-        )
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self):
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({body})"
-
+# ideals
 
 class Ideal(Value):
     """A finitely generated ideal, tagged with its ambient ring.

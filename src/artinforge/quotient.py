@@ -5,13 +5,12 @@ staircase complement (standard monomials) is the vector-space basis, and one
 lazily filled table of normal forms per :class:`QuotientAlgebra`, which
 divides only leading monomials of the basis, gives the socle (by sparse
 exact rank) and the equivariant traces, whose invariance check runs once per
-generator of the group.  The dual side (contraction action and annihilators
+generator of the group; a permutation moves monomials by
+:func:`reptheory.act`.  The dual side (contraction action and annihilators
 of dual polynomials) realises Macaulay's inverse systems.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from . import linalg
 from .errors import AmbientMismatchError, EquivarianceError
@@ -36,6 +35,7 @@ from .polyarith import (
     mono_divides,
     xring,
 )
+from .reptheory import act
 
 
 def hilbert_series(basis: StandardBasis) -> list[int]:
@@ -126,23 +126,6 @@ def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:
     return dim, dim == 1
 
 
-def _perm_image(perm, nvars: int) -> tuple[int, ...]:
-    image = tuple(perm)
-    if sorted(image) != list(range(nvars)):
-        raise ValueError(f"not a permutation of {nvars} letters: {image}")
-    return image
-
-
-def _act(image: tuple[int, ...]):
-    """The map on monomials induced by x_i -> x_image[i]: exponent i moves to
-    place image[i], so place j reads exponent inverse[j], one ``itemgetter``
-    built once per permutation."""
-    inverse = [0] * len(image)
-    for i, j in enumerate(image):
-        inverse[j] = i
-    return itemgetter(*inverse) if len(inverse) > 1 else tuple
-
-
 def graded_traces(q: QuotientAlgebra, perms, group=None) -> list:
     """For each of ``perms`` (image tuples), the trace, degree by degree, of
     the linear map induced on R/I by the permutation x_i -> x_perm[i].
@@ -154,18 +137,18 @@ def graded_traces(q: QuotientAlgebra, perms, group=None) -> list:
     preserves degree, so each map is block diagonal over the degree levels.
     """
     nv = q.ring.nvars
-    acts = [_act(_perm_image(perm, nv)) for perm in perms]
-    checks = acts if group is None else [_act(_perm_image(p, nv)) for p in group]
-    for act in checks:
+    moves = [act(perm, nv) for perm in perms]
+    checks = moves if group is None else [act(p, nv) for p in group]
+    for move in checks:
         for g in q.gb.elements:
-            if q.combine((act(m), c) for m, c in g.terms.items()):
+            if q.combine((move(m), c) for m, c in g.terms.items()):
                 raise EquivarianceError(
                     "defining ideal is not invariant under the permutation"
                 )
     index, levels = q._index, q.basis.by_degree
     return [
-        [sum(q.vector(act(m)).get(index[m], 0) for m in level) for level in levels]
-        for act in acts
+        [sum(q.vector(move(m)).get(index[m], 0) for m in level) for level in levels]
+        for move in moves
     ]
 
 

@@ -1,5 +1,6 @@
-"""Symmetric-group machinery: partitions, conjugacy classes, class functions
-and the permutation characters used by the verification claims.
+"""Symmetric-group machinery: partitions, conjugacy classes, the action of
+S_n on exponent tuples, class functions and the permutation characters used
+by the verification claims.
 
 Characters are compared as class functions (rational-valued functions on
 cycle types), which in characteristic zero is the same as equality of
@@ -12,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import itemgetter
 
 from .polyarith import Value, _norm_coeff
 
@@ -67,20 +69,57 @@ def conjugacy_classes(n: int) -> list[tuple[Partition, int, tuple[int, ...]]]:
 
 
 # ---------------------------------------------------------------------------
+# the action on monomials
+
+def act(image, nvars: int):
+    """The map on monomials induced by x_i -> x_image[i], for ``image`` a
+    permutation of ``nvars`` letters given as its image tuple: exponent i
+    moves to place image[i], so place j reads exponent inverse[j], one
+    ``itemgetter`` built once per permutation."""
+    image = tuple(image)
+    if sorted(image) != list(range(nvars)):
+        raise ValueError(f"not a permutation of {nvars} letters: {image}")
+    inverse = [0] * nvars
+    for i, j in enumerate(image):
+        inverse[j] = i
+    return itemgetter(*inverse) if nvars > 1 else tuple
+
+
+def symmetric_generators(k: int, n: int) -> dict:
+    """(1 2) and (1 2 ... k), which generate S_k, as image tuples on n >= k
+    letters fixing the last n - k, keyed by their cycle notation; none for
+    k < 2 and one for k = 2."""
+    gens = {}
+    if k >= 2:
+        gens["(1 2)"] = (1, 0) + tuple(range(2, n))
+    if k >= 3:
+        gens[f"(1 2 ... {k})"] = tuple(range(1, k)) + (0,) + tuple(range(k, n))
+    return gens
+
+
+def permutes(image: tuple[int, ...], polys) -> bool:
+    """Whether x_i -> x_image[i] permutes the set ``polys``."""
+    move = act(image, len(image))
+    before = {frozenset(g.terms.items()) for g in polys}
+    after = {frozenset((move(m), c) for m, c in g.terms.items()) for g in polys}
+    return after == before
+
+
+# ---------------------------------------------------------------------------
 # class functions
 
-class ClassFunction:
+class ClassFunction(Value):
     """A rational-valued function on the partitions of n."""
 
     __slots__ = ("n", "values")
+    __hash__ = None  # the values are a dict
 
     def __init__(self, n: int, values):
         expected = partitions(n)
         vals = dict(values)
         if set(vals) != set(expected):
             raise ValueError("class function must be defined on all cycle types")
-        self.n = n
-        self.values = {lam: _norm_coeff(vals[lam]) for lam in expected}
+        self._set(n, {lam: _norm_coeff(vals[lam]) for lam in expected})
 
     @classmethod
     def from_function(cls, n: int, fn) -> "ClassFunction":
@@ -113,13 +152,6 @@ class ClassFunction:
         )
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.n == other.n and self.values == other.values
-
-    __hash__ = None
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from artinforge import cli, paperlab
+from artinforge import cli, groebner, paperlab
 
 
 def run(capsys, *argv):
@@ -119,6 +119,13 @@ def test_pair_cap_exhaustion_exits_3(capsys):
     )
     assert code == 3
     assert "resource limit" in err
+
+
+def test_an_unset_pair_cap_is_buchbergers_default(capsys, monkeypatch):
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_CAP", 1)
+    code, out, err = run(capsys, "verify", "--n", "3", "--claims", "thmG")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: pair queue exceeded the cap of 1 pairs\n"
 
 
 def test_verify_determinism_across_runs(capsys):
@@ -281,6 +288,13 @@ def test_verify_n2_to_7_matches_the_pinned_registry(capsys):
     code, out, err = run(
         capsys, "verify", "--n", "2..7", "--claims", "all", "--format", "json"
     )
+    assert (code, out, err) == (0, pinned, "81 pass, 0 fail, 9 skipped\n")
+
+
+def test_verify_n2_to_7_text_matches_the_pinned_lines(capsys):
+    # the default text output of the same run, byte for byte
+    pinned = (Path(__file__).parent / "data" / "verify-n2-7.txt").read_text()
+    code, out, err = run(capsys, "verify", "--n", "2..7", "--claims", "all")
     assert (code, out, err) == (0, pinned, "81 pass, 0 fail, 9 skipped\n")
 
 

@@ -33,18 +33,22 @@ from artinforge.polyarith import (
     GREVLEX,
     Ideal,
     Polynomial,
+    PolyRing,
+    TermOrder,
     Value,
     monomials_of_degree,
     xring,
 )
 from artinforge.quotient import QuotientAlgebra, equivariant_graded_trace
-from artinforge.errors import EquivarianceError
+from artinforge.errors import EquivarianceError, ResourceLimitError
 from artinforge.groebner import standard_monomials
 from artinforge.reptheory import (
     ClassFunction,
     GradedClassFunction,
+    act,
     conjugacy_classes,
     partitions,
+    subset_character,
     xn_character,
 )
 from test_groebner import (
@@ -299,8 +303,10 @@ def test_point_validation():
 
 
 # one instance of each immutable subclass of the value base, and its repr:
-# field by field, or the formatted one of Ideal and GroebnerBasis
+# field by field, or the one the class writes itself
 VALUES = {
+    TermOrder: (lambda: TermOrder("lex"), "TermOrder('lex')"),
+    PolyRing: (lambda: xring(2, "z"), "PolyRing(x1, x2, z)"),
     Ideal: (
         lambda: Workbench(3).ideal_I,
         "Ideal(x2*x3 - x1, x1*x3 - x2, x1*x2 - x3)",
@@ -314,16 +320,24 @@ VALUES = {
         lambda: enumerate_points(4)[3],
         "SymbolicPoint(n=4, k=0, eps=(1, -1, 1, -1))",
     ),
+    ClassFunction: (
+        lambda: subset_character(3, 1),
+        "ClassFunction(S3; (1, 1, 1): 3, (2, 1): 1, (3,): 0)",
+    ),
     GradedClassFunction: (
         lambda: challenge_series(Workbench(2)),
         "GradedClassFunction(n=2, terms=((0, ClassFunction(S2; (1, 1): 1, (2,): 1)),))",
+    ),
+    paperlab.VerificationReport: (
+        lambda: paperlab.VerificationReport("thm3", 4, "fail", "a witness", 7),
+        "VerificationReport(claim='thm3', n=4, status='fail', witness='a witness', "
+        "millis=7)",
     ),
 }
 
 
 def test_every_immutable_value_class_is_checked():
-    subclasses = set(Value.__subclasses__()) - {paperlab.VerificationReport}
-    assert subclasses == set(VALUES)
+    assert set(Value.__subclasses__()) == set(VALUES)
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
@@ -356,8 +370,8 @@ def test_verification_report_compares_and_prints_its_fields():
         f"VerificationReport(claim='thm3', n=4, status='pass', witness=None, "
         f"millis={r.millis})"
     )
-    with pytest.raises(TypeError):
-        hash(r)
+    twin = paperlab.VerificationReport("thm3", 4, "pass", None, r.millis)
+    assert hash(twin) == hash(r)
 
 
 def test_points_satisfy_ideal():
@@ -663,6 +677,14 @@ def test_verify_input_validation():
         verify("thm1", 3, Workbench(4))
     with pytest.raises(ValueError):
         Workbench(9)
+
+
+def test_an_unset_pair_cap_is_buchbergers_default(monkeypatch):
+    assert Workbench(3).pair_cap is None
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_CAP", 1)
+    with pytest.raises(ResourceLimitError, match="cap of 1 pairs"):
+        Workbench(3).gb_K
+    assert Workbench(3, 10**6).gb_K.elements
 
 
 def test_claims_on_one_workbench_share_one_basis_of_K(monkeypatch):
@@ -1139,9 +1161,9 @@ def test_thm3_fixed_point_traces_equal_the_table_traces(n):
     q = QuotientAlgebra(wb.gb_J)
     for _, _, rep in conjugacy_classes(n - 1):
         image = rep + (n - 1,)
-        act = quotient._act(image)
+        move = act(image, n)
         levels = wb.quotient_K.basis.by_degree
-        fixed = [sum(act(m) == m for m in level) for level in levels]
+        fixed = [sum(move(m) == m for m in level) for level in levels]
         assert fixed == equivariant_graded_trace(q, image)
 
 

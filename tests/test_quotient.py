@@ -28,7 +28,6 @@ from artinforge.quotient import (
     _shift,
     annihilator,
     contract,
-    _act,
     equivariant_graded_trace,
     graded_traces,
     hilbert_series,
@@ -290,18 +289,6 @@ def test_trace_depends_only_on_conjugacy_class():
         for i in range(4):
             conj[tau[i]] = tau[sigma[i]]
         assert equivariant_graded_trace(q, tuple(conj)) == base
-
-
-def test_act_moves_exponent_i_to_place_image_i():
-    rng = random.Random(3)
-    for nv in (1, 2, 5):
-        for image in _sample_perms(nv, rng):
-            act = _act(image)
-            for m in monomials_of_degree(nv, 3):
-                moved = [0] * nv
-                for i, e in enumerate(m):
-                    moved[image[i]] = e
-                assert act(m) == tuple(moved)
 
 
 def test_graded_traces_check_the_group_once_and_trace_each_permutation():

@@ -1,24 +1,30 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
 
-from artinforge.polyarith import _norm_coeff
+from artinforge.paperlab import build_ideal
+from artinforge.polyarith import _norm_coeff, monomials_of_degree, xring
 from artinforge.reptheory import (
     ClassFunction,
     GradedClassFunction,
+    act,
     class_size,
     conjugacy_classes,
     half_powerset_character,
     partitions,
+    permutes,
     powerset_character,
     representative,
     subset_character,
+    symmetric_generators,
     trivial_character,
     xn_character,
 )
+from test_quotient import _sample_perms
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,69 @@ def test_class_sizes_against_enumeration():
             counts[cycle_type(image)] += 1
         for lam, size, _ in conjugacy_classes(n):
             assert counts[lam] == size
+
+
+# ---------------------------------------------------------------------------
+# the action on monomials
+
+def test_act_moves_exponent_i_to_place_image_i():
+    rng = random.Random(3)
+    for nv in (1, 2, 5):
+        for image in _sample_perms(nv, rng):
+            move = act(image, nv)
+            for m in monomials_of_degree(nv, 3):
+                moved = [0] * nv
+                for i, e in enumerate(m):
+                    moved[image[i]] = e
+                assert move(m) == tuple(moved)
+
+
+def test_act_rejects_what_is_not_a_permutation_of_its_letters():
+    with pytest.raises(ValueError, match=r"not a permutation of 3 letters: \(0, 0, 1\)"):
+        act((0, 0, 1), 3)
+    with pytest.raises(ValueError, match=r"not a permutation of 3 letters: \(1, 0\)"):
+        act([1, 0], 3)
+    with pytest.raises(ValueError, match=r"not a permutation of 2 letters: \(0, 1, 2\)"):
+        act((0, 1, 2), 2)
+
+
+def test_symmetric_generators_generate_S_k_and_fix_the_rest():
+    for n in range(1, 7):
+        for k in range(n + 1):
+            gens = symmetric_generators(k, n)
+            assert len(gens) == (0 if k < 2 else 1 if k == 2 else 2)
+            if k >= 2:
+                assert cycles(gens["(1 2)"])[0] == [0, 1]
+            if k >= 3:
+                assert cycles(gens[f"(1 2 ... {k})"])[0] == list(range(k))
+            for image in gens.values():
+                assert len(image) == n and image[k:] == tuple(range(k, n))
+    # the two generate S_k: their products reach all k! permutations
+    for k in range(2, 6):
+        group = {tuple(range(k))}
+        frontier = list(group)
+        while frontier:
+            sigma = frontier.pop()
+            for g in symmetric_generators(k, k).values():
+                tau = tuple(g[i] for i in sigma)
+                if tau not in group:
+                    group.add(tau)
+                    frontier.append(tau)
+        assert len(group) == factorial(k)
+
+
+def test_permutes_accepts_a_stable_set_and_refuses_an_unstable_one():
+    for n in range(3, 7):
+        gens = build_ideal("J_expected", n).gens
+        small, full = symmetric_generators(n - 1, n), symmetric_generators(n, n)
+        assert all(permutes(image, gens) for image in small.values())
+        assert permutes(full["(1 2)"], gens)
+        assert not permutes(full[f"(1 2 ... {n})"], gens)
+    r = xring(3)
+    swap = symmetric_generators(2, 3)["(1 2)"]
+    assert permutes(swap, [r.poly("x1^2 - x3"), r.poly("x2^2 - x3")])
+    assert not permutes(swap, [r.poly("x1^2"), r.poly("x2*x3")])
+    assert not permutes(swap, [r.poly("x1 - 2*x2")])
 
 
 # ---------------------------------------------------------------------------

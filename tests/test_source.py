@@ -15,6 +15,35 @@ BENCH_WRAPPED = {
     ("quotient", "ideal_member"),
 }
 
+# (importing module, source module, name) of every private name that one
+# module of the package imports from another: the package's known
+# reach-arounds; a new one must be named here
+PRIVATE_IMPORTS = {
+    ("groebner", "polyarith", "_normal_form"),
+    ("groebner", "polyarith", "_pack"),
+    ("groebner", "polyarith", "_packed_divides"),
+    ("groebner", "polyarith", "_packed_lcm"),
+    ("groebner", "polyarith", "_reducer_info"),
+    ("groebner", "polyarith", "_s_terms"),
+    ("paperlab", "groebner", "_shift"),
+    ("quotient", "groebner", "_next_level"),
+    ("quotient", "groebner", "_shift"),
+    ("quotient", "polyarith", "_norm_coeff"),
+    ("quotient", "polyarith", "_normal_form"),
+    ("quotient", "polyarith", "_reducer_info"),
+    ("reptheory", "polyarith", "_norm_coeff"),
+}
+
+
+def _private_imports(tree: ast.Module, module: str) -> set:
+    return {
+        (module, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
 
 def _unused_imports(tree: ast.Module) -> set:
     imported = set()
@@ -56,3 +85,19 @@ def test_the_check_sees_an_unused_import():
         "def f(y: 'list[e]') -> 'a':\n    return c.d\n\n'b'\n"
     )
     assert _unused_imports(tree) == {"b"}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= _private_imports(tree, path.stem)
+    assert found == PRIVATE_IMPORTS
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse(
+        "from .a import _b, c\nfrom . import _d\nfrom x import _e\n"
+        "def f():\n    from .g import _h\n"
+    )
+    assert _private_imports(tree, "m") == {("m", "a", "_b"), ("m", "g", "_h")}
