@@ -59,7 +59,6 @@ from .quotient import (
 )
 from .reptheory import (
     ClassFunction,
-    GradedClassFunction,
     conjugacy_classes,
     half_powerset_character,
     partitions,

@@ -220,9 +220,12 @@ def _cmd_challenge(parser, args):
     lines = [
         f"t^{degree}: "
         + ", ".join(_class_value(lam, v) for lam, v in cf.values.items())
-        for degree, cf in series.terms
+        for degree, cf in enumerate(series)
     ]
-    return [series.to_dict()], lines, EXIT_OK
+    terms = [
+        {"degree": d, "class_function": cf.to_dict()} for d, cf in enumerate(series)
+    ]
+    return [{"n": args.n, "terms": terms}], lines, EXIT_OK
 
 
 def _cmd_points(parser, args):

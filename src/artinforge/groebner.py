@@ -53,6 +53,7 @@ class GroebnerBasis(Value):
     """An order-tagged reduced Groebner basis."""
 
     __slots__ = ("ring", "order", "elements")
+    __hash__ = None  # the elements are polynomials
 
     def __init__(self, ring: PolyRing, order: TermOrder, elements: tuple):
         self._set(ring, order, elements)

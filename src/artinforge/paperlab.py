@@ -32,12 +32,13 @@ machine-checked verdict:
 Checks either pass, fail with a finite witness, or are skipped below the
 claim's minimum n.  A claim is a function of one :class:`Workbench`, which
 builds the ideals, bases, quotients and certificates that the claims at its
-n share, each at most once.  Each entry of ``CLAIMS`` names the certificate
-the claim rests on, if any; ``verify`` reads it first and fails the claim
-with its witness, so no claim function reads a certificate.  No claim
-completes I_n: the J claims rest on a point-count sandwich that certifies
-J_n = in(K_n) and then read the staircase of K_n, and appendix_regularity
-compares a multiplicity with dim R_n/K_n instead of completing Q_n again.
+n share, each at most once; K_{n-1} is read from ``prev``, the workbench of
+n - 1.  Each entry of ``CLAIMS`` names the certificate the claim rests on,
+if any; ``verify`` reads it first and fails the claim with its witness, so
+no claim function reads a certificate.  No claim completes I_n: the J claims
+rest on a point-count sandwich that certifies J_n = in(K_n) and then read
+the staircase of K_n, and appendix_regularity compares a multiplicity with
+dim R_n/K_n instead of completing Q_n again.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .quotient import (
 )
 from .reptheory import (
     ClassFunction,
-    GradedClassFunction,
     act,
     conjugacy_classes,
     half_powerset_character,
@@ -379,6 +379,11 @@ class Workbench:
         self.pair_cap = pair_cap
 
     @cached_property
+    def prev(self) -> "Workbench":
+        """The workbench of n - 1 (n >= 3) with the same pair cap."""
+        return Workbench(self.n - 1, self.pair_cap)
+
+    @cached_property
     def ideal_I(self) -> Ideal:
         return build_ideal("I", self.n)
 
@@ -395,10 +400,6 @@ class Workbench:
         return build_ideal("Q", self.n)
 
     @cached_property
-    def ideal_K_prev(self) -> Ideal:
-        return _k_homogeneous(self.n - 1)
-
-    @cached_property
     def gb_J(self) -> GroebnerBasis:
         """J_n = in(I_n) = in(K_n) once ``sandwich_check`` passes: the
         leading monomials of the reduced basis of K_n, its minimal monomial
@@ -410,10 +411,6 @@ class Workbench:
     @cached_property
     def gb_K(self) -> GroebnerBasis:
         return buchberger(self.ideal_K, GREVLEX, self.pair_cap)
-
-    @cached_property
-    def gb_K_prev(self) -> GroebnerBasis:
-        return buchberger(self.ideal_K_prev, GREVLEX, self.pair_cap)
 
     @cached_property
     def gb_L(self) -> GroebnerBasis:
@@ -502,18 +499,14 @@ class Workbench:
         return None
 
 
-def challenge_series(wb: Workbench) -> GradedClassFunction:
-    """The graded S_n-character of R_n/K_n as a class-function polynomial;
-    K_n's invariance is checked once, under (1 2) and (1 2 ... n)."""
-    n, q = wb.n, wb.quotient_K
-    classes = conjugacy_classes(n)
-    group = symmetric_generators(n, n).values()
-    traces = graded_traces(q, [rep for _, _, rep in classes], group)
-    terms = []
-    for d in range(len(q.basis.by_degree)):
-        values = {lam: t[d] for (lam, _, _), t in zip(classes, traces)}
-        terms.append((d, ClassFunction(n, values)))
-    return GradedClassFunction(n, tuple(terms))
+def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
+    """The graded S_n-character of R_n/K_n: entry d is the class function
+    of degree d.  K_n's invariance is checked once, under (1 2) and
+    (1 2 ... n)."""
+    lams, _, reps = zip(*conjugacy_classes(wb.n))
+    group = symmetric_generators(wb.n, wb.n).values()
+    traces = graded_traces(wb.quotient_K, reps, group)
+    return tuple(ClassFunction(wb.n, zip(lams, level)) for level in zip(*traces))
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +666,10 @@ def _colon_certificate(wb: Workbench, f: Polynomial) -> "str | None":
     f*K lies in L, then L + <f> lies in (L : K), and equal dimensions make
     the two equal.
     """
-    lid, kid = wb.ideal_L, wb.ideal_K_prev
+    lid, kid, gb_k = wb.ideal_L, wb.prev.ideal_K, wb.prev.gb_K
     if not all(ideal_member(f * k, wb.gb_L) for k in kid.gens):
         return f"{lid.ring.fmt(f)} * K_{wb.n - 1} is not inside L"
-    if not all(ideal_member(g, wb.gb_K_prev) for g in lid.gens):
+    if not all(ideal_member(g, gb_k) for g in lid.gens):
         return f"L is not inside K_{wb.n - 1}"
     if len(lid.gens) != lid.ring.nvars:
         return f"L has {len(lid.gens)} generators in {lid.ring.nvars} variables"
@@ -685,7 +678,7 @@ def _colon_certificate(wb: Workbench, f: Polynomial) -> "str | None":
     except NotArtinianError:
         return "R/L is not Artinian"
     target = buchberger(Ideal(lid.ring, lid.gens + (f,)), GREVLEX, wb.pair_cap)
-    dim_k = len(standard_monomials(wb.gb_K_prev))
+    dim_k = len(standard_monomials(gb_k))
     if len(standard_monomials(target)) != dim_l - dim_k:
         return f"(L : K) differs from L + <{lid.ring.fmt(f)}>"
     return None
@@ -723,7 +716,7 @@ def _claim_appendix_regularity(wb: Workbench):
 
 
 def _claim_appendix_krull(wb: Workbench):
-    gbs = (wb.gb_L, wb.gb_K_prev, wb.gb_Q)
+    gbs = (wb.gb_L, wb.prev.gb_K, wb.gb_Q)
     dims = tuple(krull_dim_monomial(gb) for gb in gbs)
     if dims != (0, 0, 1):
         return False, f"Krull dimensions of in(L), in(K), in(Q) are {dims}"
@@ -732,9 +725,10 @@ def _claim_appendix_krull(wb: Workbench):
 
 def _claim_challenge(wb: Workbench):
     series = challenge_series(wb)
-    if series.at_t1() != xn_character(wb.n):
+    if sum(series[1:], series[0]) != xn_character(wb.n):
         return False, "t = 1 does not recover the point-set character"
-    if series.identity_vector() != hilbert_series(wb.quotient_K.basis):
+    identity = (1,) * wb.n
+    if [cf(identity) for cf in series] != hilbert_series(wb.quotient_K.basis):
         return False, "identity class does not recover the Hilbert series"
     return True, None
 

@@ -115,14 +115,14 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
 
 class Value:
     """The base of the immutable value classes (``TermOrder``, ``PolyRing``,
-    ``Ideal``, ``GroebnerBasis``, ``ClassFunction``, ``GradedClassFunction``,
-    ``SymbolicPoint``, ``VerificationReport``).
+    ``Ideal``, ``GroebnerBasis``, ``ClassFunction``, ``SymbolicPoint``,
+    ``VerificationReport``).
 
     A subclass lists its fields as ``__slots__`` and its ``__init__`` sets
     them once, in that order, through ``_set``; after that no field can be
     set or deleted.  Two values of one class are equal when their fields
-    are, the hash is that of the fields, copy and pickle rebuild a value by
-    passing its fields to ``__init__``, and the repr names each field.
+    are, hashable ones hash by their fields, copy and pickle rebuild a value
+    by passing its fields to ``__init__``, and the repr names each field.
     """
 
     __slots__ = ()
@@ -638,6 +638,7 @@ class Ideal(Value):
     """
 
     __slots__ = ("ring", "gens")
+    __hash__ = None  # the generators are polynomials
 
     def __init__(self, ring: PolyRing, gens: tuple[Polynomial, ...]):
         gens = tuple(g for g in gens if g)

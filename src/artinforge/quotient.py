@@ -126,20 +126,19 @@ def socle_dimension(q: QuotientAlgebra) -> tuple[int, bool]:
     return dim, dim == 1
 
 
-def graded_traces(q: QuotientAlgebra, perms, group=None) -> list:
+def graded_traces(q: QuotientAlgebra, perms, group) -> list:
     """For each of ``perms`` (image tuples), the trace, degree by degree, of
     the linear map induced on R/I by the permutation x_i -> x_perm[i].
 
     The defining ideal must be invariant under every permutation of
-    ``group`` (default: ``perms`` themselves), given as generators of a
-    group that contains ``perms``; it is checked once per generator by
-    reducing the image of every Groebner basis element.  Permuting variables
-    preserves degree, so each map is block diagonal over the degree levels.
+    ``group``, given as generators of a group that contains ``perms``; it is
+    checked once per generator by reducing the image of every Groebner basis
+    element.  Permuting variables preserves degree, so each map is block
+    diagonal over the degree levels.
     """
     nv = q.ring.nvars
     moves = [act(perm, nv) for perm in perms]
-    checks = moves if group is None else [act(p, nv) for p in group]
-    for move in checks:
+    for move in (act(p, nv) for p in group):
         for g in q.gb.elements:
             if q.combine((move(m), c) for m, c in g.terms.items()):
                 raise EquivarianceError(
@@ -154,8 +153,8 @@ def graded_traces(q: QuotientAlgebra, perms, group=None) -> list:
 
 def equivariant_graded_trace(q: QuotientAlgebra, perm) -> list:
     """The graded trace of one permutation, given as its image tuple; see
-    :func:`graded_traces`."""
-    return graded_traces(q, (perm,))[0]
+    :func:`graded_traces`, with the ideal checked under ``perm`` itself."""
+    return graded_traces(q, (perm,), (perm,))[0]
 
 
 # ---------------------------------------------------------------------------

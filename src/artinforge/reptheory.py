@@ -167,36 +167,6 @@ class ClassFunction(Value):
         return f"ClassFunction(S{self.n}; {body})"
 
 
-class GradedClassFunction(Value):
-    """A polynomial in t whose coefficients are class functions on S_n."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: tuple[tuple[int, ClassFunction], ...]):
-        for _, cf in terms:
-            if cf.n != n:
-                raise ValueError("graded class function mixes symmetric groups")
-        self._set(n, tuple(sorted(terms, key=lambda t: t[0])))
-
-    def at_t1(self) -> ClassFunction:
-        out = ClassFunction.from_function(self.n, lambda lam: 0)
-        for _, cf in self.terms:
-            out = out + cf
-        return out
-
-    def identity_vector(self) -> list:
-        ones = (1,) * self.n
-        return [cf.values[ones] for _, cf in self.terms]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"degree": d, "class_function": cf.to_dict()} for d, cf in self.terms
-            ],
-        }
-
-
 # ---------------------------------------------------------------------------
 # permutation characters
 

@@ -1,3 +1,4 @@
+import collections.abc
 import copy
 import pickle
 import random
@@ -44,7 +45,6 @@ from artinforge.errors import EquivarianceError, ResourceLimitError
 from artinforge.groebner import standard_monomials
 from artinforge.reptheory import (
     ClassFunction,
-    GradedClassFunction,
     act,
     conjugacy_classes,
     partitions,
@@ -324,10 +324,6 @@ VALUES = {
         lambda: subset_character(3, 1),
         "ClassFunction(S3; (1, 1, 1): 3, (2, 1): 1, (3,): 0)",
     ),
-    GradedClassFunction: (
-        lambda: challenge_series(Workbench(2)),
-        "GradedClassFunction(n=2, terms=((0, ClassFunction(S2; (1, 1): 1, (2,): 1)),))",
-    ),
     paperlab.VerificationReport: (
         lambda: paperlab.VerificationReport("thm3", 4, "fail", "a witness", 7),
         "VerificationReport(claim='thm3', n=4, status='fail', witness='a witness', "
@@ -353,6 +349,15 @@ def test_value_classes_are_immutable_and_copy_by_their_fields(cls):
     twin = copy.deepcopy(value)
     assert twin == value and twin is not value
     assert pickle.loads(pickle.dumps(value)) == value
+    # a value that claims to be hashable hashes, and its copy hashes equal;
+    # one whose fields hold polynomials or dicts claims no hash
+    try:
+        digest = hash(value)
+    except TypeError:
+        digest = None
+    assert isinstance(value, collections.abc.Hashable) is (digest is not None)
+    if digest is not None:
+        assert hash(twin) == digest
 
 
 def test_a_point_built_from_a_sign_list_equals_the_tuple_point():
@@ -687,6 +692,26 @@ def test_an_unset_pair_cap_is_buchbergers_default(monkeypatch):
     assert Workbench(3, 10**6).gb_K.elements
 
 
+def test_prev_is_the_workbench_of_n_minus_one_built_once():
+    wb = Workbench(5, 10**5)
+    prev = wb.prev
+    assert wb.prev is prev and type(prev) is Workbench
+    assert (prev.n, prev.pair_cap) == (4, 10**5)
+    assert prev.ideal_K == Workbench(4).ideal_K
+    assert Workbench(5).prev.pair_cap is None
+    # the pair cap reaches the completion of K_{n-1}
+    with pytest.raises(ResourceLimitError, match="cap of 1 pairs"):
+        Workbench(4, 1).prev.gb_K
+
+
+def test_prev_of_the_least_n_is_out_of_range():
+    with pytest.raises(ValueError, match="n=1 outside the supported range 2..8"):
+        Workbench(2).prev
+    # no claim at n = 2 reads K_1
+    assert verify("appendix_colon", 2).status == "skipped"
+    assert verify("appendix_krull", 2).status == "skipped"
+
+
 def test_claims_on_one_workbench_share_one_basis_of_K(monkeypatch):
     wb = Workbench(5)
     inputs = []
@@ -778,11 +803,9 @@ def test_every_claim_passes_for_small_n():
 
 def test_challenge_series_n3_exact():
     series = challenge_series(Workbench(3))
-    values = {
-        d: [cf(lam) for lam in partitions(3)] for d, cf in series.terms
-    }
-    assert values == {0: [1, 1, 1], 1: [3, 1, 0], 2: [1, 1, 1]}
-    assert series.at_t1() == xn_character(3)
+    values = [[cf(lam) for lam in partitions(3)] for cf in series]
+    assert values == [[1, 1, 1], [3, 1, 0], [1, 1, 1]]
+    assert series[0] + series[1] + series[2] == xn_character(3)
 
 
 def test_report_json_shape():
@@ -827,7 +850,7 @@ def test_not_gorenstein_J_staircase_socle_matches_the_rank(monkeypatch):
 def reference_colon_target(wb: Workbench, f: Polynomial) -> bool:
     """(L : K) = L + <f>, by the colon and a completion of the target."""
     lid = wb.ideal_L
-    colon = groebner.colon_ideal(wb.gb_L, wb.ideal_K_prev, wb.pair_cap)
+    colon = groebner.colon_ideal(wb.gb_L, wb.prev.ideal_K, wb.pair_cap)
     target = Ideal(lid.ring, lid.gens + (f,))
     return colon.elements == buchberger(target, GREVLEX, wb.pair_cap).elements
 
@@ -894,10 +917,10 @@ def test_appendix_colon_needs_every_colon_generator_in_degree_two(monkeypatch):
 def test_colon_certificate_needs_L_inside_K():
     # without x1^2 - x3^2, K_3 no longer contains that generator of L
     wb = Workbench(4)
-    k = wb.ideal_K_prev
+    k = wb.prev.ideal_K
     dropped = k.ring.poly("x1^2 - x3^2")
-    wb.ideal_K_prev = Ideal(k.ring, tuple(g for g in k.gens if g != dropped))
-    wb.gb_K_prev = buchberger(wb.ideal_K_prev)
+    wb.prev.ideal_K = Ideal(k.ring, tuple(g for g in k.gens if g != dropped))
+    wb.prev.gb_K = buchberger(wb.prev.ideal_K)
     witness = paperlab._colon_certificate(wb, k.ring.poly("x3^2"))
     assert witness == "L is not inside K_3"
 
@@ -1187,11 +1210,10 @@ def test_challenge_equals_the_per_class_traces(n):
     traces = {
         lam: equivariant_graded_trace(q, rep) for lam, _, rep in conjugacy_classes(n)
     }
-    terms = tuple(
-        (d, ClassFunction(n, {lam: t[d] for lam, t in traces.items()}))
-        for d in range(len(q.basis.by_degree))
-    )
-    assert challenge_series(wb) == GradedClassFunction(n, terms)
+    series = challenge_series(wb)
+    assert type(series) is tuple and len(series) == len(q.basis.by_degree)
+    for d, cf in enumerate(series):
+        assert cf == ClassFunction(n, {lam: t[d] for lam, t in traces.items()}), d
 
 
 def test_challenge_rejects_a_K_that_S_n_does_not_fix():

@@ -296,10 +296,10 @@ def test_graded_traces_check_the_group_once_and_trace_each_permutation():
     reps = [rep for _, _, rep in conjugacy_classes(4)]
     group = [(1, 0, 2, 3), (1, 2, 3, 0)]
     expected = [equivariant_graded_trace(q, rep) for rep in reps]
-    assert graded_traces(q, reps, group) == graded_traces(q, reps) == expected
+    assert graded_traces(q, reps, group) == graded_traces(q, reps, reps) == expected
     # R/J_3 is invariant under the identity but not under x1 <-> x3
     q = quotient_J(3)
-    assert graded_traces(q, [(0, 1, 2)]) == [[1, 3, 1]]
+    assert graded_traces(q, [(0, 1, 2)], [(0, 1, 2)]) == [[1, 3, 1]]
     with pytest.raises(EquivarianceError):
         graded_traces(q, [(0, 1, 2)], [(1, 0, 2), (2, 1, 0)])
     with pytest.raises(ValueError, match="not a permutation of 3 letters"):

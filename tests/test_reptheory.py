@@ -10,7 +10,6 @@ from artinforge.paperlab import build_ideal
 from artinforge.polyarith import _norm_coeff, monomials_of_degree, xring
 from artinforge.reptheory import (
     ClassFunction,
-    GradedClassFunction,
     act,
     class_size,
     conjugacy_classes,
@@ -339,14 +338,3 @@ def test_classfunction_json_roundtrip():
     cf = Fraction(1, 3) * subset_character(4, 2)
     data = json.loads(json.dumps(cf.to_dict()))
     assert class_function_from_dict(data) == cf
-
-
-def test_graded_classfunction():
-    terms = tuple(
-        (d, subset_character(3, d)) for d in range(3)
-    )
-    g = GradedClassFunction(3, terms)
-    assert g.identity_vector() == [1, 3, 3]
-    assert g.at_t1() == subset_character(3, 0) + subset_character(3, 1) + subset_character(3, 2)
-    with pytest.raises(ValueError):
-        GradedClassFunction(3, ((0, trivial_character(2)),))
