@@ -33,7 +33,6 @@ from .paperlab import (
     cyclotomic_poly,
     enumerate_points,
     expected_codimension,
-    points_certificate,
     verify,
     verify_points_satisfy_ideal,
 )

@@ -204,7 +204,7 @@ def _cmd_socle(parser, args):
         dim = len(wb.socle_J)
         gorenstein = dim == 1
     else:
-        dim, gorenstein = wb.socle_K
+        dim, gorenstein = quotient.socle_dimension(wb.quotient_K)
     record = {
         "gorenstein": gorenstein,
         "ideal": args.ideal,

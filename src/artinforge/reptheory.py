@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 from operator import itemgetter
+from types import MappingProxyType
 
 from .polyarith import Value, _norm_coeff
 
@@ -109,17 +109,20 @@ def permutes(image: tuple[int, ...], polys) -> bool:
 # class functions
 
 class ClassFunction(Value):
-    """A rational-valued function on the partitions of n."""
+    """A rational-valued function on the partitions of n, read-only."""
 
     __slots__ = ("n", "values")
-    __hash__ = None  # the values are a dict
+    __hash__ = None  # the values are a mapping
 
     def __init__(self, n: int, values):
         expected = partitions(n)
         vals = dict(values)
         if set(vals) != set(expected):
             raise ValueError("class function must be defined on all cycle types")
-        self._set(n, {lam: _norm_coeff(vals[lam]) for lam in expected})
+        self._set(n, MappingProxyType({p: _norm_coeff(vals[p]) for p in expected}))
+
+    def __reduce__(self):  # a mappingproxy neither pickles nor copies
+        return ClassFunction, (self.n, dict(self.values))
 
     @classmethod
     def from_function(cls, n: int, fn) -> "ClassFunction":
@@ -206,15 +209,7 @@ def half_powerset_character(n: int) -> ClassFunction:
     """
     if n % 2 == 0:
         raise ValueError("half powerset character requires odd n")
-
-    def value(lam: Partition) -> int:
-        total = 0
-        for pick in product((0, 1), repeat=len(lam)):
-            if sum(l for l, p in zip(lam, pick) if p) % 2 == 0:
-                total += 1
-        return total
-
-    return ClassFunction.from_function(n, value)
+    return ClassFunction.from_function(n, lambda lam: 2 ** (len(lam) - 1))
 
 
 def xn_character(n: int) -> ClassFunction:

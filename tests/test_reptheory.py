@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -218,6 +220,45 @@ def test_half_powerset_matches_enumeration():
 def test_half_powerset_rejects_even_n():
     with pytest.raises(ValueError):
         half_powerset_character(4)
+
+
+# The earlier construction, kept verbatim as the enumeration oracle for the
+# closed form: per cycle type, count the picks of cycles whose lengths add
+# up to an even size.
+def reference_half_powerset_character(n: int) -> ClassFunction:
+    if n % 2 == 0:
+        raise ValueError("half powerset character requires odd n")
+
+    def value(lam) -> int:
+        total = 0
+        for pick in product((0, 1), repeat=len(lam)):
+            if sum(l for l, p in zip(lam, pick) if p) % 2 == 0:
+                total += 1
+        return total
+
+    return ClassFunction.from_function(n, value)
+
+
+def test_half_powerset_matches_the_enumeration_and_the_even_subsets():
+    for n in range(1, 12, 2):
+        cf = half_powerset_character(n)
+        assert cf == reference_half_powerset_character(n)
+        evens = (subset_character(n, k) for k in range(2, n + 1, 2))
+        assert cf == sum(evens, subset_character(n, 0))
+
+
+def test_class_function_values_are_read_only():
+    cf = subset_character(3, 1)
+    with pytest.raises(TypeError):
+        cf.values[(3,)] = 5
+    with pytest.raises(TypeError):
+        del cf.values[(3,)]
+    assert cf((3,)) == 0
+    # copy and pickle rebuild the value from a plain dict
+    for twin in (copy.copy(cf), copy.deepcopy(cf), pickle.loads(pickle.dumps(cf))):
+        assert twin == cf
+        with pytest.raises(TypeError):
+            twin.values[(3,)] = 5
 
 
 # ---------------------------------------------------------------------------

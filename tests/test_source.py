@@ -101,3 +101,78 @@ def test_the_check_sees_a_private_import():
         "def f():\n    from .g import _h\n"
     )
     assert _private_imports(tree, "m") == {("m", "a", "_b"), ("m", "g", "_h")}
+
+
+def _reads(tree: ast.Module, module: str) -> set:
+    """(module, name) of each top-level definition of the package that a
+    line of ``tree`` (the source of ``module``) reads by name, imports, or
+    reaches as an attribute of a package module it imports, outside the
+    body of that definition itself."""
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+        for alias in node.names
+    }
+    own = _definitions(tree)
+    inside = {id(part): name for name, node in own.items() for part in ast.walk(node)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in own:
+            if inside.get(id(node)) != node.id:  # a recursive call is no reader
+                reads.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                reads.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reads |= {(node.module, alias.name) for alias in node.names}
+    return reads
+
+
+def _definitions(tree: ast.Module) -> dict:
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node for node in tree.body if isinstance(node, defs)}
+
+
+def _unreferenced(sources: dict) -> set:
+    """(module, name) of each top-level function or class that no other
+    line of ``sources`` (module stem -> source text) reads and that
+    ``__init__`` does not export."""
+    defined, reads = set(), set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defined |= {(module, name) for name in _definitions(tree)}
+        reads |= _reads(tree, module)
+    return defined - reads
+
+
+def test_every_top_level_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced(sources) == set()
+
+
+def test_the_check_sees_a_definition_nothing_reads():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": (
+            "def exported():\n    return 1\n\n"
+            "def used():\n    return 2\n\n"
+            "def reached():\n    return 3\n\n"
+            "def recursive(k):\n    return recursive(k - 1) if k else used()\n\n"
+            "def dead():\n    pass\n\n"
+            "class Dead:\n    pass\n"
+        ),
+        # an attribute counts only on a package module: obj.dead and x.read
+        # read neither a.dead nor b.read
+        "b": (
+            "from . import a\nfrom .a import used\nimport x\n\n"
+            "x.read\nobj.dead()\na.reached()\n\n"
+            "def read():\n    pass\n"
+        ),
+    }
+    assert _unreferenced(sources) == {
+        ("a", "recursive"),
+        ("a", "dead"),
+        ("a", "Dead"),
+        ("b", "read"),
+    }
