@@ -19,7 +19,7 @@ machine-checked verdict:
     thm3               graded S_{n-1}-character of R_n/J_n
     prop4_generators   closed-form generators of K_n; J_n and K_n share the
                        Hilbert series
-    thmG               R_n/K_n is Gorenstein (socle dimension one)
+    thmG               R_n/K_n is Gorenstein, as K_n = Ann(g_n)
     inverse_system     Ann(g_n) = K_n under apolarity contraction
     not_gorenstein_J   R_n/J_n has socle dimension > 1
     appendix_colon     (L : K) = L + <x^2 of the last variable>, and no
@@ -77,7 +77,7 @@ from .quotient import (
     equivariant_graded_trace,  # noqa: F401  bench/tracing.py wraps this binding
     graded_traces,
     hilbert_series,
-    socle_dimension,
+    socle_dimension,  # noqa: F401  unused here; bench/tracing.py wraps this binding
 )
 from .reptheory import (
     ClassFunction,
@@ -289,13 +289,13 @@ def build_ideal(which: str, n: int):
     """Construct one of the named objects of the family from the closed-form
     pieces above, each generator list in a fixed order.
 
-    ``I`` needs n >= 2, the rest need n >= 3.  ``L`` lives in n-1 variables
-    and ``Q`` in n+1 (x1..xn plus z), matching their definitions; ``g_dual``
-    returns a dual polynomial rather than an ideal.
+    ``I`` and ``g_dual`` need n >= 2, the rest n >= 3; ``L`` lives in n-1
+    variables, ``Q`` in n+1 (x1..xn, z), and ``g_dual`` is a dual polynomial.
     """
+    least = 2 if which in ("I", "g_dual") else 3
+    if n < least:
+        raise ValueError(f"{which} is defined for n >= {least}")
     if which == "I":
-        if n < 2:
-            raise ValueError("I is defined for n >= 2")
         ring = xring(n)
         if n == 2:
             return Ideal(ring, (ring.var("x1"), ring.var("x2")))
@@ -304,8 +304,6 @@ def build_ideal(which: str, n: int):
             for i, p in enumerate(_omitted_products(n))
         ]
         return Ideal(ring, tuple(gens))
-    if n < 3:
-        raise ValueError(f"{which} is defined for n >= 3")
     if which == "J_expected":
         monos = [_power(n, i, 2) for i in range(n - 1)]
         monos.append(_omitted_products(n)[-1])
@@ -410,11 +408,31 @@ class Workbench:
         return QuotientAlgebra(self.gb_K)
 
     @cached_property
-    def socle_check(self) -> "str | None":
-        """None when R_n/K_n has a one-dimensional socle (is Gorenstein),
-        else the witness ``socle dimension d``."""
-        dim, gorenstein = socle_dimension(self.quotient_K)
-        return None if gorenstein else f"socle dimension {dim}"
+    def duality_check(self) -> "str | None":
+        """None when K_n = Ann(g_n) is certified, else a witness; then R_n/K_n
+        is Gorenstein (Macaulay duality; Iarrobino and Kanev, LNM 1721).
+
+        g_n is the sum of the C(2n-3, n-1) squares y^(2a), |a| = n-2, each
+        with coefficient 1, so entry (b, c) of its degree-d catalecticant is 1
+        when b = c (mod 2), else 0: all-ones blocks, one per parity class e
+        with |e| <= min(d, 2n-4-d) and |e| = d (mod 2).  Its rank
+        dim R_d/Ann(g_n)_d counts those classes: by Pascal's rule, entry d of
+        ``bernoulli(n)``.  K_n lies in Ann(g_n) if its generators annihilate
+        g_n, and equals it if R_n/K_n has the same Hilbert series.
+        """
+        n, kid, g = self.n, self.ideal_K, build_ideal("g_dual", self.n)
+        if len(g.terms) != comb(2 * n - 3, n - 1) or any(
+            c != 1 or sum(m) != 2 * n - 4 or any(e % 2 for e in m)
+            for m, c in g.terms.items()
+        ):
+            return "g_n is not the sum of the squares y^(2a) with |a| = n - 2"
+        for k in kid.gens:
+            if contract(k, g):
+                return f"{kid.ring.fmt(k)} does not annihilate g_n"
+        series, ranks = hilbert_series(self.quotient_K.basis), bernoulli(n)
+        if series != ranks:
+            return f"Hilbert series {series} != catalecticant ranks {ranks}"
+        return None
 
     @cached_property
     def socle_J(self) -> tuple[Monomial, ...]:
@@ -612,24 +630,6 @@ def _claim_thmG(wb: Workbench):
     return True, f"socle dimension 1; embedding dimension {wb.n}"
 
 
-def _claim_inverse_system(wb: Workbench):
-    # Macaulay duality: let K lie in Ann(g), R/K have a one-dimensional socle
-    # (socle_check) and its Hilbert series end in degree deg g.  A form f in
-    # Ann(g) but not in K generates a nonzero ideal of R/K, which contains the
-    # socle, i.e. all of degree deg g; so R_{deg g} annihilates g, and as the
-    # contraction pairing in one degree is perfect, g = 0.  Hence Ann(g) = K.
-    g, top, kid = build_ideal("g_dual", wb.n), 2 * wb.n - 4, wb.ideal_K
-    if not g or not g.is_homogeneous() or g.total_degree() != top:
-        return False, f"g_n is not a nonzero form of degree {top}"
-    for k in kid.gens:
-        if contract(k, g):
-            return False, f"{kid.ring.fmt(k)} does not annihilate g_n"
-    last = len(wb.quotient_K.basis.by_degree) - 1
-    if last != top:
-        return False, f"the Hilbert series of R/K_n ends in degree {last}"
-    return True, None
-
-
 def _claim_not_gorenstein_J(wb: Workbench):
     socle_monos = wb.socle_J
     dim = len(socle_monos)
@@ -721,7 +721,7 @@ def _claim_challenge(wb: Workbench):
 # rests on or None, the claim function).  prop2_codim (dim R/I_n = c_n, with
 # c_n distinct points of V(I_n): I_n is reduced), prop4_generators
 # (top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and R/J_n share the Hilbert
-# series) and appendix_unprojection are exactly their certificates.
+# series), inverse_system and appendix_unprojection are their certificates.
 CLAIMS: dict[str, tuple] = {
     "prop2_codim": (2, "sandwich_check", _certified),
     "thm1": (2, None, _claim_thm1),
@@ -730,8 +730,8 @@ CLAIMS: dict[str, tuple] = {
     "thm2": (2, "sandwich_check", _claim_thm2),
     "thm3": (2, "sandwich_check", _claim_thm3),
     "prop4_generators": (3, "sandwich_check", _certified),
-    "thmG": (2, "socle_check", _claim_thmG),
-    "inverse_system": (3, "socle_check", _claim_inverse_system),
+    "thmG": (2, "duality_check", _claim_thmG),
+    "inverse_system": (3, "duality_check", _certified),
     "not_gorenstein_J": (3, "sandwich_check", _claim_not_gorenstein_J),
     "appendix_colon": (3, None, _claim_appendix_colon),
     "appendix_unprojection": (3, "unprojection_check", _certified),

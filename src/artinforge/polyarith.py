@@ -19,6 +19,7 @@ import re
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement
+from operator import le, sub
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError
@@ -56,12 +57,12 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when ``a`` divides ``b`` exponentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Quotient a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -171,13 +171,9 @@ def contract(f: Polynomial, g: Polynomial) -> Polynomial:
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
             if mono_divides(a, b):
-                m = tuple(x - y for x, y in zip(b, a))
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return Polynomial(f.nvars, out)
+                m = mono_div(b, a)
+                out[m] = out.get(m, 0) + ca * cb
+    return Polynomial(f.nvars, out)  # drops the terms that cancelled
 
 
 def annihilator(g: Polynomial, pair_cap: "int | None" = None) -> GroebnerBasis:

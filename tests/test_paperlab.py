@@ -4,12 +4,12 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from artinforge import groebner, paperlab, quotient
+from artinforge import groebner, linalg, paperlab, quotient
 from artinforge.groebner import buchberger
 from artinforge.paperlab import (
     CLAIMS,
@@ -88,6 +88,7 @@ def test_build_K_expected_3():
 
 
 def test_build_g_dual_verbatim():
+    assert build_ideal("g_dual", 2) == Polynomial.constant(2, 1)
     y3 = yring(3)
     assert build_ideal("g_dual", 3) == y3.poly("y1^2 + y2^2 + y3^2")
     y4 = yring(4)
@@ -153,6 +154,13 @@ def reference_build_ideal(which: str, n: int):
                 Polynomial(n, {prod_mono: 1, xi: -1})
             )
         return Ideal(ring, tuple(gens))
+    if which == "g_dual":
+        if n < 2:
+            raise ValueError("g_dual is defined for n >= 2")
+        terms = {}
+        for mono in monomials_of_degree(n, n - 2):
+            terms[tuple(2 * e for e in mono)] = 1
+        return Polynomial(n, terms)
     if n < 3:
         raise ValueError(f"{which} is defined for n >= 3")
     if which == "J_expected":
@@ -189,11 +197,6 @@ def reference_build_ideal(which: str, n: int):
         xm_sq = tuple((2 if j == m - 1 else 0) for j in range(nv))
         gens.append(Polynomial(nv, {xn_z: 1, xm_sq: -1}))
         return Ideal(ring, tuple(gens))
-    if which == "g_dual":
-        terms = {}
-        for mono in monomials_of_degree(n, n - 2):
-            terms[tuple(2 * e for e in mono)] = 1
-        return Polynomial(n, terms)
     raise ValueError(f"unknown ideal name {which!r}")
 
 
@@ -247,7 +250,7 @@ BUILT_NAMES = ("I", "J_expected", "K_expected", "L", "Q", "g_dual")
 @pytest.mark.parametrize("n", range(2, 10))
 def test_builders_match_the_reference_in_order(n):
     for which in BUILT_NAMES:
-        if n < 3 and which != "I":
+        if n < 3 and which not in ("I", "g_dual"):
             continue
         got, ref = build_ideal(which, n), reference_build_ideal(which, n)
         assert got == ref
@@ -259,7 +262,7 @@ def test_builders_match_the_reference_in_order(n):
 @pytest.mark.parametrize("n", range(-1, 3))
 def test_builders_raise_the_reference_range_errors(n):
     for which in BUILT_NAMES + ("nonsense",):
-        if n == 2 and which == "I":
+        if n == 2 and which in ("I", "g_dual"):
             continue
         with pytest.raises(ValueError) as ref:
             reference_build_ideal(which, n)
@@ -751,24 +754,24 @@ def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
     assert len(set(inputs)) == len(inputs)
 
 
-def test_thmG_and_inverse_system_share_one_socle(monkeypatch):
+def test_thmG_and_inverse_system_share_one_duality_computation(monkeypatch):
     wb = Workbench(5)
     calls = []
-    real = paperlab.socle_dimension
-    monkeypatch.setattr(
-        paperlab, "socle_dimension", lambda q: calls.append(q) or real(q)
-    )
+    real = paperlab.contract
+    monkeypatch.setattr(paperlab, "contract", lambda f, g: calls.append(f) or real(f, g))
     for claim in ("thmG", "inverse_system", "thmG"):
         assert verify(claim, 5, wb).status == "pass"
-    assert calls == [wb.quotient_K] and wb.socle_check is None
+    # one contraction per generator of K_5, 2n - 1 in all
+    assert calls == list(wb.ideal_K.gens) and len(calls) == 9
+    assert wb.duality_check is None
 
 
-def test_a_socle_witness_fails_thmG_and_inverse_system():
+def test_a_duality_witness_fails_thmG_and_inverse_system():
     wb = Workbench(4)
-    wb.socle_check = "socle dimension 2"
+    wb.duality_check = "x1^2 does not annihilate g_n"
     for claim in ("thmG", "inverse_system"):
         report = verify(claim, 4, wb)
-        assert (report.status, report.witness) == ("fail", "socle dimension 2")
+        assert (report.status, report.witness) == ("fail", wb.duality_check)
 
 
 def test_no_claim_computes_a_colon_or_an_annihilator(monkeypatch):
@@ -786,6 +789,18 @@ def test_no_claim_computes_a_colon_or_an_annihilator(monkeypatch):
     wb = Workbench(5)
     for claim in CLAIMS:
         assert verify(claim, 5, wb).status == "pass", claim
+
+
+def test_no_claim_computes_a_socle_rank(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a claim computed a socle rank")
+
+    monkeypatch.setattr(quotient, "socle_dimension", forbidden)
+    monkeypatch.setattr(paperlab, "socle_dimension", forbidden)
+    for n in range(2, 9):
+        wb = Workbench(n)
+        for claim in CLAIMS:
+            assert verify(claim, n, wb).status in ("pass", "skipped"), (claim, n)
 
 
 def test_verify_skips_below_minimum():
@@ -943,39 +958,70 @@ def test_inverse_system_agrees_with_the_annihilator_reference(n):
     assert _status("inverse_system", wb) is reference_inverse_system(wb, g) is True
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_thmG_agrees_with_the_socle_reference(n):
+    wb = Workbench(n)
+    assert _status("thmG", wb) and quotient.socle_dimension(wb.quotient_K) == (1, True)
+
+
+def reference_catalecticant_ranks(g: Polynomial) -> list[int]:
+    """The rank of g's catalecticant in each degree d: entry (b, c), with
+    deg b = d, is the coefficient of y^(b+c) in g."""
+    rows = [{} for _ in range(g.total_degree() + 1)]
+    for s, coeff in g.terms.items():
+        for b in product(*(range(e + 1) for e in s)):
+            c = tuple(x - y for x, y in zip(s, b))
+            rows[sum(b)].setdefault(b, {})[c] = coeff
+    return [linalg.rank(list(level.values())) for level in rows]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_census_of_g_is_its_catalecticant_ranks(n):
+    # the ranks duality_check reads off g_n's squares, against linalg.rank
+    assert reference_catalecticant_ranks(build_ideal("g_dual", n)) == bernoulli(n)
+
+
+SQUARES_WITNESS = "g_n is not the sum of the squares y^(2a) with |a| = n - 2"
+
+
+def _with_g(monkeypatch, g: Polynomial) -> None:
+    real = paperlab.build_ideal
+    monkeypatch.setattr(
+        paperlab, "build_ideal", lambda w, k: g if w == "g_dual" else real(w, k)
+    )
+
+
 @pytest.mark.parametrize("n", range(3, 6))
 def test_inverse_system_fails_for_g_with_one_term_dropped(n, monkeypatch):
     wb = Workbench(n)
     g = build_ideal("g_dual", n)
     for drop in sorted(g.terms)[:: max(1, len(g.terms) // 4)]:
         short = Polynomial(n, {m: c for m, c in g.terms.items() if m != drop})
-        real = paperlab.build_ideal
-        monkeypatch.setattr(
-            paperlab, "build_ideal", lambda w, k: short if w == "g_dual" else real(w, k)
-        )
-        report = verify("inverse_system", n, wb)
+        _with_g(monkeypatch, short)
+        report = verify("inverse_system", n, Workbench(n))
         monkeypatch.undo()
-        assert report.status == "fail" and "does not annihilate g_n" in report.witness
+        assert (report.status, report.witness) == ("fail", SQUARES_WITNESS)
         assert not reference_inverse_system(wb, short)
 
 
-def test_inverse_system_checks_every_step_of_its_certificate(monkeypatch):
-    wb = Workbench(4)
+def test_the_duality_certificate_fails_each_check_with_its_witness(monkeypatch):
     g = build_ideal("g_dual", 4)
-    real = paperlab.build_ideal
-    monkeypatch.setattr(
-        paperlab, "build_ideal", lambda w, k: g * g if w == "g_dual" else real(w, k)
-    )
-    assert verify("inverse_system", 4, wb).witness == "g_n is not a nonzero form of degree 4"
-    monkeypatch.undo()
-    wb.socle_check = "socle dimension 2"
-    assert verify("inverse_system", 4, wb).witness == "socle dimension 2"
+    # y1^4 with coefficient 2, or swapped for a non-square or a lower square
+    for swap, coeff in (((4, 0, 0, 0), 2), ((3, 1, 0, 0), 1), ((2, 0, 0, 0), 1)):
+        terms = {m: c for m, c in g.terms.items() if m != (4, 0, 0, 0)}
+        _with_g(monkeypatch, Polynomial(4, {**terms, swap: coeff}))
+        for claim in ("thmG", "inverse_system"):
+            assert verify(claim, 4, Workbench(4)).witness == SQUARES_WITNESS
+        monkeypatch.undo()
+    wb = Workbench(4)
+    ring = wb.ideal_K.ring
+    wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1^2"),))
+    assert verify("thmG", 4, wb).witness == "x1^2 does not annihilate g_n"
     # a staircase that ends one degree above deg g_4
     wb = Workbench(4)
-    assert wb.socle_check is None
     wb.quotient_K.basis.by_degree += ((),)
     witness = verify("inverse_system", 4, wb).witness
-    assert witness == "the Hilbert series of R/K_n ends in degree 5"
+    assert witness == "Hilbert series [1, 4, 7, 4, 1, 0] != catalecticant ranks [1, 4, 7, 4, 1]"
 
 
 @pytest.mark.parametrize("n", range(3, 9))

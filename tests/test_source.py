@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "artinforge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "artinforge"
 
 # imports that no code of their module reads: bench/tracing.py wraps these
 # bindings (each marked `noqa: F401` in the source), until the package times
@@ -12,6 +13,7 @@ BENCH_WRAPPED = {
     ("paperlab", "colon_ideal"),
     ("paperlab", "annihilator"),
     ("paperlab", "equivariant_graded_trace"),
+    ("paperlab", "socle_dimension"),
     ("quotient", "ideal_member"),
 }
 
@@ -77,6 +79,19 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(), str(path))
         unused |= {(path.stem, name) for name in _unused_imports(tree)}
     assert unused == BENCH_WRAPPED
+
+
+def test_every_bench_wrapped_name_is_an_entry_point_of_the_bench():
+    # once bench/tracing.py stops wrapping a name, its import must go
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    entry_points = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "ENTRY_POINTS"
+    )
+    wrapped = {attribute for _, attribute, _ in entry_points}
+    assert {name for _, name in BENCH_WRAPPED} <= wrapped
 
 
 def test_the_check_sees_an_unused_import():
