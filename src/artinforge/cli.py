@@ -6,12 +6,14 @@ code without printing; :func:`run` checks ``--n`` once for every command and
 prints either one JSON object per record (``--format json``) or the lines.
 All numeric output is exact (integers or rational strings) and
 byte-identical across runs: ``verify`` runs the claims one n at a time on
-one :class:`paperlab.Workbench` per n and emits the reports sorted by claim
-and n, then a pass/fail/skipped summary on stderr.
+one :class:`paperlab.Workbench` per n, which it hands on as the ``prev`` of
+the next n, and emits the reports sorted by claim and n, then a
+pass/fail/skipped summary on stderr.
 
 Exit codes: 0 all selected checks pass, 1 at least one failure, 2 usage
 error, 3 resource limit hit.  ``--pair-cap`` is the only way to set the
-S-pair cap; unset, ``buchberger``'s default applies.
+S-pair cap; unset, ``buchberger``'s default applies.  In ``verify`` it bounds
+the one completion left, the colon target of ``appendix_colon``.
 """
 
 from __future__ import annotations
@@ -138,10 +140,13 @@ def _cmd_verify(parser, args):
             if c not in paperlab.CLAIMS:
                 parser.error(f"unknown claim id {c!r}")
         claims = sorted(set(claims))
-    reports = []
+    reports, prev = [], None
     for n in args.n:
         wb = paperlab.Workbench(n, args.pair_cap)
+        if prev is not None:
+            wb.prev = prev  # K_{n-1} and its certificate as n - 1 built them
         reports += [paperlab.verify(claim, n, wb) for claim in claims]
+        prev = wb
     reports.sort(key=lambda r: (r.claim, r.n))
     lines = []
     for r in reports:
@@ -204,7 +209,7 @@ def _cmd_socle(parser, args):
         dim = len(wb.socle_J)
         gorenstein = dim == 1
     else:
-        dim, gorenstein = quotient.socle_dimension(wb.quotient_K)
+        dim, gorenstein = quotient.socle_dimension(quotient.QuotientAlgebra(wb.gb_K))
     record = {
         "gorenstein": gorenstein,
         "ideal": args.ideal,

@@ -23,6 +23,7 @@ exact kernel on its staircase.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -200,17 +201,15 @@ def _next_level(level, lms, key) -> list:
     ``level`` is a whole degree of a staircase closed under division, so
     x_i*m is standard exactly when it is not a leading monomial and every
     x_i*m/x_j lies in ``level``: a leading monomial properly dividing x_i*m
-    divides one of them."""
-    lm_set, below = set(lms), set(level)
-    nxt = set()
-    for m in level:
-        for i in range(len(m)):
-            up = _shift(m, i, 1)
-            if up not in nxt and up not in lm_set and all(
-                _shift(up, j, -1) in below for j, e in enumerate(up) if e
-            ):
-                nxt.add(up)
-    return sorted(nxt, key=key)
+    divides one of them.  Each x_i*m/x_j in ``level`` yields x_i*m once, so
+    they all lie there exactly when x_i*m is yielded once per variable it
+    contains."""
+    lm_set = set(lms)
+    ups = Counter(_shift(m, i, 1) for m in level for i in range(len(m)))
+    return sorted(
+        (u for u, count in ups.items() if count == len(u) - u.count(0) and u not in lm_set),
+        key=key,
+    )
 
 
 def standard_monomials(gb: GroebnerBasis) -> StandardBasis:
@@ -244,6 +243,45 @@ def _staircase(lms, nv: int, key) -> list:
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
     return not reduce(f, list(gb.elements), gb.order)
+
+
+def first_nonmember(fs, gb: GroebnerBasis) -> "Polynomial | None":
+    """The first of ``fs`` with a nonzero normal form modulo ``gb``, or None
+    when every one reduces to 0; one reducer table serves them all."""
+    info = _reducer_info(gb.elements, gb.order)
+    return next((f for f in fs if _normal_form(f.terms, info, gb.order)), None)
+
+
+def unreduced_pair(gb: GroebnerBasis) -> "tuple[int, int] | None":
+    """Buchberger's criterion on the elements of ``gb``: the first pair
+    (i, j), i < j, whose S-polynomial has a nonzero normal form modulo them,
+    or None when every one reduces to 0, so that they are a Groebner basis
+    of the ideal they generate.
+
+    Pairs of two monomials (whose S-polynomial is 0) and pairs with coprime
+    leading monomials (the product criterion) are skipped (Becker and
+    Weispfenning, *Groebner Bases*, 1993).  A single-term
+    S-polynomial whose monomial is an element of ``gb`` reduces to 0 in one
+    step, without a division loop.
+    """
+    info = _reducer_info(gb.elements, gb.order)
+    entries = info[0]
+    monomials = {lm for lm, _, tail, _ in entries if not tail}
+    supports = [sum(1 << k for k, e in enumerate(lm) if e) for lm, *_ in entries]
+    for i, (lm_i, _, tail_i, _) in enumerate(entries):
+        if not tail_i:
+            continue
+        for j, (lm_j, _, tail_j, _) in enumerate(entries):
+            # each pair with a tail once; a coprime pair shares no variable
+            if j == i or (tail_j and j < i) or not supports[i] & supports[j]:
+                continue
+            a, b = min(i, j), max(i, j)
+            s = _s_terms(mono_lcm(lm_i, lm_j), entries[a], entries[b])
+            if len(s) == 1 and next(iter(s)) in monomials:
+                continue
+            if _normal_form(s, info, gb.order):
+                return a, b
+    return None
 
 
 def ideal_equal(

@@ -31,35 +31,41 @@ machine-checked verdict:
 
 Checks either pass, fail with a finite witness, or are skipped below the
 claim's minimum n.  A claim is a function of one :class:`Workbench`, which
-builds the ideals, bases, quotients and certificates that the claims at its
+builds the ideals, bases, staircases and certificates that the claims at its
 n share, each at most once; K_{n-1} is read from ``prev``, the workbench of
-n - 1.  Each entry of ``CLAIMS`` names the certificate the claim rests on,
-if any; ``verify`` reads it first and fails the claim with its witness, so
-no claim function reads a certificate.  No claim completes I_n: the J claims
-rest on a point-count sandwich that certifies J_n = in(K_n) and then read
-the staircase of K_n, and appendix_regularity compares a multiplicity with
-dim R_n/K_n instead of completing Q_n again.
+n - 1.  Each entry of ``CLAIMS`` names the certificates the claim rests on;
+``verify`` reads them in order and fails the claim with the first witness,
+so no claim function reads a certificate.  The reduced bases of K_n,
+L_{n-1} and Q_n are closed forms, each with its certificate: a point-count
+sandwich, which also certifies J_n = in(K_n); the colength of a complete
+intersection; and Buchberger's criterion.  So no claim completes I_n, K_n,
+L_{n-1} or Q_n (the one completion left is the colon target of
+appendix_colon), and challenge counts the standard monomials each
+permutation fixes instead of building a table of normal forms.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
+from operator import attrgetter, eq
 from time import perf_counter
 
 from . import linalg
-from .errors import NotArtinianError
+from .errors import EquivarianceError, NotArtinianError
 from .groebner import (
     GroebnerBasis,
+    StandardBasis,
     _shift,
     buchberger,
     colon_ideal,  # noqa: F401  unused here; bench/tracing.py wraps this binding
-    ideal_member,
+    first_nonmember,
     krull_dim_monomial,
     multiplicity,
     standard_monomials,
     substitute_ideal,
+    unreduced_pair,
 )
 from .polyarith import (
     GREVLEX,
@@ -67,15 +73,15 @@ from .polyarith import (
     Monomial,
     Polynomial,
     Value,
+    mono_div,
+    mono_divides,
     monomials_of_degree,
     xring,
 )
 from .quotient import (
-    QuotientAlgebra,
     annihilator,  # noqa: F401  unused here; bench/tracing.py wraps this binding
     contract,
     equivariant_graded_trace,  # noqa: F401  bench/tracing.py wraps this binding
-    graded_traces,
     hilbert_series,
     socle_dimension,  # noqa: F401  unused here; bench/tracing.py wraps this binding
 )
@@ -264,10 +270,13 @@ def _power(nv: int, i: int, e: int) -> Monomial:
     return tuple(e if j == i else 0 for j in range(nv))
 
 
-def _square_differences(m: int, nv: int) -> list[Polynomial]:
-    """x_i^2 - x_m^2 for i = 1..m-1, over nv >= m variables."""
-    last = _power(nv, m - 1, 2)
-    return [Polynomial(nv, {_power(nv, i, 2): 1, last: -1}) for i in range(m - 1)]
+def _square_differences(
+    m: int, nv: int, u: "Monomial | None" = None
+) -> list[Polynomial]:
+    """x_i^2 - u for i = 1..m-1, over nv >= m variables; u is x_m^2 unless
+    given as an exponent tuple."""
+    u = _power(nv, m - 1, 2) if u is None else u
+    return [Polynomial(nv, {_power(nv, i, 2): 1, u: -1}) for i in range(m - 1)]
 
 
 def _omitted_products(m: int) -> list[Monomial]:
@@ -275,14 +284,22 @@ def _omitted_products(m: int) -> list[Monomial]:
     return [tuple(0 if j == i else 1 for j in range(m)) for i in range(m)]
 
 
-def _t_sets(n: int):
-    """The pairs (T, j) with 0 <= j <= n-2 and T a subset of {x1..x_{n-1}}
-    of size n-2-j, T given as the exponent tuple of x_T over x1..x_{n-1}.
-    x_T*x_n^(2j+1) are the generators of J_n beyond the squares and
-    x1...x_{n-1}; the x_T*x_n^s with s <= 2j are its standard monomials."""
-    for j in range(n - 1):
-        for t_set in combinations(range(n - 1), n - 2 - j):
-            yield tuple(1 if i in t_set else 0 for i in range(n - 1)), j
+def _t_sets(nv: int, top: int):
+    """The pairs (T, j) with 0 <= j <= top and T a subset of {x1..x_nv} of
+    size top - j, T given as the exponent tuple of x_T over x1..x_nv.  With
+    nv = n-1 and top = n-2, the x_T*x_n^(2j+1) are the generators of J_n
+    beyond the squares and x1...x_{n-1}, and the x_T*x_n^s with s <= 2j are
+    its standard monomials."""
+    for j in range(top + 1):
+        for t_set in combinations(range(nv), top - j):
+            yield tuple(1 if i in t_set else 0 for i in range(nv)), j
+
+
+def _beyond_squares(n: int) -> list[Monomial]:
+    """The generators of J_n other than the squares, n >= 3: x1...x_{n-1}
+    and the x_T*x_n^(2j+1)."""
+    monos = [_omitted_products(n)[-1]]
+    return monos + [t + (2 * j + 1,) for t, j in _t_sets(n - 1, n - 2)]
 
 
 def build_ideal(which: str, n: int):
@@ -305,9 +322,7 @@ def build_ideal(which: str, n: int):
         ]
         return Ideal(ring, tuple(gens))
     if which == "J_expected":
-        monos = [_power(n, i, 2) for i in range(n - 1)]
-        monos.append(_omitted_products(n)[-1])
-        monos += [t + (2 * j + 1,) for t, j in _t_sets(n)]
+        monos = [_power(n, i, 2) for i in range(n - 1)] + _beyond_squares(n)
         return Ideal(xring(n), tuple(Polynomial.monomial(m) for m in monos))
     if which == "K_expected":
         return _k_homogeneous(n)
@@ -343,15 +358,104 @@ def _k_homogeneous(n: int) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
+# closed-form reduced bases
+
+def _closed_form(ring, binomials: list, monos: list) -> GroebnerBasis:
+    """The binomials and the monomials ``monos`` as a GRevLex basis, sorted
+    by leading monomial as ``buchberger`` sorts a reduced basis.  Nothing
+    here checks it; each basis of the workbench has its certificate."""
+    elems = binomials + [Polynomial.monomial(m) for m in monos]
+    elems.sort(key=lambda g: GREVLEX.key(g.leading_monomial()))
+    return GroebnerBasis(ring, GREVLEX, tuple(elems))
+
+
+def _membership_witness(gb: GroebnerBasis, ideal: Ideal, name: str) -> "str | None":
+    """None when every element of ``gb`` is shown to lie in ``ideal``
+    (called ``name`` in the witness), else a witness naming the first that
+    is not.
+
+    An element of two or more terms is a generator or lies in the span of
+    the generators of its degree (exact rank).  A monomial m lies in the
+    ideal when a monomial generator divides it or it was shown in before;
+    else, for a form x_k^2 - u of ``gb`` with u | m and x_k not dividing m,
+    it does once m*x_k/u does, which is one degree lower:
+
+        m = x_k*(m*x_k/u) + (m/u)*(u - x_k^2).
+
+    For K_n, u = x_n^2 and one step takes x_T*x_n^(2j+1) to the element
+    x_{T+k}*x_n^(2j-1); the chain ends at an omitted product.  For Q_n,
+    u = x_n*z, and for L_{n-1}, u = x_m^2.
+    """
+    ring, gens = ideal.ring, ideal.gens
+    multi = [g for g in gb.elements if len(g.terms) > 1]
+    others = [g for g in multi if g not in gens]
+    for d in sorted({g.total_degree() for g in others}):
+        rows = [h.terms for h in gens if h.total_degree() == d]
+        new, rank = [g for g in others if g.total_degree() == d], linalg.rank(rows)
+        if linalg.rank(rows + [g.terms for g in new]) != rank:
+            bad = next(g for g in new if linalg.rank(rows + [g.terms]) != rank)
+            return f"{ring.fmt(bad)} is not in the span of the generators of {name}"
+    steps = []  # (k, u) for each form x_k^2 - u of gb
+    for g in multi:
+        lm = g.leading_monomial()
+        u = next(t for t in g.terms if t != lm)
+        if sum(lm) == max(lm) == 2 == sum(u) and g.terms == {lm: 1, u: -1}:
+            steps.append((lm.index(2), u))
+    generators = [g.leading_monomial() for g in gens if len(g.terms) == 1]
+    shown = set()
+    for g in gb.elements:
+        if len(g.terms) > 1:
+            continue
+        m = g.leading_monomial()
+        while m not in shown and not any(mono_divides(d, m) for d in generators):
+            step = next(((k, u) for k, u in steps if not m[k] and mono_divides(u, m)), None)
+            if step is None:
+                return f"no chain puts {ring.fmt(g)} in {name}"
+            k, u = step
+            m = _shift(mono_div(m, u), k, 1)
+        shown.add(g.leading_monomial())
+    return None
+
+
+def _fold(gb: GroebnerBasis):
+    """The normal form modulo ``gb`` of a monomial m, when the binomials of
+    ``gb`` are x_i^2 - x_l^2, one for each variable x_i but the last, x_l:
+    m with each x_i^(2k) folded into x_l^(2k), standard or else in the ideal
+    (the normal form is then 0).  With no binomial, m itself.  Any other
+    binomial raises ``ValueError``: its normal forms are not monomials."""
+    nv = gb.ring.nvars
+    folds = _square_differences(nv, nv)
+    binomials = [g for g in gb.elements if len(g.terms) > 1]
+    for g in binomials:
+        if g not in folds:
+            raise ValueError(f"normal forms modulo {gb.ring.fmt(g)} are not monomials")
+    if not binomials:
+        return lambda m: m
+    if len(binomials) != nv - 1:
+        raise ValueError(f"not every x_i^2 - x{nv}^2 is an element of the basis")
+
+    def fold(m: Monomial) -> Monomial:
+        head = m[:-1]
+        if max(head, default=0) < 2:  # nothing to fold
+            return m
+        odd = tuple(e & 1 for e in head)
+        return odd + (m[-1] + sum(head) - sum(odd),)
+
+    return fold
+
+
+# ---------------------------------------------------------------------------
 # the per-n workbench
 
 class Workbench:
     """The artefacts that the claims at one n share, each built at most once.
 
     Every attribute below is computed on first read and kept for the life of
-    the workbench; the Groebner runs obey ``pair_cap``, which ``None`` leaves
-    to ``buchberger``'s default.  Make one workbench per n and drop it when
-    that n is done, so nothing outlives its n.
+    the workbench.  The reduced bases of K_n, L_{n-1} and Q_n are closed
+    forms, each with its certificate; only ``appendix_colon`` completes an
+    ideal, and that Groebner run obeys ``pair_cap``, which ``None`` leaves
+    to ``buchberger``'s default.  ``verify`` hands each workbench on as the
+    ``prev`` of the next n.
     """
 
     def __init__(self, n: int, pair_cap: "int | None" = None):
@@ -393,24 +497,50 @@ class Workbench:
 
     @cached_property
     def gb_K(self) -> GroebnerBasis:
-        return buchberger(self.ideal_K, GREVLEX, self.pair_cap)
+        """The reduced basis of K_n, certified by ``sandwich_check``: the
+        x_i^2 - x_n^2, then J_n's generators beyond the squares; at n = 2,
+        where x1^2 - x2^2 reduces to 0, x1 and x2."""
+        ring, n = self.ideal_K.ring, self.n
+        if n == 2:
+            return _closed_form(ring, [], _omitted_products(2))
+        return _closed_form(ring, _square_differences(n, n), _beyond_squares(n))
 
     @cached_property
     def gb_L(self) -> GroebnerBasis:
-        return buchberger(self.ideal_L, GREVLEX, self.pair_cap)
+        """The reduced basis of L_{n-1} over m = n - 1 variables, certified
+        by ``colength_check``: the x_i^2 - x_m^2 and the x_T*x_m^(2j+1) with
+        T a subset of {x1..x_{m-1}} of size m-1-j, 0 <= j <= m-1."""
+        m = self.n - 1
+        monos = [t + (2 * j + 1,) for t, j in _t_sets(m - 1, m - 1)]
+        return _closed_form(self.ideal_L.ring, _square_differences(m, m), monos)
 
     @cached_property
     def gb_Q(self) -> GroebnerBasis:
-        return buchberger(self.ideal_Q, GREVLEX, self.pair_cap)
+        """The reduced basis of Q_n over x1..xn, z, certified by
+        ``criterion_check``: the x_i^2 - x_n*z (i < n), the n products of
+        x1..xn that omit one variable, and the x_T*x_n^(j+1)*z^j with T a
+        subset of {x1..x_{n-1}} of size n-2-j, 1 <= j <= n-2."""
+        n = self.n
+        binomials = _square_differences(n, n + 1, (0,) * (n - 1) + (1, 1))
+        monos = [p + (0,) for p in _omitted_products(n)]
+        monos += [t + (j + 1, j) for t, j in _t_sets(n - 1, n - 2) if j]
+        return _closed_form(self.ideal_Q.ring, binomials, monos)
 
     @cached_property
-    def quotient_K(self) -> QuotientAlgebra:
-        return QuotientAlgebra(self.gb_K)
+    def staircase_K(self) -> StandardBasis:
+        """The standard monomials of ``gb_K`` by degree: a basis of R_n/K_n
+        and, through the sandwich, of R_n/J_n."""
+        return standard_monomials(self.gb_K)
+
+    @cached_property
+    def staircase_L(self) -> StandardBasis:
+        return standard_monomials(self.gb_L)
 
     @cached_property
     def duality_check(self) -> "str | None":
-        """None when K_n = Ann(g_n) is certified, else a witness; then R_n/K_n
-        is Gorenstein (Macaulay duality; Iarrobino and Kanev, LNM 1721).
+        """None when K_n lies in Ann(g_n) for g_n the sum of the squares,
+        else a witness; with ``series_check``, K_n = Ann(g_n) and R_n/K_n is
+        Gorenstein (Macaulay duality; Iarrobino and Kanev, LNM 1721).
 
         g_n is the sum of the C(2n-3, n-1) squares y^(2a), |a| = n-2, each
         with coefficient 1, so entry (b, c) of its degree-d catalecticant is 1
@@ -429,9 +559,6 @@ class Workbench:
         for k in kid.gens:
             if contract(k, g):
                 return f"{kid.ring.fmt(k)} does not annihilate g_n"
-        series, ranks = hilbert_series(self.quotient_K.basis), bernoulli(n)
-        if series != ranks:
-            return f"Hilbert series {series} != catalecticant ranks {ranks}"
         return None
 
     @cached_property
@@ -440,27 +567,32 @@ class Workbench:
         the one staircase of in(K_n) = J_n.  J_n is a monomial ideal, so
         x_i sends a standard monomial to a standard one or to 0: the socle is
         spanned by the standard m with every x_i*m off the staircase."""
-        staircase = set(self.quotient_K.basis.monomials)
+        staircase = set(self.staircase_K.monomials)
         return tuple(
             m
-            for m in self.quotient_K.basis.monomials
+            for m in self.staircase_K.monomials
             if all(_shift(m, i, 1) not in staircase for i in range(self.n))
         )
 
     @cached_property
     def sandwich_check(self) -> "str | None":
-        """None when in(I_n) = in(K_n), top(I_n) = K_n and dim R_n/I_n = c_n
-        are certified, else a witness.
+        """None when ``gb_K`` is certified the reduced basis of K_n and
+        in(I_n) = in(K_n), top(I_n) = K_n and dim R_n/I_n = c_n, else a
+        witness.
 
         Each closed-form generator of K_n is the top-degree form of an
         element of I_n: with f_i = P_i - x_i, P_i = top(f_i) and
         x_i^2 - x_n^2 = x_n*f_n - x_i*f_i (x_1^2 - x_2^2 = x_1*x_1 - x_2*x_2
         for I_2 = (x_1, x_2)).  GRevLex refines the degree, so
         in(top I) = in(I) (Kreuzer and Robbiano, *Computational Commutative
-        Algebra 2*, 4.2), and in(K) lies in in(I): dim R/I <= dim R/K = c_n.
-        c_n distinct points of V(I_n) (``enumerate_points``, counted and
-        checked here; for n = 2 the origin) give dim R/I >= c_n.  So the two
-        initial ideals are equal, and so are K_n and top(I_n), which share it.
+        Algebra 2*, 4.2), and in(K) lies in in(I).  Every element of
+        ``gb_K`` lies in K (``_membership_witness``), so its leading
+        monomials generate an ideal M inside in(K), with c_n standard
+        monomials (counted here): dim R/I <= dim R/K <= c_n.  c_n distinct
+        points of V(I_n) (``enumerate_points``, counted and checked here;
+        for n = 2 the origin) give dim R/I >= c_n.  So M = in(K) = in(I):
+        ``gb_K`` is a Groebner basis of K, and K and top(I), which share
+        the initial ideal, are equal.
         """
         n, ring, gens = self.n, self.ideal_I.ring, self.ideal_I.gens
         x = [ring.var(name) for name in ring.names]
@@ -472,10 +604,13 @@ class Workbench:
         for k in self.ideal_K.gens:
             if k not in tops:
                 return f"{ring.fmt(k)} is not the top form of a listed element of I_{n}"
+        witness = _membership_witness(self.gb_K, self.ideal_K, f"K_{n}")
+        if witness:
+            return witness
         try:
-            dim = self.quotient_K.dimension
+            dim = len(self.staircase_K)
         except NotArtinianError:
-            return f"R/K_{n} is not Artinian"
+            return f"R/in(K_{n}) read off the closed form is not Artinian"
         c = expected_codimension(n)
         if dim != c:
             return f"quotient dimension {dim} != {c}"
@@ -487,6 +622,68 @@ class Workbench:
         if len(points) != c:
             return f"point count {len(points)} != {c}"
         return verify_points_satisfy_ideal(self.ideal_I, points)
+
+    @cached_property
+    def series_check(self) -> "str | None":
+        """None when the Hilbert series of R_n/K_n, read off ``staircase_K``
+        once ``sandwich_check`` passes, is the triangle row ``bernoulli(n)``,
+        else a witness."""
+        series, row = hilbert_series(self.staircase_K), bernoulli(self.n)
+        if series != row:
+            return f"Hilbert series {series} != triangle row {row}"
+        return None
+
+    @cached_property
+    def colength_check(self) -> "str | None":
+        """None when ``gb_L`` is certified the reduced basis of L_{n-1},
+        else a witness.
+
+        Its elements lie in L (``_membership_witness``), so its leading
+        monomials generate an ideal inside in(L), and dim R/L is at most
+        their staircase count, which makes R/L Artinian.  L is m forms in m
+        variables, so they are a regular sequence and dim R/L is the product
+        of their degrees, m*2^(m-1) (Bruns and Herzog, *Cohen-Macaulay
+        Rings*, the Hilbert series of a complete intersection).  A staircase
+        of that count leaves no room: the leading monomials generate in(L).
+        """
+        lid, m = self.ideal_L, self.ideal_L.ring.nvars
+        if len(lid.gens) != m or not all(g.is_homogeneous() for g in lid.gens):
+            return f"L is not {m} forms in {m} variables"
+        witness = _membership_witness(self.gb_L, lid, "L")
+        if witness:
+            return witness
+        try:
+            count = len(self.staircase_L)
+        except NotArtinianError:
+            return "R/in(L) read off the closed form is not Artinian"
+        degrees = prod(g.total_degree() for g in lid.gens)
+        if count != degrees:
+            return (
+                f"staircase of L has {count} monomials, not the product {degrees} "
+                "of the degrees"
+            )
+        return None
+
+    @cached_property
+    def criterion_check(self) -> "str | None":
+        """None when ``gb_Q`` is certified the reduced basis of Q_n, else a
+        witness.  Its elements lie in Q_n (``_membership_witness``, through
+        x_n*z - x_k^2) and every generator of Q_n reduces to 0 modulo them,
+        so they generate Q_n; Buchberger's criterion (``unreduced_pair``)
+        makes them a Groebner basis.  The criterion alone would not do: a
+        basis of a smaller ideal can pass it."""
+        n, gb, q = self.n, self.gb_Q, self.ideal_Q
+        witness = _membership_witness(gb, q, f"Q_{n}")
+        if witness:
+            return witness
+        outside = first_nonmember(q.gens, gb)
+        if outside is not None:
+            return f"{q.ring.fmt(outside)} does not reduce to 0 modulo the basis of Q_{n}"
+        pair = unreduced_pair(gb)
+        if pair is not None:
+            f, g = (q.ring.fmt(gb.elements[i]) for i in pair)
+            return f"the S-polynomial of {f} and {g} does not reduce to 0"
+        return None
 
     @cached_property
     def unprojection_check(self) -> "str | None":
@@ -508,12 +705,39 @@ class Workbench:
 
 def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
     """The graded S_n-character of R_n/K_n: entry d is the class function
-    of degree d.  K_n's invariance is checked once, under (1 2) and
-    (1 2 ... n)."""
-    lams, _, reps = zip(*conjugacy_classes(wb.n))
-    group = symmetric_generators(wb.n, wb.n).values()
-    traces = graded_traces(wb.quotient_K, reps, group)
-    return tuple(ClassFunction(wb.n, zip(lams, level)) for level in zip(*traces))
+    of degree d, read once ``sandwich_check`` passes.
+
+    The binomials of ``gb_K`` are x_i^2 - x_n^2, so the normal form of a
+    monomial is one monomial or 0 (``_fold``): each sigma sends the standard
+    monomials of a degree to standard monomials or 0, and its trace counts
+    those it fixes.  K_n's invariance is checked once, under (1 2) and
+    (1 2 ... n), by folding the images of its generators.
+    """
+    n, fold = wb.n, _fold(wb.gb_K)
+    staircase = set(wb.staircase_K.monomials)
+    for image in symmetric_generators(n, n).values():
+        move = act(image, n)
+        for g in wb.ideal_K.gens:
+            nf: dict = {}
+            for m, c in g.terms.items():
+                u = fold(move(m))
+                if u in staircase:
+                    nf[u] = nf.get(u, 0) + c
+            if any(nf.values()):
+                raise EquivarianceError(
+                    "defining ideal is not invariant under the permutation"
+                )
+    lams, _, reps = zip(*conjugacy_classes(n))
+    levels = wb.staircase_K.by_degree
+    traces = []
+    for rep in reps:
+        move = act(rep, n)
+        kept = rep[-1] == n - 1  # then no image of a standard monomial needs folding
+        traces.append([
+            sum(map(eq, map(move, level) if kept else map(fold, map(move, level)), level))
+            for level in levels
+        ])
+    return tuple(ClassFunction(n, zip(lams, level)) for level in zip(*traces))
 
 
 # ---------------------------------------------------------------------------
@@ -564,46 +788,40 @@ def _claim_thm1(wb: Workbench):
 
 
 def _claim_prop3_generators(wb: Workbench):
-    n = wb.n
-    got = set(wb.gb_J.leading_monomials())
+    # J_n = in(K_n) is generated by the leading monomials of gb_K, minimally
+    # when each of them, divided by any of its variables, is standard
+    n, ring = wb.n, xring(wb.n)
+    lms = wb.gb_J.leading_monomials()
+    got = set(lms)
     expected = {g.leading_monomial() for g in build_ideal("J_expected", n).gens}
     if got != expected:
-        ring = xring(n)
         extra = sorted(got - expected, key=GREVLEX.key)
         missing = sorted(expected - got, key=GREVLEX.key)
         return False, (
             f"extra {[ring.fmt(Polynomial.monomial(m)) for m in extra]}, "
             f"missing {[ring.fmt(Polynomial.monomial(m)) for m in missing]}"
         )
+    staircase = set(wb.staircase_K.monomials)
+    for m in lms:
+        if any(e and _shift(m, i, -1) not in staircase for i, e in enumerate(m)):
+            return False, f"{ring.fmt(Polynomial.monomial(m))} is not a minimal generator"
     return True, None
 
 
 def _expected_standard_monomials(n: int) -> set:
     """The set {m(T, s)}: x_n^s times a squarefree monomial x_T in
     x1..x_{n-1} with |T| = n-2-j and 0 <= s <= 2j."""
-    return {t + (s,) for t, j in _t_sets(n) for s in range(2 * j + 1)}
+    return {t + (s,) for t, j in _t_sets(n - 1, n - 2) for s in range(2 * j + 1)}
 
 
 def _claim_prop3_basis(wb: Workbench):
-    basis = wb.quotient_K.basis  # the staircase of in(K_n) = J_n
-    got = set(basis.monomials)
+    got = set(wb.staircase_K.monomials)  # the staircase of in(K_n) = J_n
     expected = _expected_standard_monomials(wb.n)
     if got != expected:
         return False, (
             f"{len(got - expected)} unexpected and "
             f"{len(expected - got)} missing standard monomials"
         )
-    for k, (count, predicted) in enumerate(zip(hilbert_series(basis), bernoulli(wb.n))):
-        if count != predicted:
-            return False, f"degree {k} census {count} != {predicted}"
-    return True, None
-
-
-def _claim_thm2(wb: Workbench):
-    series = hilbert_series(wb.quotient_K.basis)
-    row = bernoulli(wb.n)
-    if series != row:
-        return False, f"Hilbert series {series} != triangle row {row}"
     return True, None
 
 
@@ -615,7 +833,7 @@ def _claim_thm3(wb: Workbench):
     for name, image in symmetric_generators(n - 1, n).items():
         if not permutes(image, wb.gb_J.elements):
             return False, f"{name} does not permute the generators of J_{n}"
-    levels = wb.quotient_K.basis.by_degree
+    levels = wb.staircase_K.by_degree
     chars = [subset_character(n - 1, l) for l in range(n)]
     for lam, _, rep in conjugacy_classes(n - 1):
         move = act(rep + (n - 1,), n)
@@ -642,28 +860,23 @@ def _claim_not_gorenstein_J(wb: Workbench):
 
 def _colon_certificate(wb: Workbench, f: Polynomial) -> "str | None":
     """None when (L : K) = L + <f> is certified for L = L_{n-1} and
-    K = K_{n-1}, else a witness.
+    K = K_{n-1}, else a witness; read once ``colength_check`` and the
+    ``sandwich_check`` of ``prev`` pass.
 
-    L has n - 1 generators in n - 1 variables and R/L is Artinian, so R/L is
-    a complete intersection, hence Gorenstein, and for L inside K linkage
-    gives dim R/(L : K) = dim R/L - dim R/K (Peskine and Szpiro, 1974).  If
-    f*K lies in L, then L + <f> lies in (L : K), and equal dimensions make
-    the two equal.
+    R/L is a complete intersection (``colength_check``), hence Gorenstein,
+    and for L inside K linkage gives dim R/(L : K) = dim R/L - dim R/K
+    (Peskine and Szpiro, 1974).  If f*K lies in L, then L + <f> lies in
+    (L : K), and equal dimensions make the two equal.  L + <f> is the one
+    ideal completed here, within ``pair_cap``.
     """
     lid, kid, gb_k = wb.ideal_L, wb.prev.ideal_K, wb.prev.gb_K
-    if not all(ideal_member(f * k, wb.gb_L) for k in kid.gens):
+    if first_nonmember([f * k for k in kid.gens], wb.gb_L) is not None:
         return f"{lid.ring.fmt(f)} * K_{wb.n - 1} is not inside L"
-    if not all(ideal_member(g, gb_k) for g in lid.gens):
+    if first_nonmember(lid.gens, gb_k) is not None:
         return f"L is not inside K_{wb.n - 1}"
-    if len(lid.gens) != lid.ring.nvars:
-        return f"L has {len(lid.gens)} generators in {lid.ring.nvars} variables"
-    try:
-        dim_l = len(standard_monomials(wb.gb_L))
-    except NotArtinianError:
-        return "R/L is not Artinian"
     target = buchberger(Ideal(lid.ring, lid.gens + (f,)), GREVLEX, wb.pair_cap)
-    dim_k = len(standard_monomials(gb_k))
-    if len(standard_monomials(target)) != dim_l - dim_k:
+    dim = len(wb.staircase_L) - len(wb.prev.staircase_K)
+    if len(standard_monomials(target)) != dim:
         return f"(L : K) differs from L + <{lid.ring.fmt(f)}>"
     return None
 
@@ -694,7 +907,7 @@ def _claim_appendix_regularity(wb: Workbench):
         e = multiplicity(wb.gb_Q)
     except ValueError as exc:
         return False, str(exc)
-    if e != wb.quotient_K.dimension:
+    if e != len(wb.staircase_K):
         return False, "z - xn is a zero divisor on R[z]/Q"
     return True, None
 
@@ -712,32 +925,41 @@ def _claim_challenge(wb: Workbench):
     if sum(series[1:], series[0]) != xn_character(wb.n):
         return False, "t = 1 does not recover the point-set character"
     identity = (1,) * wb.n
-    if [cf(identity) for cf in series] != hilbert_series(wb.quotient_K.basis):
+    if [cf(identity) for cf in series] != hilbert_series(wb.staircase_K):
         return False, "identity class does not recover the Hilbert series"
     return True, None
 
 
-# claim id -> (the least n it is defined for, the Workbench certificate it
-# rests on or None, the claim function).  prop2_codim (dim R/I_n = c_n, with
-# c_n distinct points of V(I_n): I_n is reduced), prop4_generators
-# (top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and R/J_n share the Hilbert
-# series), inverse_system and appendix_unprojection are their certificates.
+# claim id -> (the least n it is defined for, the Workbench certificates it
+# rests on, read in order, the claim function).  A certificate of the
+# workbench of n - 1 is named through ``prev``.  prop2_codim
+# (dim R/I_n = c_n, with c_n distinct points of V(I_n): I_n is reduced),
+# prop4_generators (top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and
+# R/J_n share the Hilbert series), thm2, inverse_system and
+# appendix_unprojection are their certificates.
+_SANDWICH = ("sandwich_check",)
+_SERIES = (*_SANDWICH, "series_check")
+_LINKED = ("colength_check", "prev.sandwich_check")  # L_{n-1} inside K_{n-1}
 CLAIMS: dict[str, tuple] = {
-    "prop2_codim": (2, "sandwich_check", _certified),
-    "thm1": (2, None, _claim_thm1),
-    "prop3_generators": (3, "sandwich_check", _claim_prop3_generators),
-    "prop3_basis": (3, "sandwich_check", _claim_prop3_basis),
-    "thm2": (2, "sandwich_check", _claim_thm2),
-    "thm3": (2, "sandwich_check", _claim_thm3),
-    "prop4_generators": (3, "sandwich_check", _certified),
-    "thmG": (2, "duality_check", _claim_thmG),
-    "inverse_system": (3, "duality_check", _certified),
-    "not_gorenstein_J": (3, "sandwich_check", _claim_not_gorenstein_J),
-    "appendix_colon": (3, None, _claim_appendix_colon),
-    "appendix_unprojection": (3, "unprojection_check", _certified),
-    "appendix_regularity": (3, "unprojection_check", _claim_appendix_regularity),
-    "appendix_krull": (3, None, _claim_appendix_krull),
-    "challenge": (2, None, _claim_challenge),
+    "prop2_codim": (2, _SANDWICH, _certified),
+    "thm1": (2, (), _claim_thm1),
+    "prop3_generators": (3, _SANDWICH, _claim_prop3_generators),
+    "prop3_basis": (3, _SERIES, _claim_prop3_basis),
+    "thm2": (2, _SERIES, _certified),
+    "thm3": (2, _SANDWICH, _claim_thm3),
+    "prop4_generators": (3, _SANDWICH, _certified),
+    "thmG": (2, (*_SERIES, "duality_check"), _claim_thmG),
+    "inverse_system": (3, (*_SERIES, "duality_check"), _certified),
+    "not_gorenstein_J": (3, _SANDWICH, _claim_not_gorenstein_J),
+    "appendix_colon": (3, _LINKED, _claim_appendix_colon),
+    "appendix_unprojection": (3, ("unprojection_check",), _certified),
+    "appendix_regularity": (
+        3,
+        ("sandwich_check", "unprojection_check", "criterion_check"),
+        _claim_appendix_regularity,
+    ),
+    "appendix_krull": (3, (*_LINKED, "criterion_check"), _claim_appendix_krull),
+    "challenge": (2, _SANDWICH, _claim_challenge),
 }
 
 
@@ -745,18 +967,20 @@ def verify(
     claim: str, n: int, workbench: "Workbench | None" = None
 ) -> VerificationReport:
     """Run one registered claim at one n on ``workbench`` (default: a fresh
-    ``Workbench(n)``); resource errors propagate.  A claim whose certificate
-    returns a witness fails with it, and its function is not called."""
+    ``Workbench(n)``); resource errors propagate.  A claim fails with the
+    witness of the first of its certificates that returns one, and then its
+    function is not called."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     wb = Workbench(n) if workbench is None else workbench
     if wb.n != n:
         raise ValueError(f"workbench for n={wb.n} used to verify n={n}")
-    min_n, certificate, fn = CLAIMS[claim]
+    min_n, certificates, fn = CLAIMS[claim]
     if n < min_n:
         return VerificationReport(claim, n, "skipped", f"defined for n >= {min_n}")
     start = perf_counter()
-    witness = getattr(wb, certificate) if certificate else None
+    witnesses = (attrgetter(c)(wb) for c in certificates)
+    witness = next((w for w in witnesses if w is not None), None)
     ok, witness = (False, witness) if witness is not None else fn(wb)
     millis = int((perf_counter() - start) * 1000)
     return VerificationReport(claim, n, "pass" if ok else "fail", witness, millis)

@@ -113,19 +113,43 @@ def test_non_positive_pair_cap_is_usage_error(capsys):
 
 
 def test_pair_cap_exhaustion_exits_3(capsys):
+    # the colon target of appendix_colon is the one completion verify makes
     code, _, err = run(
         capsys,
-        "verify", "--n", "5..5", "--claims", "prop2_codim", "--pair-cap", "2",
+        "verify", "--n", "5..5", "--claims", "appendix_colon", "--pair-cap", "1",
     )
     assert code == 3
     assert "resource limit" in err
 
 
+def test_a_pair_cap_of_one_bounds_only_the_colon_target(capsys):
+    claims = ",".join(c for c in paperlab.CLAIMS if c != "appendix_colon")
+    code, out, err = run(
+        capsys, "verify", "--n", "2..8", "--allow-large-n", "--claims", claims,
+        "--pair-cap", "1",
+    )
+    assert (code, err) == (0, "90 pass, 0 fail, 8 skipped\n")
+
+
 def test_an_unset_pair_cap_is_buchbergers_default(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "DEFAULT_PAIR_CAP", 1)
-    code, out, err = run(capsys, "verify", "--n", "3", "--claims", "thmG")
+    code, out, err = run(capsys, "verify", "--n", "3", "--claims", "appendix_colon")
     assert (code, out) == (3, "")
     assert err == "resource limit: pair queue exceeded the cap of 1 pairs\n"
+
+
+def test_verify_hands_each_workbench_on_as_the_next_prev(capsys, monkeypatch):
+    built = []
+    real = paperlab.Workbench.__init__
+
+    def counting(self, n, pair_cap=None):
+        built.append(n)
+        real(self, n, pair_cap)
+
+    monkeypatch.setattr(paperlab.Workbench, "__init__", counting)
+    code, _, _ = run(capsys, "verify", "--n", "3..6", "--claims", "appendix_krull")
+    # n = 3 builds its own prev; from n = 4 on, prev is the workbench of n - 1
+    assert (code, built) == (0, [3, 2, 4, 5, 6])
 
 
 def test_verify_determinism_across_runs(capsys):

@@ -20,6 +20,7 @@ from artinforge.groebner import (
     GroebnerBasis,
     buchberger,
     colon_ideal,
+    first_nonmember,
     ideal_equal,
     ideal_member,
     krull_dim_monomial,
@@ -27,6 +28,7 @@ from artinforge.groebner import (
     standard_monomials,
     substitute,
     substitute_ideal,
+    unreduced_pair,
 )
 from artinforge.paperlab import _k_homogeneous, build_ideal
 from artinforge.polyarith import (
@@ -491,6 +493,36 @@ def test_membership_examples():
     assert ideal_member(R3.poly("x3^3 - x3"), gb)
     assert not ideal_member(R3.poly("x1"), gb)
     assert ideal_member(Polynomial.zero(3), gb)
+
+
+def test_first_nonmember_is_the_first_element_outside():
+    gb = buchberger(build_ideal("I", 3))
+    inside, outside = R3.poly("x3^3 - x3"), R3.poly("x1")
+    assert first_nonmember([inside, Polynomial.zero(3)], gb) is None
+    assert first_nonmember([inside, outside, R3.poly("x2")], gb) == outside
+    assert first_nonmember([], gb) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(completion_cases(), st.data())
+def test_unreduced_pair_agrees_with_the_direct_criterion(case, data):
+    # the product criterion and the skipped monomial pairs are sound: a set
+    # passes exactly when every S-polynomial reduces to 0
+    ideal, order = case
+    elems = [g for g in ideal.gens if g]
+    try:
+        done = list(buchberger(ideal, order, pair_cap=40).elements)
+    except ResourceLimitError:
+        done = []
+    for polys in (elems, done, done[:-1], data.draw(st.permutations(done))):
+        if not polys:
+            continue
+        pair = unreduced_pair(GroebnerBasis(ideal.ring, order, tuple(polys)))
+        assert (pair is None) is is_groebner_basis(polys, order)
+        if pair is not None:
+            f, g = (polys[i] for i in pair)
+            assert pair[0] < pair[1]
+            assert reduce(s_polynomial(f, g, order), polys, order)
 
 
 def test_ideal_equal_two_presentations():

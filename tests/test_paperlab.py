@@ -38,7 +38,7 @@ from artinforge.polyarith import (
     monomials_of_degree,
     xring,
 )
-from artinforge.quotient import QuotientAlgebra, equivariant_graded_trace
+from artinforge.quotient import QuotientAlgebra, equivariant_graded_trace, graded_traces
 from artinforge.errors import EquivarianceError, ResourceLimitError
 from artinforge.groebner import standard_monomials
 from artinforge.reptheory import (
@@ -47,6 +47,7 @@ from artinforge.reptheory import (
     conjugacy_classes,
     partitions,
     subset_character,
+    symmetric_generators,
     xn_character,
 )
 from test_groebner import (
@@ -694,8 +695,8 @@ def test_an_unset_pair_cap_is_buchbergers_default(monkeypatch):
     assert Workbench(3).pair_cap is None
     monkeypatch.setattr(groebner, "DEFAULT_PAIR_CAP", 1)
     with pytest.raises(ResourceLimitError, match="cap of 1 pairs"):
-        Workbench(3).gb_K
-    assert Workbench(3, 10**6).gb_K.elements
+        verify("appendix_colon", 5, Workbench(5))
+    assert verify("appendix_colon", 5, Workbench(5, 10**6)).status == "pass"
 
 
 def test_prev_is_the_workbench_of_n_minus_one_built_once():
@@ -705,9 +706,8 @@ def test_prev_is_the_workbench_of_n_minus_one_built_once():
     assert (prev.n, prev.pair_cap) == (4, 10**5)
     assert prev.ideal_K == Workbench(4).ideal_K
     assert Workbench(5).prev.pair_cap is None
-    # the pair cap reaches the completion of K_{n-1}
-    with pytest.raises(ResourceLimitError, match="cap of 1 pairs"):
-        Workbench(4, 1).prev.gb_K
+    # the basis of K_{n-1} is a closed form, built within any pair cap
+    assert Workbench(4, 1).prev.gb_K.elements == buchberger(prev.prev.ideal_K).elements
 
 
 def test_prev_of_the_least_n_is_out_of_range():
@@ -720,21 +720,20 @@ def test_prev_of_the_least_n_is_out_of_range():
 
 def test_claims_on_one_workbench_share_one_basis_of_K(monkeypatch):
     wb = Workbench(5)
-    inputs = []
-    real = paperlab.buchberger
-
-    def counting(ideal, *args, **kwargs):
-        inputs.append(ideal)
-        return real(ideal, *args, **kwargs)
-
-    monkeypatch.setattr(paperlab, "buchberger", counting)
-    # the J claims read the staircase of in(K_5) = J_5; I_5 is not completed
+    built = []
+    real = paperlab._closed_form
+    monkeypatch.setattr(
+        paperlab, "_closed_form", lambda ring, *rest: built.append(ring) or real(ring, *rest)
+    )
+    monkeypatch.setattr(paperlab, "buchberger", None)
+    # the J claims read the staircase of in(K_5) = J_5 off the one closed
+    # form of K_5; neither I_5 nor K_5 is completed
     for claim in ("prop2_codim", "prop3_basis", "prop3_generators", "thm2"):
         assert verify(claim, 5, wb).status == "pass"
-    assert len(inputs) == 1 and inputs[0] is wb.ideal_K
+    assert built == [wb.ideal_K.ring]
 
 
-def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
+def test_registry_on_one_workbench_completes_only_the_colon_target(monkeypatch):
     wb = Workbench(6)
     inputs = []
     real_buchberger = groebner.buchberger
@@ -748,10 +747,11 @@ def test_registry_on_one_workbench_completes_each_basis_once(monkeypatch):
         monkeypatch.setattr(module, "buchberger", counting)
     for claim in CLAIMS:
         assert verify(claim, 6, wb).status == "pass", claim
-    # K, K_5, L, Q and L + <x5^2>: no claim completes I_6, or Q_6 moved by
-    # z -> z + x6
-    assert len(inputs) == 5
-    assert len(set(inputs)) == len(inputs)
+    # only the colon target L + <x5^2>: the bases of K_6, K_5, L and Q are
+    # closed forms, and no claim completes I_6 or Q_6 moved by z -> z + x6
+    lid = wb.ideal_L
+    target = lid.gens + (lid.ring.poly("x5^2"),)
+    assert inputs == [(lid.ring, GREVLEX, tuple(tuple(sorted(g.terms.items())) for g in target))]
 
 
 def test_thmG_and_inverse_system_share_one_duality_computation(monkeypatch):
@@ -933,6 +933,7 @@ def test_appendix_colon_needs_every_colon_generator_in_degree_two(monkeypatch):
         wb = Workbench(4)
         ring = wb.ideal_L.ring
         wb.ideal_L = Ideal(ring, wb.ideal_L.gens + (ring.poly(extra),))
+        wb.colength_check = None  # L is no longer a complete intersection
         report = verify("appendix_colon", 4, wb)
         assert report.status == "fail"
         assert report.witness == (
@@ -961,7 +962,8 @@ def test_inverse_system_agrees_with_the_annihilator_reference(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_thmG_agrees_with_the_socle_reference(n):
     wb = Workbench(n)
-    assert _status("thmG", wb) and quotient.socle_dimension(wb.quotient_K) == (1, True)
+    q = QuotientAlgebra(wb.gb_K)
+    assert _status("thmG", wb) and quotient.socle_dimension(q) == (1, True)
 
 
 def reference_catalecticant_ranks(g: Polynomial) -> list[int]:
@@ -1016,12 +1018,23 @@ def test_the_duality_certificate_fails_each_check_with_its_witness(monkeypatch):
     wb = Workbench(4)
     ring = wb.ideal_K.ring
     wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1^2"),))
+    wb.sandwich_check = None  # x1^2 is no top form of I_4
     assert verify("thmG", 4, wb).witness == "x1^2 does not annihilate g_n"
-    # a staircase that ends one degree above deg g_4
+
+
+def test_one_series_check_fails_every_claim_on_the_hilbert_series():
+    # a staircase that ends one degree above deg g_4: thm2, prop3_basis,
+    # thmG and inverse_system all read the one comparison with the row
     wb = Workbench(4)
-    wb.quotient_K.basis.by_degree += ((),)
-    witness = verify("inverse_system", 4, wb).witness
-    assert witness == "Hilbert series [1, 4, 7, 4, 1, 0] != catalecticant ranks [1, 4, 7, 4, 1]"
+    assert wb.sandwich_check is None
+    wb.staircase_K.by_degree += ((),)
+    witness = "Hilbert series [1, 4, 7, 4, 1, 0] != triangle row [1, 4, 7, 4, 1]"
+    assert wb.series_check == witness
+    assert claims_resting_on("series_check") == {
+        "thm2", "prop3_basis", "thmG", "inverse_system"
+    }
+    for claim in claims_resting_on("series_check"):
+        assert (verify(claim, 4, wb).status, verify(claim, 4, wb).witness) == ("fail", witness)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -1060,6 +1073,115 @@ def test_prop4_fails_for_a_K_without_one_omitted_product(n):
 
 
 # ---------------------------------------------------------------------------
+# closed-form bases of K_n, L_{n-1} and Q_n, against the completions they
+# replaced
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_closed_forms_equal_the_completions(n, monkeypatch):
+    monkeypatch.setattr(paperlab, "SUPPORTED_RANGE", (2, 9))
+    wb = Workbench(n)
+    assert wb.gb_K.elements == buchberger(wb.ideal_K).elements
+    assert wb.sandwich_check is None
+    if n >= 3:
+        assert wb.gb_L.elements == buchberger(wb.ideal_L).elements
+        assert wb.gb_Q.elements == buchberger(wb.ideal_Q).elements
+        assert wb.colength_check is None and wb.criterion_check is None
+
+
+def _edited(gb: groebner.GroebnerBasis, old: str, new: "str | None"):
+    """``gb`` with the element ``old`` replaced by ``new``, or dropped."""
+    ring = gb.ring
+    elems = [g for g in gb.elements if g != ring.poly(old)]
+    assert len(elems) == len(gb.elements) - 1
+    return groebner.GroebnerBasis(
+        ring, GREVLEX, tuple(elems + ([ring.poly(new)] if new else []))
+    )
+
+
+def _fails_with(wb: Workbench, certificate: str, witness: str):
+    got = getattr(wb, certificate)
+    assert got is not None and got.startswith(witness), got
+    for claim in claims_resting_on(certificate):
+        report = verify(claim, wb.n, wb)
+        assert (report.status, report.witness) == ("fail", got), claim
+
+
+def test_a_chain_steps_only_through_quadratic_forms():
+    # x1^2 - x2 and x2^2 - x1 would take x2 to x1 and back forever; a step
+    # must lower the degree, so only forms x_k^2 - u with deg u = 2 are taken
+    ring = xring(2)
+    ideal = Ideal(ring, (ring.poly("x1^2 - x2"), ring.poly("x2^2 - x1")))
+    gb = groebner.GroebnerBasis(ring, GREVLEX, ideal.gens + (ring.poly("x2"),))
+    assert paperlab._membership_witness(gb, ideal, "I") == "no chain puts x2 in I"
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("x1*x4^3", None, "quotient dimension 19 != 17"),
+        ("x4^5", None, "R/in(K_4) read off the closed form is not Artinian"),
+        ("x1*x4^3", "x1*x4", "no chain puts x1*x4 in K_4"),
+        ("x1*x4^3", "x1*x4^5", "quotient dimension 19 != 17"),
+        ("x1^2 - x4^2", "x1^2 + x4^2", "x1^2 + x4^2 is not in the span"),
+    ],
+)
+def test_the_sandwich_refuses_a_wrong_closed_form_of_K(old, new, witness):
+    wb = Workbench(4)
+    wb.gb_K = _edited(wb.gb_K, old, new)
+    _fails_with(wb, "sandwich_check", witness)
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("x1*x2*x4^3", None, "staircase of L has 34 monomials, not the product 32"),
+        ("x4^7", None, "R/in(L) read off the closed form is not Artinian"),
+        ("x1*x2*x4^3", "x1*x2*x4", "no chain puts x1*x2*x4 in L"),
+        ("x1*x2*x4^3", "x1*x2*x4^5", "staircase of L has 34 monomials"),
+        ("x1^2 - x4^2", "x1^2 + x4^2", "x1^2 + x4^2 is not in the span"),
+    ],
+)
+def test_the_colength_refuses_a_wrong_closed_form_of_L(old, new, witness):
+    wb = Workbench(5)
+    wb.gb_L = _edited(wb.gb_L, old, new)
+    _fails_with(wb, "colength_check", witness)
+
+
+def test_the_colength_needs_L_to_be_a_complete_intersection():
+    wb = Workbench(5)
+    ring = wb.ideal_L.ring
+    wb.ideal_L = Ideal(ring, wb.ideal_L.gens + (ring.poly("x1^2*x2"),))
+    _fails_with(wb, "colength_check", "L is not 4 forms in 4 variables")
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("x1*x4^2*z", None, "the S-polynomial of "),
+        ("x1*x4^2*z", "x1*x4*z", "no chain puts x1*x4*z in Q_4"),
+        ("x1^2 - x4*z", "x1^2 + x4*z", "x1^2 + x4*z is not in the span"),
+        ("x1*x2*x3", None, "x1*x2*x3 does not reduce to 0 modulo the basis of Q_4"),
+    ],
+)
+def test_the_criterion_refuses_a_wrong_closed_form_of_Q(old, new, witness):
+    wb = Workbench(4)
+    wb.gb_Q = _edited(wb.gb_Q, old, new)
+    _fails_with(wb, "criterion_check", witness)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_criterion_alone_accepts_Q_without_its_product(n):
+    # without x1*...*x_{n-1} the closed form still passes Buchberger's
+    # criterion, as a basis of a smaller ideal; the generators of Q_n do not
+    # all reduce to 0 modulo it
+    wb = Workbench(n)
+    product = xring(n - 1).fmt(Polynomial.monomial((1,) * (n - 1)))
+    wb.gb_Q = _edited(wb.gb_Q, product, None)
+    assert groebner.unreduced_pair(wb.gb_Q) is None
+    assert wb.criterion_check == f"{product} does not reduce to 0 modulo the basis of Q_{n}"
+
+
+# ---------------------------------------------------------------------------
 # J_n = in(K_n) by the sandwich, against the completion of I_n it replaced
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -1073,7 +1195,7 @@ def test_sandwich_agrees_with_the_completion_of_I(n):
 
 
 def claims_resting_on(certificate: str) -> set:
-    return {c for c, (_, cert, _) in CLAIMS.items() if cert == certificate}
+    return {c for c, (_, certs, _) in CLAIMS.items() if certificate in certs}
 
 
 J_CLAIMS = sorted(claims_resting_on("sandwich_check"))
@@ -1091,16 +1213,26 @@ J_CLAIMS = sorted(claims_resting_on("sandwich_check"))
                 "thm2",
                 "thm3",
                 "prop4_generators",
+                "thmG",
+                "inverse_system",
                 "not_gorenstein_J",
+                "appendix_regularity",
+                "challenge",
             },
         ),
+        ("series_check", {"prop3_basis", "thm2", "thmG", "inverse_system"}),
+        ("duality_check", {"thmG", "inverse_system"}),
         ("unprojection_check", {"appendix_unprojection", "appendix_regularity"}),
+        ("colength_check", {"appendix_colon", "appendix_krull"}),
+        ("criterion_check", {"appendix_regularity", "appendix_krull"}),
+        ("prev.sandwich_check", {"appendix_colon", "appendix_krull"}),
     ],
 )
 def test_a_failed_certificate_fails_exactly_the_claims_resting_on_it(certificate, claims):
     assert claims_resting_on(certificate) == claims
     wb = Workbench(5)
-    setattr(wb, certificate, "sentinel witness")
+    owner, name = (wb.prev, certificate[5:]) if "." in certificate else (wb, certificate)
+    setattr(owner, name, "sentinel witness")
     reports = {claim: verify(claim, 5, wb) for claim in CLAIMS}
     failed = {c for c, r in reports.items() if r.status == "fail"}
     assert failed == claims
@@ -1120,15 +1252,15 @@ def test_sandwich_fails_for_K_without_one_generator(n):
     k = build_ideal("K_expected", n)
     square = ring.poly(f"x1^2 - x{n}^2")
     product = Polynomial.monomial((1,) * (n - 1) + (0,))
-    # without x1^2 - xn^2 the x1-axis lies on V(K); without x1*...*x_{n-1}
-    # the quotient is Artinian but larger than c_n
+    # the closed form then holds an element outside the smaller ideal: no
+    # other quadric gives x1^2 - xn^2, and no chain ends at x1*...*x_{n-1}
     for dropped, witness in [
-        (square, f"R/K_{n} is not Artinian"),
-        (product, "quotient dimension "),
+        (square, f"x1^2 - x{n}^2 is not in the span of the generators of K_{n}"),
+        (product, f"no chain puts {ring.fmt(product)} in K_{n}"),
     ]:
         wb = Workbench(n)
         wb.ideal_K = Ideal(ring, tuple(g for g in k.gens if g != dropped))
-        assert wb.sandwich_check.startswith(witness)
+        assert wb.sandwich_check == witness
         assert_J_claims_fail_with(wb, wb.sandwich_check)
 
 
@@ -1246,7 +1378,7 @@ def test_thm3_fixed_point_traces_equal_the_table_traces(n):
     for _, _, rep in conjugacy_classes(n - 1):
         image = rep + (n - 1,)
         move = act(image, n)
-        levels = wb.quotient_K.basis.by_degree
+        levels = wb.staircase_K.by_degree
         fixed = [sum(move(m) == m for m in level) for level in levels]
         assert fixed == equivariant_graded_trace(q, image)
 
@@ -1256,7 +1388,7 @@ def test_thm3_needs_J_stable_under_the_smaller_symmetric_group():
     wb.sandwich_check = None
     ring = wb.ideal_K.ring
     bigger = buchberger(Ideal(ring, wb.gb_J.elements + (ring.poly("x1*x4"),)))
-    wb.gb_J, wb.quotient_K = bigger, QuotientAlgebra(bigger)
+    wb.gb_J, wb.staircase_K = bigger, standard_monomials(bigger)
     report = verify("thm3", 4, wb)
     assert (report.status, report.witness) == (
         "fail",
@@ -1264,24 +1396,40 @@ def test_thm3_needs_J_stable_under_the_smaller_symmetric_group():
     )
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_challenge_equals_the_per_class_traces(n):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_challenge_fixed_points_equal_the_table_traces(n):
+    # graded_traces on the normal-form table of the completed basis is the
+    # reference of the count of fixed standard monomials
     wb = Workbench(n)
-    q = wb.quotient_K
-    traces = {
-        lam: equivariant_graded_trace(q, rep) for lam, _, rep in conjugacy_classes(n)
-    }
+    q = QuotientAlgebra(buchberger(wb.ideal_K))
+    lams, _, reps = zip(*conjugacy_classes(n))
+    traces = graded_traces(q, reps, symmetric_generators(n, n).values())
     series = challenge_series(wb)
     assert type(series) is tuple and len(series) == len(q.basis.by_degree)
     for d, cf in enumerate(series):
-        assert cf == ClassFunction(n, {lam: t[d] for lam, t in traces.items()}), d
+        assert cf == ClassFunction(n, {lam: t[d] for lam, t in zip(lams, traces)}), d
 
 
 def test_challenge_rejects_a_K_that_S_n_does_not_fix():
     wb = Workbench(4)
     ring = wb.ideal_K.ring
-    wb.gb_K = buchberger(Ideal(ring, wb.ideal_K.gens + (ring.poly("x1"),)))
+    wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1"),))
     with pytest.raises(EquivarianceError):
+        challenge_series(wb)
+
+
+def test_challenge_refuses_a_basis_whose_normal_forms_are_not_monomials():
+    wb = Workbench(4)
+    ring = wb.ideal_K.ring
+    wrong = ring.poly("x1^2 - 2*x4^2")
+    elems = tuple(wrong if g == ring.poly("x1^2 - x4^2") else g for g in wb.gb_K.elements)
+    assert wrong in elems
+    wb.gb_K = groebner.GroebnerBasis(ring, GREVLEX, elems)
+    with pytest.raises(ValueError, match=r"modulo x1\^2 - 2\*x4\^2 are not monomials"):
+        challenge_series(wb)
+    # a basis with only some of the x_i^2 - x4^2 is refused as well
+    wb.gb_K = groebner.GroebnerBasis(ring, GREVLEX, elems[:1] + elems[3:])
+    with pytest.raises(ValueError, match="not every"):
         challenge_series(wb)
 
 
@@ -1307,12 +1455,12 @@ def test_regularity_fails_when_z_minus_xn_kills_x1(n):
     ring = wb.ideal_Q.ring
     f = ring.var("z") - ring.var(f"x{n}")
     wb.ideal_Q = Ideal(ring, wb.ideal_Q.gens + (ring.var("x1") * f,))
-    wb.gb_Q = buchberger(wb.ideal_Q)
+    wb.gb_Q, wb.criterion_check = buchberger(wb.ideal_Q), None  # a completion
     assert wb.unprojection_check is None
     report = verify("appendix_regularity", n, wb)
     assert report.status == "fail"
     assert report.witness == "z - xn is a zero divisor on R[z]/Q"
-    assert groebner.multiplicity(wb.gb_Q) < wb.quotient_K.dimension
+    assert groebner.multiplicity(wb.gb_Q) < len(wb.staircase_K)
     assert not is_regular_element(wb.ideal_Q, f)
     assert not reference_is_regular_element(wb.ideal_Q, f)
 
@@ -1324,6 +1472,7 @@ def test_regularity_checks_every_step_of_its_certificate():
     ring = wb.ideal_Q.ring
     powers = (ring.poly("x4^6"), ring.poly("z^6"))
     wb.gb_Q = buchberger(Ideal(ring, wb.ideal_Q.gens + powers))
+    wb.criterion_check = None
     assert wb.unprojection_check is None
     report = verify("appendix_regularity", 4, wb)
     assert (report.status, report.witness) == ("fail", "R/in(I) has dimension 0, not 1")
@@ -1340,7 +1489,7 @@ def test_regularity_checks_every_step_of_its_certificate():
         )
     wb = Workbench(4)
     wb.ideal_Q = Ideal(ring, wb.ideal_Q.gens + (ring.poly("z^3 - x4*z"),))
-    wb.unprojection_check = None
+    wb.unprojection_check = wb.criterion_check = None
     report = verify("appendix_regularity", 4, wb)
     assert report.status == "fail"
     assert report.witness == "Q has a generator that is not a form"
