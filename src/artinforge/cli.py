@@ -3,17 +3,17 @@
 Subcommands: verify, groebner, hilbert, character, socle, challenge, points,
 triangle.  Each command returns its JSON records, its text lines and an exit
 code without printing; :func:`run` checks ``--n`` once for every command and
-prints either one JSON object per record (``--format json``) or the lines.
-All numeric output is exact (integers or rational strings) and
-byte-identical across runs: ``verify`` runs the claims one n at a time on
-one :class:`paperlab.Workbench` per n, which it hands on as the ``prev`` of
-the next n, and emits the reports sorted by claim and n, then a
-pass/fail/skipped summary on stderr.
+prints either one JSON object per record (``--format json``) or the lines,
+exact and byte-identical across runs.  ``verify`` runs the claims one n at a
+time on one :class:`paperlab.Workbench` per n, handed on as the ``prev`` of
+the next n, and emits the reports sorted by claim and n, then a summary on
+stderr.  The other commands print Workbench artefacts once the certificate
+each rests on passes (``paperlab.first_witness``, as in ``verify``); a
+witness exits 1 with one stderr line.  ``buchberger`` runs only for
+``groebner --ideal I`` and for lex or deglex, within ``--pair-cap`` (unset:
+its default), which in ``verify`` bounds the colon target of appendix_colon.
 
-Exit codes: 0 all selected checks pass, 1 at least one failure, 2 usage
-error, 3 resource limit hit.  ``--pair-cap`` is the only way to set the
-S-pair cap; unset, ``buchberger``'s default applies.  In ``verify`` it bounds
-the one completion left, the colon target of ``appendix_colon``.
+Exit codes: 0 pass, 1 a failed claim or certificate, 2 usage error, 3 pair cap.
 """
 
 from __future__ import annotations
@@ -116,13 +116,14 @@ def _resolve_cap(parser, args) -> "int | None":
     return int(text)
 
 
-def _named_gb(name: str, n: int, order, cap):
-    wb = paperlab.Workbench(n, cap)
-    if name != "J":
-        return buchberger(getattr(wb, f"ideal_{name}"), order, cap)
-    if order is GREVLEX:
-        return wb.gb_J
-    return buchberger(Ideal(wb.gb_J.ring, wb.gb_J.elements), order, cap)
+def _workbench(parser, args, ideal: str = "K") -> paperlab.Workbench:
+    """The workbench of ``--n``; exit 1 unless its basis of ``ideal`` is certified."""
+    wb = paperlab.Workbench(args.n, args.pair_cap)
+    check = {"L": "colength_check", "Q": "criterion_check"}.get(ideal, "sandwich_check")
+    witness = paperlab.first_witness(wb, (check,))
+    if witness is not None:
+        parser.exit(EXIT_FAIL, f"{parser.prog}: certificate failed: {witness}\n")
+    return wb
 
 
 def _class_value(lam, value) -> str:
@@ -168,15 +169,21 @@ def _verify_summary(records) -> str:
 def _cmd_groebner(parser, args):
     if args.ideal in ("L", "Q") and args.n < 3:
         parser.error(f"--ideal {args.ideal} requires n >= 3")
-    gb = _named_gb(args.ideal, args.n, _ORDERS[args.order], args.pair_cap)
+    name, order = args.ideal, _ORDERS[args.order]
+    if name == "I":  # I_n has no closed form
+        gb = buchberger(paperlab.build_ideal("I", args.n), order, args.pair_cap)
+    else:  # the certified GRevLex basis, completed in any other order
+        gb = getattr(_workbench(parser, args, name), f"gb_{name}")
+        if order is not GREVLEX:
+            gb = buchberger(Ideal(gb.ring, gb.elements), order, args.pair_cap)
     rendered = [gb.ring.fmt(g, gb.order) for g in gb.elements]
     record = {"ideal": args.ideal, "n": args.n, "order": args.order, "basis": rendered}
     return [record], rendered, EXIT_OK
 
 
 def _cmd_hilbert(parser, args):
-    gb = _named_gb(args.ideal, args.n, GREVLEX, args.pair_cap)
-    series = quotient.hilbert_series(quotient.standard_monomials(gb))
+    # in(I_n) = J_n = in(K_n): the three share the one certified staircase
+    series = quotient.hilbert_series(_workbench(parser, args).staircase_K)
     record = {"coefficients": series, "ideal": args.ideal, "n": args.n}
     return [record], [" ".join(str(c) for c in series)], EXIT_OK
 
@@ -204,7 +211,7 @@ def _cmd_character(parser, args):
 
 
 def _cmd_socle(parser, args):
-    wb = paperlab.Workbench(args.n, args.pair_cap)
+    wb = _workbench(parser, args)
     if args.ideal == "J":
         dim = len(wb.socle_J)
         gorenstein = dim == 1
@@ -221,7 +228,7 @@ def _cmd_socle(parser, args):
 
 
 def _cmd_challenge(parser, args):
-    series = paperlab.challenge_series(paperlab.Workbench(args.n, args.pair_cap))
+    series = paperlab.challenge_series(_workbench(parser, args))
     lines = [
         f"t^{degree}: "
         + ", ".join(_class_value(lam, v) for lam, v in cf.values.items())

@@ -369,6 +369,17 @@ def _closed_form(ring, binomials: list, monos: list) -> GroebnerBasis:
     return GroebnerBasis(ring, GREVLEX, tuple(elems))
 
 
+def _outside_span(forms, spanning) -> "Polynomial | None":
+    """The first of ``forms``, by degree, not spanned by ``spanning`` in its degree."""
+    spanned = [h.terms for h in spanning]  # a degree of only these needs no rank
+    for d in sorted({g.total_degree() for g in forms if g.terms not in spanned}):
+        rows = [h.terms for h in spanning if h.total_degree() == d]
+        new, rank = [g for g in forms if g.total_degree() == d], linalg.rank(rows)
+        if linalg.rank(rows + [g.terms for g in new]) != rank:
+            return next(g for g in new if linalg.rank(rows + [g.terms]) != rank)
+    return None
+
+
 def _membership_witness(gb: GroebnerBasis, ideal: Ideal, name: str) -> "str | None":
     """None when every element of ``gb`` is shown to lie in ``ideal``
     (called ``name`` in the witness), else a witness naming the first that
@@ -388,13 +399,9 @@ def _membership_witness(gb: GroebnerBasis, ideal: Ideal, name: str) -> "str | No
     """
     ring, gens = ideal.ring, ideal.gens
     multi = [g for g in gb.elements if len(g.terms) > 1]
-    others = [g for g in multi if g not in gens]
-    for d in sorted({g.total_degree() for g in others}):
-        rows = [h.terms for h in gens if h.total_degree() == d]
-        new, rank = [g for g in others if g.total_degree() == d], linalg.rank(rows)
-        if linalg.rank(rows + [g.terms for g in new]) != rank:
-            bad = next(g for g in new if linalg.rank(rows + [g.terms]) != rank)
-            return f"{ring.fmt(bad)} is not in the span of the generators of {name}"
+    bad = _outside_span(multi, gens)
+    if bad is not None:
+        return f"{ring.fmt(bad)} is not in the span of the generators of {name}"
     steps = []  # (k, u) for each form x_k^2 - u of gb
     for g in multi:
         lm = g.leading_monomial()
@@ -695,12 +702,9 @@ class Workbench:
         lifted = tuple(q.ring.lift(g, kid.ring) for g in kid.gens)
         if not all(g.is_homogeneous() for g in subst + lifted):
             return "Q at z -> xn or K has a generator that is not a form"
-        for d in sorted({g.total_degree() for g in subst + lifted}):
-            a = [g.terms for g in subst if g.total_degree() == d]
-            b = [g.terms for g in lifted if g.total_degree() == d]
-            if not linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b):
-                return f"Q at z -> xn and K differ in degree {d}"
-        return None
+        gaps = (_outside_span(subst, lifted), _outside_span(lifted, subst))
+        degrees = [g.total_degree() for g in gaps if g is not None]
+        return f"Q at z -> xn and K differ in degree {min(degrees)}" if degrees else None
 
 
 def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
@@ -729,15 +733,16 @@ def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
                 )
     lams, _, reps = zip(*conjugacy_classes(n))
     levels = wb.staircase_K.by_degree
-    traces = []
-    for rep in reps:
-        move = act(rep, n)
-        kept = rep[-1] == n - 1  # then no image of a standard monomial needs folding
-        traces.append([
-            sum(map(eq, map(move, level) if kept else map(fold, map(move, level)), level))
-            for level in levels
-        ])
+    traces = [  # a sigma that keeps x_n leaves no standard monomial's image to fold
+        _fixed_counts(levels, act(rep, n), tuple if rep[-1] == n - 1 else fold)
+        for rep in reps
+    ]
     return tuple(ClassFunction(n, zip(lams, level)) for level in zip(*traces))
+
+
+def _fixed_counts(levels, move, fold=tuple) -> list[int]:  # tuple(m) is m: no fold
+    """How many monomials of each staircase level ``move``, then ``fold``, fix."""
+    return [sum(map(eq, map(fold, map(move, level)), level)) for level in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +838,9 @@ def _claim_thm3(wb: Workbench):
     for name, image in symmetric_generators(n - 1, n).items():
         if not permutes(image, wb.gb_J.elements):
             return False, f"{name} does not permute the generators of J_{n}"
-    levels = wb.staircase_K.by_degree
     chars = [subset_character(n - 1, l) for l in range(n)]
     for lam, _, rep in conjugacy_classes(n - 1):
-        move = act(rep + (n - 1,), n)
-        traces = [sum(move(m) == m for m in level) for level in levels]
+        traces = _fixed_counts(wb.staircase_K.by_degree, act(rep + (n - 1,), n))
         expected = _mirrored_sums([char(lam) for char in chars], n)
         if traces != expected:
             return False, f"class {lam}: traces {traces} != {expected}"
@@ -963,6 +966,12 @@ CLAIMS: dict[str, tuple] = {
 }
 
 
+def first_witness(wb: Workbench, certificates) -> "str | None":
+    """The first witness of ``wb``'s ``certificates``, read in order, else None."""
+    witnesses = (attrgetter(c)(wb) for c in certificates)
+    return next((w for w in witnesses if w is not None), None)
+
+
 def verify(
     claim: str, n: int, workbench: "Workbench | None" = None
 ) -> VerificationReport:
@@ -979,8 +988,7 @@ def verify(
     if n < min_n:
         return VerificationReport(claim, n, "skipped", f"defined for n >= {min_n}")
     start = perf_counter()
-    witnesses = (attrgetter(c)(wb) for c in certificates)
-    witness = next((w for w in witnesses if w is not None), None)
+    witness = first_witness(wb, certificates)
     ok, witness = (False, witness) if witness is not None else fn(wb)
     millis = int((perf_counter() - start) * 1000)
     return VerificationReport(claim, n, "pass" if ok else "fail", witness, millis)

@@ -9,6 +9,8 @@ import jsonschema
 import pytest
 
 from artinforge import cli, groebner, paperlab
+from artinforge.polyarith import Ideal, Polynomial
+from artinforge.quotient import QuotientAlgebra, hilbert_series, socle_dimension
 
 
 def run(capsys, *argv):
@@ -163,20 +165,27 @@ def test_verify_determinism_across_runs(capsys):
 
 
 def test_verify_determinism_across_processes_and_hash_seeds():
-    argv = ["verify", "--n", "2..5", "--claims", "all", "--format", "json"]
+    runs = [
+        ("verify", "--n", "2..5", "--claims", "all", "--format", "json"),
+        ("groebner", "--ideal", "Q", "--n", "7", "--order", "lex"),
+        ("hilbert", "--ideal", "I", "--n", "7"),
+        ("socle", "--ideal", "K", "--n", "7"),
+        ("challenge", "--n", "7", "--format", "json"),
+    ]
     src = str(Path(cli.__file__).resolve().parents[1])
-    outputs = set()
+    outputs = {argv: set() for argv in runs}
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-m", "artinforge", *argv],
-            env=env,
-            capture_output=True,
-            check=True,
-        )
-        outputs.add(done.stdout)
-    assert len(outputs) == 1
-    assert outputs.pop().count(b"\n") == 15 * 4
+        for argv in runs:
+            done = subprocess.run(
+                [sys.executable, "-m", "artinforge", *argv],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outputs[argv].add(done.stdout)
+    assert all(len(out) == 1 for out in outputs.values())
+    assert outputs[runs[0]].pop().count(b"\n") == 15 * 4
 
 
 def test_jobs_flag_is_gone(capsys):
@@ -287,6 +296,133 @@ def test_triangle_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the dump subcommands read the workbench's certified artefacts
+
+def _n_argv(n):
+    return ("--n", str(n), "--allow-large-n") if n == 8 else ("--n", str(n))
+
+
+# each command that prints a closed form or its staircase, by the one
+# certificate that it reads first
+CERTIFIED = {
+    "sandwich_check": [
+        ("groebner", "--ideal", "J"),
+        ("groebner", "--ideal", "K"),
+        ("groebner", "--ideal", "K", "--order", "lex"),
+        ("hilbert", "--ideal", "I"),
+        ("hilbert", "--ideal", "J"),
+        ("hilbert", "--ideal", "K"),
+        ("socle", "--ideal", "J"),
+        ("socle", "--ideal", "K"),
+        ("challenge",),
+    ],
+    "colength_check": [
+        ("groebner", "--ideal", "L"),
+        ("groebner", "--ideal", "L", "--order", "deglex"),
+    ],
+    "criterion_check": [
+        ("groebner", "--ideal", "Q"),
+        ("groebner", "--ideal", "Q", "--order", "lex"),
+    ],
+}
+
+
+@pytest.mark.parametrize("certificate", sorted(CERTIFIED))
+def test_a_failed_certificate_fails_exactly_the_commands_resting_on_it(
+    capsys, monkeypatch, certificate
+):
+    witness = f"planted {certificate} witness"
+    monkeypatch.setattr(paperlab.Workbench, certificate, witness)
+    for name, commands in CERTIFIED.items():
+        for command in commands:
+            code, out, err = run(capsys, *command, "--n", "4")
+            if name == certificate:
+                assert (code, out) == (1, ""), command
+                assert err == f"artinforge: certificate failed: {witness}\n"
+            else:
+                assert (code, err) == (0, ""), command
+    assert run(capsys, "groebner", "--ideal", "I", "--n", "4")[0] == 0
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("buchberger was called")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_grevlex_artefacts_complete_nothing(capsys, monkeypatch, n):
+    # buchberger stays the reference; the CLI reads the certified closed
+    # forms, so no pair cap can bound them
+    for module in (cli, groebner, paperlab):
+        monkeypatch.setattr(module, "buchberger", _raising)
+    commands = [
+        ("groebner", "--ideal", "J"),
+        ("groebner", "--ideal", "K"),
+        *[("groebner", "--ideal", name) for name in ("L", "Q") if n >= 3],
+        ("hilbert", "--ideal", "I"),
+        ("hilbert", "--ideal", "J"),
+        ("hilbert", "--ideal", "K"),
+        ("socle", "--ideal", "J"),
+        ("socle", "--ideal", "K"),
+        ("challenge",),
+    ]
+    for command in commands:
+        code, out, err = run(capsys, *command, *_n_argv(n))
+        assert (code, err) == (0, "") and out, command
+        assert run(capsys, *command, *_n_argv(n), "--pair-cap", "1") == (0, out, err)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_groebner_I_still_completes_within_the_pair_cap(capsys, n):
+    code, out, err = run(
+        capsys, "groebner", "--ideal", "I", *_n_argv(n), "--pair-cap", "1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "resource limit: pair queue exceeded the cap of 1 pairs\n"
+
+
+def _reference_generators(name, n):
+    wb = paperlab.Workbench(n)
+    if name != "J":
+        return getattr(wb, f"ideal_{name}")
+    # J_n = in(I_n), read off the completion of I_n
+    gb = groebner.buchberger(wb.ideal_I)
+    ring = wb.ideal_I.ring
+    return Ideal(ring, tuple(Polynomial.monomial(m) for m in gb.leading_monomials()))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("order", ["lex", "deglex"])
+def test_each_other_order_completes_the_certified_basis_to_the_reference(
+    capsys, n, order
+):
+    for name in "JKLQ":
+        code, out, _ = run(
+            capsys, "groebner", "--ideal", name, "--n", str(n), "--order", order
+        )
+        gb = groebner.buchberger(_reference_generators(name, n), cli._ORDERS[order])
+        assert code == 0
+        assert out.splitlines() == [gb.ring.fmt(g, gb.order) for g in gb.elements]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_hilbert_I_is_the_staircase_of_the_completion_of_I(capsys, n):
+    gb = groebner.buchberger(paperlab.build_ideal("I", n))
+    series = hilbert_series(groebner.standard_monomials(gb))
+    code, out, _ = run(capsys, "hilbert", "--ideal", "I", "--n", str(n))
+    assert (code, out) == (0, " ".join(map(str, series)) + "\n")
+
+
+def test_socle_K_keeps_the_table_of_the_closed_form(capsys):
+    # socle_dimension on the completed basis stays the reference
+    for n in range(2, 8):
+        q = QuotientAlgebra(groebner.buchberger(paperlab.Workbench(n).ideal_K))
+        dim, gorenstein = socle_dimension(q)
+        code, out, _ = run(capsys, "socle", "--ideal", "K", "--n", str(n))
+        line = f"socle_dimension={dim} gorenstein={str(gorenstein).lower()}\n"
+        assert (code, out) == (0, line)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from artinforge.paperlab import (
     Workbench,
     _divmod_monic,
     _expected_standard_monomials,
+    _fixed_counts,
     _k_homogeneous,
+    _outside_span,
     _value_at,
     bernoulli,
     build_ideal,
@@ -1104,6 +1106,34 @@ def _fails_with(wb: Workbench, certificate: str, witness: str):
     for claim in claims_resting_on(certificate):
         report = verify(claim, wb.n, wb)
         assert (report.status, report.witness) == ("fail", got), claim
+
+
+def test_outside_span_is_the_first_form_outside_by_degree():
+    ring = xring(2)
+    spanning = [ring.poly("x1^2 - x2^2"), ring.poly("x1*x2")]
+    inside = ring.poly("x1^2 - x2^2 + 3*x1*x2")
+    assert _outside_span([inside], spanning) is None
+    forms = [ring.poly("x1^3"), inside, ring.poly("x1^2"), ring.poly("x2^2")]
+    assert _outside_span(forms, spanning) == ring.poly("x1^2")
+
+
+def test_unprojection_names_the_least_degree_in_which_the_spans_differ():
+    # without x1^2 - x3^2, K_4's x1^2 - x4^2 leaves the span of Q at z -> x4
+    # in degree 2; with x1^3 added, Q's image leaves K's span in degree 3
+    wb = Workbench(4)
+    ring = wb.ideal_Q.ring
+    gens = [g for g in wb.ideal_Q.gens if g != ring.poly("x1^2 - x3^2")]
+    assert len(gens) == len(wb.ideal_Q.gens) - 1
+    wb.ideal_Q = Ideal(ring, (*gens, ring.poly("x1^3")))
+    assert wb.unprojection_check == "Q at z -> xn and K differ in degree 2"
+    assert not reference_appendix_unprojection(wb)
+
+
+def test_fixed_counts_fold_each_image_before_comparing():
+    levels = (((0, 0),), ((1, 0), (0, 1)))
+    swap = act((1, 0), 2)
+    assert _fixed_counts(levels, swap) == [1, 0]
+    assert _fixed_counts(levels, swap, lambda m: (0, 1)) == [0, 1]
 
 
 def test_a_chain_steps_only_through_quadratic_forms():
