@@ -7,8 +7,9 @@ prints either one JSON object per record (``--format json``) or the lines,
 exact and byte-identical across runs.  ``verify`` runs the claims one n at a
 time on one :class:`paperlab.Workbench` per n, handed on as the ``prev`` of
 the next n, and emits the reports sorted by claim and n, then a summary on
-stderr.  The other commands print Workbench artefacts once the certificate
-each rests on passes (``paperlab.first_witness``, as in ``verify``); a
+stderr.  The other commands print Workbench artefacts once the certificates
+each rests on pass (``paperlab.first_witness``, as in ``verify``; ``socle
+--ideal K`` and ``challenge`` read those of their claims in ``CLAIMS``); a
 witness exits 1 with one stderr line.  ``buchberger`` runs only for
 ``groebner --ideal I`` and for lex or deglex, within ``--pair-cap`` (unset:
 its default), which in ``verify`` bounds the colon target of appendix_colon.
@@ -116,11 +117,10 @@ def _resolve_cap(parser, args) -> "int | None":
     return int(text)
 
 
-def _workbench(parser, args, ideal: str = "K") -> paperlab.Workbench:
-    """The workbench of ``--n``; exit 1 unless its basis of ``ideal`` is certified."""
+def _workbench(parser, args, certificates=("sandwich_check",)) -> paperlab.Workbench:
+    """The workbench of ``--n``; exit 1 unless its ``certificates`` pass."""
     wb = paperlab.Workbench(args.n, args.pair_cap)
-    check = {"L": "colength_check", "Q": "criterion_check"}.get(ideal, "sandwich_check")
-    witness = paperlab.first_witness(wb, (check,))
+    witness = paperlab.first_witness(wb, certificates)
     if witness is not None:
         parser.exit(EXIT_FAIL, f"{parser.prog}: certificate failed: {witness}\n")
     return wb
@@ -173,7 +173,8 @@ def _cmd_groebner(parser, args):
     if name == "I":  # I_n has no closed form
         gb = buchberger(paperlab.build_ideal("I", args.n), order, args.pair_cap)
     else:  # the certified GRevLex basis, completed in any other order
-        gb = getattr(_workbench(parser, args, name), f"gb_{name}")
+        check = {"L": "colength_check", "Q": "criterion_check"}.get(name, "sandwich_check")
+        gb = getattr(_workbench(parser, args, (check,)), f"gb_{name}")
         if order is not GREVLEX:
             gb = buchberger(Ideal(gb.ring, gb.elements), order, args.pair_cap)
     rendered = [gb.ring.fmt(g, gb.order) for g in gb.elements]
@@ -211,12 +212,12 @@ def _cmd_character(parser, args):
 
 
 def _cmd_socle(parser, args):
-    wb = _workbench(parser, args)
     if args.ideal == "J":
-        dim = len(wb.socle_J)
-        gorenstein = dim == 1
-    else:
-        dim, gorenstein = quotient.socle_dimension(quotient.QuotientAlgebra(wb.gb_K))
+        dim = len(_workbench(parser, args).socle_J)
+    else:  # R/K_n is Gorenstein once the certificates of thmG pass
+        _workbench(parser, args, paperlab.CLAIMS["thmG"][1])
+        dim = 1
+    gorenstein = dim == 1
     record = {
         "gorenstein": gorenstein,
         "ideal": args.ideal,
@@ -228,7 +229,8 @@ def _cmd_socle(parser, args):
 
 
 def _cmd_challenge(parser, args):
-    series = paperlab.challenge_series(_workbench(parser, args))
+    wb = _workbench(parser, args, paperlab.CLAIMS["challenge"][1])
+    series = paperlab.challenge_series(wb)
     lines = [
         f"t^{degree}: "
         + ", ".join(_class_value(lam, v) for lam, v in cf.values.items())

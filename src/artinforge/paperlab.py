@@ -40,8 +40,11 @@ L_{n-1} and Q_n are closed forms, each with its certificate: a point-count
 sandwich, which also certifies J_n = in(K_n); the colength of a complete
 intersection; and Buchberger's criterion.  So no claim completes I_n, K_n,
 L_{n-1} or Q_n (the one completion left is the colon target of
-appendix_colon), and challenge counts the standard monomials each
-permutation fixes instead of building a table of normal forms.
+appendix_colon).  No claim builds g_n either: K_n annihilates it when each
+generator's coefficients sum to 0 on each parity class (duality_check).
+challenge and thm3 read each class's graded trace off its cycle type
+(graded_trace), once staircase_check certifies the staircase and the
+binomials that the formula rests on.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, prod
-from operator import attrgetter, eq
+from operator import attrgetter
 from time import perf_counter
 
 from . import linalg
@@ -80,7 +83,6 @@ from .polyarith import (
 )
 from .quotient import (
     annihilator,  # noqa: F401  unused here; bench/tracing.py wraps this binding
-    contract,
     equivariant_graded_trace,  # noqa: F401  bench/tracing.py wraps this binding
     hilbert_series,
     socle_dimension,  # noqa: F401  unused here; bench/tracing.py wraps this binding
@@ -88,7 +90,6 @@ from .quotient import (
 from .reptheory import (
     ClassFunction,
     act,
-    conjugacy_classes,
     half_powerset_character,
     partitions,
     permutes,
@@ -302,6 +303,12 @@ def _beyond_squares(n: int) -> list[Monomial]:
     return monos + [t + (2 * j + 1,) for t, j in _t_sets(n - 1, n - 2)]
 
 
+def _expected_standard_monomials(n: int) -> set:
+    """The set {m(T, s)}: x_n^s times a squarefree monomial x_T in
+    x1..x_{n-1} with |T| = n-2-j and 0 <= s <= 2j."""
+    return {t + (s,) for t, j in _t_sets(n - 1, n - 2) for s in range(2 * j + 1)}
+
+
 def build_ideal(which: str, n: int):
     """Construct one of the named objects of the family from the closed-form
     pieces above, each generator list in a fixed order.
@@ -424,33 +431,6 @@ def _membership_witness(gb: GroebnerBasis, ideal: Ideal, name: str) -> "str | No
     return None
 
 
-def _fold(gb: GroebnerBasis):
-    """The normal form modulo ``gb`` of a monomial m, when the binomials of
-    ``gb`` are x_i^2 - x_l^2, one for each variable x_i but the last, x_l:
-    m with each x_i^(2k) folded into x_l^(2k), standard or else in the ideal
-    (the normal form is then 0).  With no binomial, m itself.  Any other
-    binomial raises ``ValueError``: its normal forms are not monomials."""
-    nv = gb.ring.nvars
-    folds = _square_differences(nv, nv)
-    binomials = [g for g in gb.elements if len(g.terms) > 1]
-    for g in binomials:
-        if g not in folds:
-            raise ValueError(f"normal forms modulo {gb.ring.fmt(g)} are not monomials")
-    if not binomials:
-        return lambda m: m
-    if len(binomials) != nv - 1:
-        raise ValueError(f"not every x_i^2 - x{nv}^2 is an element of the basis")
-
-    def fold(m: Monomial) -> Monomial:
-        head = m[:-1]
-        if max(head, default=0) < 2:  # nothing to fold
-            return m
-        odd = tuple(e & 1 for e in head)
-        return odd + (m[-1] + sum(head) - sum(odd),)
-
-    return fold
-
-
 # ---------------------------------------------------------------------------
 # the per-n workbench
 
@@ -545,26 +525,23 @@ class Workbench:
 
     @cached_property
     def duality_check(self) -> "str | None":
-        """None when K_n lies in Ann(g_n) for g_n the sum of the squares,
-        else a witness; with ``series_check``, K_n = Ann(g_n) and R_n/K_n is
-        Gorenstein (Macaulay duality; Iarrobino and Kanev, LNM 1721).
-
-        g_n is the sum of the C(2n-3, n-1) squares y^(2a), |a| = n-2, each
-        with coefficient 1, so entry (b, c) of its degree-d catalecticant is 1
-        when b = c (mod 2), else 0: all-ones blocks, one per parity class e
-        with |e| <= min(d, 2n-4-d) and |e| = d (mod 2).  Its rank
-        dim R_d/Ann(g_n)_d counts those classes: by Pascal's rule, entry d of
-        ``bernoulli(n)``.  K_n lies in Ann(g_n) if its generators annihilate
-        g_n, and equals it if R_n/K_n has the same Hilbert series.
-        """
-        n, kid, g = self.n, self.ideal_K, build_ideal("g_dual", self.n)
-        if len(g.terms) != comb(2 * n - 3, n - 1) or any(
-            c != 1 or sum(m) != 2 * n - 4 or any(e % 2 for e in m)
-            for m, c in g.terms.items()
-        ):
-            return "g_n is not the sum of the squares y^(2a) with |a| = n - 2"
+        """None when K_n lies in Ann(g_n), g_n the sum of the squares y^(2a)
+        with |a| = n-2, else a witness; with ``series_check``, K_n = Ann(g_n)
+        and R_n/K_n is Gorenstein (Macaulay duality; Iarrobino and Kanev, LNM
+        1721).  g_n is not built: x^b contracts it to the sum of all y^c with
+        c = b (mod 2) and |c| = 2n-4-|b| (c = 2a - b), which depends only on
+        the class of b (e = b mod 2, d = |b|) and is nonzero exactly when
+        |e| <= 2n-4-d.  Distinct classes share no term, so a form annihilates
+        g_n when its coefficients sum to 0 on each such class.  The same
+        classes are the all-ones blocks of g_n's catalecticant, whose ranks
+        are ``bernoulli(n)``."""
+        top, kid = 2 * self.n - 4, self.ideal_K
         for k in kid.gens:
-            if contract(k, g):
+            sums: dict = {}
+            for m, c in k.terms.items():
+                key = (tuple(e & 1 for e in m), sum(m))
+                sums[key] = sums.get(key, 0) + c
+            if any(c and sum(eps) <= top - d for (eps, d), c in sums.items()):
                 return f"{kid.ring.fmt(k)} does not annihilate g_n"
         return None
 
@@ -641,6 +618,28 @@ class Workbench:
         return None
 
     @cached_property
+    def staircase_check(self) -> "str | None":
+        """None when the binomials of ``gb_K`` are the x_i^2 - x_n^2 (none
+        at n = 2), so that normal forms of monomials are monomials or 0, and
+        ``staircase_K`` is {m(T, s)}, else a witness: the two facts that
+        ``graded_trace`` reads.  Read once ``sandwich_check`` passes."""
+        n, ring = self.n, self.ideal_K.ring
+        squares = _square_differences(n, n) if n > 2 else []
+        binomials = [g for g in self.gb_K.elements if len(g.terms) > 1]
+        for g in binomials:
+            if g not in squares:
+                return f"normal forms modulo {ring.fmt(g)} are not monomials"
+        if len(binomials) != len(squares):
+            return f"not every x_i^2 - x{n}^2 is an element of the basis"
+        got, expected = set(self.staircase_K.monomials), _expected_standard_monomials(n)
+        if got != expected:
+            return (
+                f"{len(got - expected)} unexpected and "
+                f"{len(expected - got)} missing standard monomials"
+            )
+        return None
+
+    @cached_property
     def colength_check(self) -> "str | None":
         """None when ``gb_L`` is certified the reduced basis of L_{n-1},
         else a witness.
@@ -707,42 +706,48 @@ class Workbench:
         return f"Q at z -> xn and K differ in degree {min(degrees)}" if degrees else None
 
 
-def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
-    """The graded S_n-character of R_n/K_n: entry d is the class function
-    of degree d, read once ``sandwich_check`` passes.
+def graded_trace(n: int, lam) -> list[int]:
+    """The traces on R_n/K_n by degree of a permutation sigma of cycle type
+    ``lam`` (parts in any order), x_n in a cycle of length lam[-1]; exact
+    once ``staircase_check`` passes, in O(n^2) operations.
 
-    The binomials of ``gb_K`` are x_i^2 - x_n^2, so the normal form of a
-    monomial is one monomial or 0 (``_fold``): each sigma sends the standard
-    monomials of a degree to standard monomials or 0, and its trace counts
-    those it fixes.  K_n's invariance is checked once, under (1 2) and
-    (1 2 ... n), by folding the images of its generators.
-    """
-    n, fold = wb.n, _fold(wb.gb_K)
-    staircase = set(wb.staircase_K.monomials)
+    Modulo x_i^2 - x_n^2, sigma sends each standard monomial x_T*x_n^s
+    (|T| <= n-2, s <= 2(n-2-|T|)) to a monomial or 0, so a trace counts the
+    ones it fixes.  If sigma fixes x_n they are the stable T with any s.
+    Else x_n^s goes to x_k^s, which folds back for even s, and T is stable;
+    for odd s one x_k is left over, and T is x_n's cycle minus x_n plus a
+    stable set.  P(q), the product of 1 + q^len over the other parts,
+    counts the stable sets off x_n's cycle by size (Polya counting on the
+    power set; Stanley, *Enumerative Combinatorics 2*, ch. 7)."""
+    *rest, ell = lam
+    counts = [1] + [0] * (n - ell)  # the coefficients of P
+    for length in rest:
+        for j in range(n - ell, length - 1, -1):
+            counts[j] += counts[j - length]
+    trace = [0] * (2 * n - 3)
+    for t, count in enumerate(counts):
+        for s in range(0, 2 * (n - 2 - t) + 1, 1 if ell == 1 else 2):
+            trace[t + s] += count
+        if ell > 1:  # T = x_n's cycle minus x_n, plus the stable set; s odd
+            size = t + ell - 1
+            for s in range(1, 2 * (n - 2 - size) + 1, 2):
+                trace[size + s] += count
+    return trace
+
+
+def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
+    """The graded S_n-character of R_n/K_n, entry d the class function of
+    degree d, from ``graded_trace``.  K_n's invariance is checked under
+    (1 2) and (1 2 ... n): its generators' images lie in their span."""
+    n, gens = wb.n, wb.ideal_K.gens
     for image in symmetric_generators(n, n).values():
         move = act(image, n)
-        for g in wb.ideal_K.gens:
-            nf: dict = {}
-            for m, c in g.terms.items():
-                u = fold(move(m))
-                if u in staircase:
-                    nf[u] = nf.get(u, 0) + c
-            if any(nf.values()):
-                raise EquivarianceError(
-                    "defining ideal is not invariant under the permutation"
-                )
-    lams, _, reps = zip(*conjugacy_classes(n))
-    levels = wb.staircase_K.by_degree
-    traces = [  # a sigma that keeps x_n leaves no standard monomial's image to fold
-        _fixed_counts(levels, act(rep, n), tuple if rep[-1] == n - 1 else fold)
-        for rep in reps
-    ]
+        images = [Polynomial(n, {move(m): c for m, c in g.terms.items()}) for g in gens]
+        if _outside_span(images, gens) is not None:
+            raise EquivarianceError("defining ideal is not invariant under the permutation")
+    lams = partitions(n)
+    traces = [graded_trace(n, lam) for lam in lams]
     return tuple(ClassFunction(n, zip(lams, level)) for level in zip(*traces))
-
-
-def _fixed_counts(levels, move, fold=tuple) -> list[int]:  # tuple(m) is m: no fold
-    """How many monomials of each staircase level ``move``, then ``fold``, fix."""
-    return [sum(map(eq, map(fold, map(move, level)), level)) for level in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -813,34 +818,18 @@ def _claim_prop3_generators(wb: Workbench):
     return True, None
 
 
-def _expected_standard_monomials(n: int) -> set:
-    """The set {m(T, s)}: x_n^s times a squarefree monomial x_T in
-    x1..x_{n-1} with |T| = n-2-j and 0 <= s <= 2j."""
-    return {t + (s,) for t, j in _t_sets(n - 1, n - 2) for s in range(2 * j + 1)}
-
-
-def _claim_prop3_basis(wb: Workbench):
-    got = set(wb.staircase_K.monomials)  # the staircase of in(K_n) = J_n
-    expected = _expected_standard_monomials(wb.n)
-    if got != expected:
-        return False, (
-            f"{len(got - expected)} unexpected and "
-            f"{len(expected - got)} missing standard monomials"
-        )
-    return True, None
-
-
 def _claim_thm3(wb: Workbench):
     # J_n is monomial; once S_{n-1} permutes its minimal generators it
     # permutes the staircase, and the trace of sigma in degree k counts the
-    # standard monomials of degree k that sigma fixes
+    # standard monomials of degree k that sigma fixes: graded_trace with x_n
+    # in a cycle of its own
     n = wb.n
     for name, image in symmetric_generators(n - 1, n).items():
         if not permutes(image, wb.gb_J.elements):
             return False, f"{name} does not permute the generators of J_{n}"
     chars = [subset_character(n - 1, l) for l in range(n)]
-    for lam, _, rep in conjugacy_classes(n - 1):
-        traces = _fixed_counts(wb.staircase_K.by_degree, act(rep + (n - 1,), n))
+    for lam in partitions(n - 1):
+        traces = graded_trace(n, lam + (1,))
         expected = _mirrored_sums([char(lam) for char in chars], n)
         if traces != expected:
             return False, f"class {lam}: traces {traces} != {expected}"
@@ -937,19 +926,21 @@ def _claim_challenge(wb: Workbench):
 # rests on, read in order, the claim function).  A certificate of the
 # workbench of n - 1 is named through ``prev``.  prop2_codim
 # (dim R/I_n = c_n, with c_n distinct points of V(I_n): I_n is reduced),
+# prop3_basis (the staircase of in(K_n) = J_n is {m(T, s)}),
 # prop4_generators (top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and
 # R/J_n share the Hilbert series), thm2, inverse_system and
 # appendix_unprojection are their certificates.
 _SANDWICH = ("sandwich_check",)
 _SERIES = (*_SANDWICH, "series_check")
+_STAIRCASE = (*_SANDWICH, "staircase_check")
 _LINKED = ("colength_check", "prev.sandwich_check")  # L_{n-1} inside K_{n-1}
 CLAIMS: dict[str, tuple] = {
     "prop2_codim": (2, _SANDWICH, _certified),
     "thm1": (2, (), _claim_thm1),
     "prop3_generators": (3, _SANDWICH, _claim_prop3_generators),
-    "prop3_basis": (3, _SERIES, _claim_prop3_basis),
+    "prop3_basis": (3, (*_STAIRCASE, "series_check"), _certified),
     "thm2": (2, _SERIES, _certified),
-    "thm3": (2, _SANDWICH, _claim_thm3),
+    "thm3": (2, _STAIRCASE, _claim_thm3),
     "prop4_generators": (3, _SANDWICH, _certified),
     "thmG": (2, (*_SERIES, "duality_check"), _claim_thmG),
     "inverse_system": (3, (*_SERIES, "duality_check"), _certified),
@@ -962,7 +953,7 @@ CLAIMS: dict[str, tuple] = {
         _claim_appendix_regularity,
     ),
     "appendix_krull": (3, (*_LINKED, "criterion_check"), _claim_appendix_krull),
-    "challenge": (2, _SANDWICH, _claim_challenge),
+    "challenge": (2, _STAIRCASE, _claim_challenge),
 }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from artinforge import cli, groebner, paperlab
+from artinforge import cli, groebner, paperlab, quotient
 from artinforge.polyarith import Ideal, Polynomial
 from artinforge.quotient import QuotientAlgebra, hilbert_series, socle_dimension
 
@@ -305,45 +305,44 @@ def _n_argv(n):
     return ("--n", str(n), "--allow-large-n") if n == 8 else ("--n", str(n))
 
 
-# each command that prints a closed form or its staircase, by the one
-# certificate that it reads first
+# each command that prints a closed form, its staircase or a claim's
+# verdict, with the certificates it reads: socle --ideal K and challenge
+# read those of thmG and challenge in paperlab.CLAIMS
 CERTIFIED = {
-    "sandwich_check": [
-        ("groebner", "--ideal", "J"),
-        ("groebner", "--ideal", "K"),
-        ("groebner", "--ideal", "K", "--order", "lex"),
-        ("hilbert", "--ideal", "I"),
-        ("hilbert", "--ideal", "J"),
-        ("hilbert", "--ideal", "K"),
-        ("socle", "--ideal", "J"),
-        ("socle", "--ideal", "K"),
-        ("challenge",),
-    ],
-    "colength_check": [
-        ("groebner", "--ideal", "L"),
-        ("groebner", "--ideal", "L", "--order", "deglex"),
-    ],
-    "criterion_check": [
-        ("groebner", "--ideal", "Q"),
-        ("groebner", "--ideal", "Q", "--order", "lex"),
-    ],
+    ("groebner", "--ideal", "J"): {"sandwich_check"},
+    ("groebner", "--ideal", "K"): {"sandwich_check"},
+    ("groebner", "--ideal", "K", "--order", "lex"): {"sandwich_check"},
+    ("hilbert", "--ideal", "I"): {"sandwich_check"},
+    ("hilbert", "--ideal", "J"): {"sandwich_check"},
+    ("hilbert", "--ideal", "K"): {"sandwich_check"},
+    ("socle", "--ideal", "J"): {"sandwich_check"},
+    ("socle", "--ideal", "K"): {"sandwich_check", "series_check", "duality_check"},
+    ("challenge",): {"sandwich_check", "staircase_check"},
+    ("groebner", "--ideal", "L"): {"colength_check"},
+    ("groebner", "--ideal", "L", "--order", "deglex"): {"colength_check"},
+    ("groebner", "--ideal", "Q"): {"criterion_check"},
+    ("groebner", "--ideal", "Q", "--order", "lex"): {"criterion_check"},
 }
 
 
-@pytest.mark.parametrize("certificate", sorted(CERTIFIED))
+def test_socle_K_and_challenge_read_the_certificates_of_their_claims():
+    assert set(paperlab.CLAIMS["thmG"][1]) == CERTIFIED[("socle", "--ideal", "K")]
+    assert set(paperlab.CLAIMS["challenge"][1]) == CERTIFIED[("challenge",)]
+
+
+@pytest.mark.parametrize("certificate", sorted(set().union(*CERTIFIED.values())))
 def test_a_failed_certificate_fails_exactly_the_commands_resting_on_it(
     capsys, monkeypatch, certificate
 ):
     witness = f"planted {certificate} witness"
     monkeypatch.setattr(paperlab.Workbench, certificate, witness)
-    for name, commands in CERTIFIED.items():
-        for command in commands:
-            code, out, err = run(capsys, *command, "--n", "4")
-            if name == certificate:
-                assert (code, out) == (1, ""), command
-                assert err == f"artinforge: certificate failed: {witness}\n"
-            else:
-                assert (code, err) == (0, ""), command
+    for command, certificates in CERTIFIED.items():
+        code, out, err = run(capsys, *command, "--n", "4")
+        if certificate in certificates:
+            assert (code, out) == (1, ""), command
+            assert err == f"artinforge: certificate failed: {witness}\n"
+        else:
+            assert (code, err) == (0, ""), command
     assert run(capsys, "groebner", "--ideal", "I", "--n", "4")[0] == 0
 
 
@@ -415,12 +414,18 @@ def test_hilbert_I_is_the_staircase_of_the_completion_of_I(capsys, n):
     assert (code, out) == (0, " ".join(map(str, series)) + "\n")
 
 
-def test_socle_K_keeps_the_table_of_the_closed_form(capsys):
-    # socle_dimension on the completed basis stays the reference
+def test_socle_K_keeps_the_table_of_the_closed_form(capsys, monkeypatch):
+    # socle_dimension on the completed basis stays the reference; the
+    # command reads thmG's certificates and builds no table
+    def forbidden(*args):
+        raise AssertionError("socle --ideal K built a quotient algebra")
+
     for n in range(2, 8):
+        with monkeypatch.context() as patch:
+            patch.setattr(quotient, "QuotientAlgebra", forbidden)
+            code, out, _ = run(capsys, "socle", "--ideal", "K", "--n", str(n))
         q = QuotientAlgebra(groebner.buchberger(paperlab.Workbench(n).ideal_K))
         dim, gorenstein = socle_dimension(q)
-        code, out, _ = run(capsys, "socle", "--ideal", "K", "--n", str(n))
         line = f"socle_dimension={dim} gorenstein={str(gorenstein).lower()}\n"
         assert (code, out) == (0, line)
 

@@ -1,5 +1,7 @@
 import collections.abc
 import copy
+import functools
+import operator
 import pickle
 import random
 import re
@@ -17,7 +19,6 @@ from artinforge.paperlab import (
     Workbench,
     _divmod_monic,
     _expected_standard_monomials,
-    _fixed_counts,
     _k_homogeneous,
     _outside_span,
     _value_at,
@@ -27,6 +28,7 @@ from artinforge.paperlab import (
     cyclotomic_poly,
     enumerate_points,
     expected_codimension,
+    graded_trace,
     verify,
     verify_points_satisfy_ideal,
 )
@@ -40,7 +42,7 @@ from artinforge.polyarith import (
     monomials_of_degree,
     xring,
 )
-from artinforge.quotient import QuotientAlgebra, equivariant_graded_trace, graded_traces
+from artinforge.quotient import QuotientAlgebra, contract, equivariant_graded_trace, graded_traces
 from artinforge.errors import EquivarianceError, ResourceLimitError
 from artinforge.groebner import standard_monomials
 from artinforge.reptheory import (
@@ -759,13 +761,15 @@ def test_registry_on_one_workbench_completes_only_the_colon_target(monkeypatch):
 def test_thmG_and_inverse_system_share_one_duality_computation(monkeypatch):
     wb = Workbench(5)
     calls = []
-    real = paperlab.contract
-    monkeypatch.setattr(paperlab, "contract", lambda f, g: calls.append(f) or real(f, g))
+    real = Workbench.__dict__["duality_check"].func
+    counted = functools.cached_property(lambda self: calls.append(self) or real(self))
+    counted.__set_name__(Workbench, "duality_check")
+    monkeypatch.setattr(Workbench, "duality_check", counted)
+    _forbid_g(monkeypatch)
     for claim in ("thmG", "inverse_system", "thmG"):
         assert verify(claim, 5, wb).status == "pass"
-    # one contraction per generator of K_5, 2n - 1 in all
-    assert calls == list(wb.ideal_K.gens) and len(calls) == 9
-    assert wb.duality_check is None
+    # one class-sum pass over the generators of K_5, and no g_5 built
+    assert calls == [wb] and wb.duality_check is None
 
 
 def test_a_duality_witness_fails_thmG_and_inverse_system():
@@ -985,43 +989,112 @@ def test_the_census_of_g_is_its_catalecticant_ranks(n):
     assert reference_catalecticant_ranks(build_ideal("g_dual", n)) == bernoulli(n)
 
 
-SQUARES_WITNESS = "g_n is not the sum of the squares y^(2a) with |a| = n - 2"
+def _forbid_g(monkeypatch) -> None:
+    """Make building g_n or contracting into it raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a claim built g_n or contracted into it")
 
-
-def _with_g(monkeypatch, g: Polynomial) -> None:
     real = paperlab.build_ideal
+    monkeypatch.setattr(quotient, "contract", forbidden)
     monkeypatch.setattr(
-        paperlab, "build_ideal", lambda w, k: g if w == "g_dual" else real(w, k)
+        paperlab, "build_ideal", lambda w, k: forbidden() if w == "g_dual" else real(w, k)
     )
 
 
+def class_sums_annihilate(n: int, f: Polynomial) -> bool:
+    """The verdict of ``duality_check`` on the one form ``f``."""
+    wb = Workbench(n)
+    wb.ideal_K = Ideal(wb.ideal_K.ring, (f,))
+    witness = wb.duality_check
+    assert witness in (None, f"{wb.ideal_K.ring.fmt(f)} does not annihilate g_n")
+    return witness is None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_class_sums_agree_with_contraction_on_every_monomial(n):
+    # contraction into the built g_n is the reference; a monomial x^b
+    # annihilates g_n exactly when its parity class has more odd exponents
+    # than 2n - 4 - |b|
+    g, ring = build_ideal("g_dual", n), xring(n)
+    for d in range(2 * n - 3):
+        for b in monomials_of_degree(n, d):
+            x_b = Polynomial.monomial(b)
+            assert class_sums_annihilate(n, x_b) is not contract(x_b, g), ring.fmt(x_b)
+
+
+def _random_forms(n: int, rng: random.Random, count: int) -> list:
+    """Sparse forms of degree <= 2n - 4: half of them c*(x^a - x^b) with b
+    in the parity class of a, which annihilate g_n; half three random terms."""
+    def mono(d: int) -> tuple:
+        m = [0] * n
+        for _ in range(d):
+            m[rng.randrange(n)] += 1
+        return tuple(m)
+
+    forms = []
+    for i in range(count):
+        d = rng.randrange(2 * n - 3)
+        if i % 2:
+            terms = {mono(d): rng.randint(-3, 3) for _ in range(3)}
+        else:
+            a, c = mono(d), rng.randint(1, 3)
+            eps = tuple(e & 1 for e in a)
+            b = tuple(e + 2 * h for e, h in zip(eps, mono((d - sum(eps)) // 2)))
+            terms = {a: c}
+            terms[b] = terms.get(b, 0) - c
+        forms.append(Polynomial(n, terms))
+    return [f for f in forms if f]
+
+
+@pytest.mark.parametrize("n", range(7, 10))
+def test_class_sums_agree_with_contraction_on_K_and_random_forms(n, monkeypatch):
+    monkeypatch.setattr(paperlab, "SUPPORTED_RANGE", (2, 9))
+    g = build_ideal("g_dual", n)
+    forms = list(Workbench(n).ideal_K.gens) + _random_forms(n, random.Random(n), 60)
+    verdicts = [class_sums_annihilate(n, f) for f in forms]
+    assert verdicts == [not contract(f, g) for f in forms]
+    assert verdicts[: 2 * n - 1] == [True] * (2 * n - 1)
+    assert True in verdicts[2 * n - 1 :] and False in verdicts
+
+
 @pytest.mark.parametrize("n", range(3, 6))
-def test_inverse_system_fails_for_g_with_one_term_dropped(n, monkeypatch):
+def test_inverse_system_fails_for_g_with_one_term_dropped(n):
+    # the class sums describe g_n itself: with any one square dropped, the
+    # reference finds a generator of K_n that no longer annihilates it
     wb = Workbench(n)
     g = build_ideal("g_dual", n)
+    assert wb.duality_check is None and not any(contract(k, g) for k in wb.ideal_K.gens)
     for drop in sorted(g.terms)[:: max(1, len(g.terms) // 4)]:
         short = Polynomial(n, {m: c for m, c in g.terms.items() if m != drop})
-        _with_g(monkeypatch, short)
-        report = verify("inverse_system", n, Workbench(n))
-        monkeypatch.undo()
-        assert (report.status, report.witness) == ("fail", SQUARES_WITNESS)
+        assert any(contract(k, short) for k in wb.ideal_K.gens)
         assert not reference_inverse_system(wb, short)
 
 
-def test_the_duality_certificate_fails_each_check_with_its_witness(monkeypatch):
+def test_the_duality_certificate_fails_each_check_with_its_witness():
     g = build_ideal("g_dual", 4)
-    # y1^4 with coefficient 2, or swapped for a non-square or a lower square
+    ring = xring(4)
+    # y1^4 with coefficient 2, or swapped for a non-square or a lower square:
+    # the reference sees that K_4 no longer annihilates the form
     for swap, coeff in (((4, 0, 0, 0), 2), ((3, 1, 0, 0), 1), ((2, 0, 0, 0), 1)):
         terms = {m: c for m, c in g.terms.items() if m != (4, 0, 0, 0)}
-        _with_g(monkeypatch, Polynomial(4, {**terms, swap: coeff}))
+        wrong = Polynomial(4, {**terms, swap: coeff})
+        assert any(contract(k, wrong) for k in Workbench(4).ideal_K.gens)
+    # a generator added, or one of the class sums broken: x1^2 - 2*x4^2
+    # fails its even class; x1^2 - x2^2 + x1*x2 cancels in the even class of
+    # degree 2 but not in the class of x1*x2
+    for old, new in (
+        (None, "x1^2"),
+        ("x1^2 - x4^2", "x1^2 - 2*x4^2"),
+        ("x1^2 - x4^2", "x1^2 - x2^2 + x1*x2"),
+    ):
+        wb = Workbench(4)
+        gens = [k for k in wb.ideal_K.gens if old is None or k != ring.poly(old)]
+        wb.ideal_K = Ideal(ring, (*gens, ring.poly(new)))
+        wb.sandwich_check = None  # the new form is no top form of I_4
+        witness = f"{ring.fmt(ring.poly(new))} does not annihilate g_n"
+        assert contract(ring.poly(new), g)
         for claim in ("thmG", "inverse_system"):
-            assert verify(claim, 4, Workbench(4)).witness == SQUARES_WITNESS
-        monkeypatch.undo()
-    wb = Workbench(4)
-    ring = wb.ideal_K.ring
-    wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1^2"),))
-    wb.sandwich_check = None  # x1^2 is no top form of I_4
-    assert verify("thmG", 4, wb).witness == "x1^2 does not annihilate g_n"
+            assert verify(claim, 4, wb).witness == witness
 
 
 def test_one_series_check_fails_every_claim_on_the_hilbert_series():
@@ -1127,6 +1200,75 @@ def test_unprojection_names_the_least_degree_in_which_the_spans_differ():
     wb.ideal_Q = Ideal(ring, (*gens, ring.poly("x1^3")))
     assert wb.unprojection_check == "Q at z -> xn and K differ in degree 2"
     assert not reference_appendix_unprojection(wb)
+
+
+# The fixed-point count that challenge and thm3 ran before graded_trace,
+# kept as its reference: fold each image of a standard monomial modulo the
+# x_i^2 - x_n^2 and compare.
+def _fold(gb: groebner.GroebnerBasis):
+    """The normal form modulo ``gb`` of a monomial m, when the binomials of
+    ``gb`` are x_i^2 - x_l^2, one for each variable x_i but the last, x_l:
+    m with each x_i^(2k) folded into x_l^(2k), standard or else in the ideal
+    (the normal form is then 0).  With no binomial, m itself.  Any other
+    binomial raises ``ValueError``: its normal forms are not monomials."""
+    nv = gb.ring.nvars
+    folds = paperlab._square_differences(nv, nv)
+    binomials = [g for g in gb.elements if len(g.terms) > 1]
+    for g in binomials:
+        if g not in folds:
+            raise ValueError(f"normal forms modulo {gb.ring.fmt(g)} are not monomials")
+    if not binomials:
+        return lambda m: m
+    if len(binomials) != nv - 1:
+        raise ValueError(f"not every x_i^2 - x{nv}^2 is an element of the basis")
+
+    def fold(m):
+        head = m[:-1]
+        if max(head, default=0) < 2:  # nothing to fold
+            return m
+        odd = tuple(e & 1 for e in head)
+        return odd + (m[-1] + sum(head) - sum(odd),)
+
+    return fold
+
+
+def _fixed_counts(levels, move, fold=tuple) -> list:  # tuple(m) is m: no fold
+    """How many monomials of each staircase level ``move``, then ``fold``, fix."""
+    return [sum(map(operator.eq, map(fold, map(move, level)), level)) for level in levels]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_graded_trace_is_the_count_of_fixed_standard_monomials(n, monkeypatch):
+    monkeypatch.setattr(paperlab, "SUPPORTED_RANGE", (2, 9))
+    wb = Workbench(n)
+    assert wb.sandwich_check is None and wb.staircase_check is None
+    fold, levels = _fold(wb.gb_K), wb.staircase_K.by_degree
+    for lam, _, rep in conjugacy_classes(n):
+        assert _fixed_counts(levels, act(rep, n), fold) == graded_trace(n, lam), lam
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_graded_trace_does_not_depend_on_which_part_holds_xn(n):
+    for lam in partitions(n):
+        traces = {
+            tuple(graded_trace(n, lam[:i] + lam[i + 1 :] + (part,)))
+            for i, part in enumerate(lam)
+        }
+        assert len(traces) == 1, lam
+        assert sum(next(iter(traces))) <= expected_codimension(n)
+    assert graded_trace(n, (1,) * n) == bernoulli(n)
+
+
+def test_fold_refuses_any_other_binomial():
+    wb = Workbench(4)
+    ring = wb.ideal_K.ring
+    wrong = _edited(wb.gb_K, "x1^2 - x4^2", "x1^2 - 2*x4^2")
+    with pytest.raises(ValueError, match=r"modulo x1\^2 - 2\*x4\^2 are not monomials"):
+        _fold(wrong)
+    with pytest.raises(ValueError, match="not every"):
+        _fold(_edited(wb.gb_K, "x1^2 - x4^2", None))
+    assert _fold(Workbench(2).gb_K)((1, 0)) == (1, 0)
+    assert _fold(wb.gb_K)(ring.poly("x1^3*x2^2*x4").leading_monomial()) == (1, 0, 0, 5)
 
 
 def test_fixed_counts_fold_each_image_before_comparing():
@@ -1256,6 +1398,7 @@ J_CLAIMS = sorted(claims_resting_on("sandwich_check"))
         ("colength_check", {"appendix_colon", "appendix_krull"}),
         ("criterion_check", {"appendix_regularity", "appendix_krull"}),
         ("prev.sandwich_check", {"appendix_colon", "appendix_krull"}),
+        ("staircase_check", {"prop3_basis", "thm3", "challenge"}),
     ],
 )
 def test_a_failed_certificate_fails_exactly_the_claims_resting_on_it(certificate, claims):
@@ -1419,6 +1562,7 @@ def test_thm3_needs_J_stable_under_the_smaller_symmetric_group():
     ring = wb.ideal_K.ring
     bigger = buchberger(Ideal(ring, wb.gb_J.elements + (ring.poly("x1*x4"),)))
     wb.gb_J, wb.staircase_K = bigger, standard_monomials(bigger)
+    wb.staircase_check = None  # the staircase lost x1*x4
     report = verify("thm3", 4, wb)
     assert (report.status, report.witness) == (
         "fail",
@@ -1449,18 +1593,35 @@ def test_challenge_rejects_a_K_that_S_n_does_not_fix():
 
 
 def test_challenge_refuses_a_basis_whose_normal_forms_are_not_monomials():
+    # graded_trace reads the binomials x_i^2 - x4^2: with another binomial,
+    # or with one of them missing, staircase_check fails prop3_basis, thm3
+    # and challenge
+    for new, witness in [
+        ("x1^2 - 2*x4^2", "normal forms modulo x1^2 - 2*x4^2 are not monomials"),
+        (None, "not every x_i^2 - x4^2 is an element of the basis"),
+    ]:
+        wb = Workbench(4)
+        wb.gb_K = _edited(wb.gb_K, "x1^2 - x4^2", new)
+        wb.sandwich_check = None  # the sandwich refuses both first
+        _fails_with(wb, "staircase_check", witness)
+
+
+def test_staircase_check_refuses_a_dropped_standard_monomial():
     wb = Workbench(4)
-    ring = wb.ideal_K.ring
-    wrong = ring.poly("x1^2 - 2*x4^2")
-    elems = tuple(wrong if g == ring.poly("x1^2 - x4^2") else g for g in wb.gb_K.elements)
-    assert wrong in elems
-    wb.gb_K = groebner.GroebnerBasis(ring, GREVLEX, elems)
-    with pytest.raises(ValueError, match=r"modulo x1\^2 - 2\*x4\^2 are not monomials"):
-        challenge_series(wb)
-    # a basis with only some of the x_i^2 - x4^2 is refused as well
-    wb.gb_K = groebner.GroebnerBasis(ring, GREVLEX, elems[:1] + elems[3:])
-    with pytest.raises(ValueError, match="not every"):
-        challenge_series(wb)
+    levels = wb.staircase_K.by_degree
+    wb.staircase_K = groebner.StandardBasis((*levels[:2], levels[2][1:], *levels[3:]))
+    wb.sandwich_check = None  # the sandwich counts 16 of 17 first
+    _fails_with(wb, "staircase_check", "0 unexpected and 1 missing standard monomials")
+    assert claims_resting_on("staircase_check") == {"prop3_basis", "thm3", "challenge"}
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_every_claim_passes_at_n_9_and_10_without_g_or_a_contraction(n, monkeypatch):
+    monkeypatch.setattr(paperlab, "SUPPORTED_RANGE", (2, 10))
+    _forbid_g(monkeypatch)
+    wb = Workbench(n)
+    for claim in CLAIMS:
+        assert verify(claim, n, wb).status == "pass", claim
 
 
 # ---------------------------------------------------------------------------
