@@ -16,7 +16,6 @@ from .groebner import (
     colon_ideal,
     ideal_equal,
     ideal_member,
-    krull_dim_monomial,
     multiplicity,
     standard_monomials,
     substitute,

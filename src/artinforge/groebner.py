@@ -16,16 +16,15 @@ canonical reduced Groebner basis: unique for a given ideal and order, which
 is what ideal equality, colon ideals and the regression tests lean on.
 Every basis built here is reduced, and its leading monomials, in the order
 the basis lists them, are the minimal generators of the initial ideal; the
-staircase, the Krull dimension and, in dimension one, the multiplicity of
-R/in(I) are read off them.  A colon ideal of an Artinian quotient is one
-exact kernel on its staircase.
+staircase and, in dimension one, the multiplicity of R/in(I) are read off
+them.  A colon ideal of an Artinian quotient is one exact kernel on its
+staircase.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from heapq import heappop, heappush
-from itertools import combinations
 
 from . import linalg
 from .errors import AmbientMismatchError, NotArtinianError, ResourceLimitError
@@ -346,22 +345,6 @@ def substitute_ideal(ideal: Ideal, name: str, value: Polynomial) -> Ideal:
     """Generatorwise substitution; the ambient ring is unchanged."""
     i = ideal.ring.var(name).leading_monomial().index(1)
     return Ideal(ideal.ring, tuple(substitute(g, i, value) for g in ideal.gens))
-
-
-def krull_dim_monomial(gb: GroebnerBasis) -> int:
-    """Krull dimension of R/in(I) for ``gb`` a reduced basis of I: the
-    largest number of variables supporting no leading monomial entirely."""
-    nv = gb.ring.nvars
-    lms = gb.leading_monomials()
-    if (0,) * nv in lms:
-        raise ValueError("the ideal contains 1; the quotient is zero")
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
-    for size in range(nv, 0, -1):
-        for subset in combinations(range(nv), size):
-            s = set(subset)
-            if all(not sup <= s for sup in supports):
-                return size
-    return 0
 
 
 def multiplicity(gb: GroebnerBasis) -> int:

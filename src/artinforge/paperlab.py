@@ -44,7 +44,11 @@ appendix_colon).  No claim builds g_n either: K_n annihilates it when each
 generator's coefficients sum to 0 on each parity class (duality_check).
 challenge and thm3 read each class's graded trace off its cycle type
 (graded_trace), once staircase_check certifies the staircase and the
-binomials that the formula rests on.
+binomials that the formula rests on; thm3 reads the S_{n-1}-stability of
+J_n off that staircase, and challenge rests on symmetry_check (S_n fixes
+K_n: one span test, _unstable).  appendix_krull reads its dimensions off
+the certified staircases and multiplicity_Q.  A failed hypothesis is always
+a certificate's witness, never an exception.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from operator import attrgetter
 from time import perf_counter
 
 from . import linalg
-from .errors import EquivarianceError, NotArtinianError
+from .errors import NotArtinianError
 from .groebner import (
     GroebnerBasis,
     StandardBasis,
@@ -64,7 +68,6 @@ from .groebner import (
     buchberger,
     colon_ideal,  # noqa: F401  unused here; bench/tracing.py wraps this binding
     first_nonmember,
-    krull_dim_monomial,
     multiplicity,
     standard_monomials,
     substitute_ideal,
@@ -92,7 +95,6 @@ from .reptheory import (
     act,
     half_powerset_character,
     partitions,
-    permutes,
     powerset_character,
     subset_character,
     symmetric_generators,
@@ -237,14 +239,14 @@ def verify_points_satisfy_ideal(
     tuples are.
 
     Points with one root index k and one number of -1 signs differ by a
-    permutation of the coordinates.  If (1 2) and (1 2 ... n) permute the
-    generators, V(ideal) is S_n-stable, so only the first point of each such
-    class is evaluated; otherwise every point is."""
+    permutation of the coordinates.  If S_n fixes the ideal (``_unstable``),
+    V(ideal) is S_n-stable, so only the first point of each such class is
+    evaluated; otherwise every point is."""
     n = ideal.ring.nvars
     if n < 3:
         raise ValueError("point check needs n >= 3")
     m = 2 * (n - 2)
-    stable = all(permutes(p, ideal.gens) for p in symmetric_generators(n, n).values())
+    stable = _unstable(ideal.gens, n) is None
     seen, orbits = set(), set()
     for pt in points:
         if pt.n != n:
@@ -384,6 +386,18 @@ def _outside_span(forms, spanning) -> "Polynomial | None":
         new, rank = [g for g in forms if g.total_degree() == d], linalg.rank(rows)
         if linalg.rank(rows + [g.terms for g in new]) != rank:
             return next(g for g in new if linalg.rank(rows + [g.terms]) != rank)
+    return None
+
+
+def _unstable(gens, n: int) -> "str | None":
+    """The name of the first of (1 2) and (1 2 ... n), which generate S_n,
+    that maps one of ``gens`` outside their span in its degree, else None:
+    then S_n fixes their ideal (an image in the ideal may still be refused)."""
+    for name, image in symmetric_generators(n).items():
+        move = act(image, n)
+        images = [Polynomial(n, {move(m): c for m, c in g.terms.items()}) for g in gens]
+        if _outside_span(images, gens) is not None:
+            return name
     return None
 
 
@@ -640,6 +654,13 @@ class Workbench:
         return None
 
     @cached_property
+    def symmetry_check(self) -> "str | None":
+        """None when S_n fixes K_n (``_unstable`` on its generators), else a
+        witness naming the permutation that moves it."""
+        name = _unstable(self.ideal_K.gens, self.n)
+        return name and f"K_{self.n} is not invariant under {name}"
+
+    @cached_property
     def colength_check(self) -> "str | None":
         """None when ``gb_L`` is certified the reduced basis of L_{n-1},
         else a witness.
@@ -693,17 +714,23 @@ class Workbench:
 
     @cached_property
     def unprojection_check(self) -> "str | None":
-        """None when Q_n at z -> x_n equals K_n, else a witness.  Both are
-        generated by forms, so if the two generator sets span the same forms
-        in each degree, the ideals are equal."""
+        """None when Q_n and K_n are generated by forms and Q_n at z -> x_n
+        equals K_n, else a witness.  z -> x_n keeps forms forms, so the ideals
+        are equal when the generators span the same forms in each degree."""
         q, kid = self.ideal_Q, self.ideal_K
+        if not all(g.is_homogeneous() for g in q.gens + kid.gens):
+            return "Q or K has a generator that is not a form"
         subst = substitute_ideal(q, "z", q.ring.var(f"x{self.n}")).gens
         lifted = tuple(q.ring.lift(g, kid.ring) for g in kid.gens)
-        if not all(g.is_homogeneous() for g in subst + lifted):
-            return "Q at z -> xn or K has a generator that is not a form"
         gaps = (_outside_span(subst, lifted), _outside_span(lifted, subst))
         degrees = [g.total_degree() for g in gaps if g is not None]
         return f"Q at z -> xn and K differ in degree {min(degrees)}" if degrees else None
+
+    @cached_property
+    def multiplicity_Q(self) -> int:
+        """e(R[z]/in(Q_n)), read off ``gb_Q`` once ``criterion_check``
+        passes; ``ValueError`` unless R[z]/in(Q_n) has dimension 1."""
+        return multiplicity(self.gb_Q)
 
 
 def graded_trace(n: int, lam) -> list[int]:
@@ -737,15 +764,9 @@ def graded_trace(n: int, lam) -> list[int]:
 
 def challenge_series(wb: Workbench) -> tuple[ClassFunction, ...]:
     """The graded S_n-character of R_n/K_n, entry d the class function of
-    degree d, from ``graded_trace``.  K_n's invariance is checked under
-    (1 2) and (1 2 ... n): its generators' images lie in their span."""
-    n, gens = wb.n, wb.ideal_K.gens
-    for image in symmetric_generators(n, n).values():
-        move = act(image, n)
-        images = [Polynomial(n, {move(m): c for m, c in g.terms.items()}) for g in gens]
-        if _outside_span(images, gens) is not None:
-            raise EquivarianceError("defining ideal is not invariant under the permutation")
-    lams = partitions(n)
+    degree d, from ``graded_trace``; exact once the certificates of
+    ``challenge`` pass, ``symmetry_check`` among them."""
+    n, lams = wb.n, partitions(wb.n)
     traces = [graded_trace(n, lam) for lam in lams]
     return tuple(ClassFunction(n, zip(lams, level)) for level in zip(*traces))
 
@@ -819,14 +840,12 @@ def _claim_prop3_generators(wb: Workbench):
 
 
 def _claim_thm3(wb: Workbench):
-    # J_n is monomial; once S_{n-1} permutes its minimal generators it
-    # permutes the staircase, and the trace of sigma in degree k counts the
+    # staircase_check certifies the staircase {m(T, s)}, which depends only
+    # on |T|: S_{n-1} permutes it, and with it the monomial ideal J_n of the
+    # monomials off it.  So the trace of sigma in degree k counts the
     # standard monomials of degree k that sigma fixes: graded_trace with x_n
     # in a cycle of its own
     n = wb.n
-    for name, image in symmetric_generators(n - 1, n).items():
-        if not permutes(image, wb.gb_J.elements):
-            return False, f"{name} does not permute the generators of J_{n}"
     chars = [subset_character(n - 1, l) for l in range(n)]
     for lam in partitions(n - 1):
         traces = graded_trace(n, lam + (1,))
@@ -889,14 +908,12 @@ def _claim_appendix_colon(wb: Workbench):
 
 def _claim_appendix_regularity(wb: Workbench):
     # A = R[z]/Q_n is graded and f = z - xn is linear.  A/fA = R/K_n (the
-    # unprojection) has finite length, so 0 :_A f, an A/fA-module, has too,
-    # and the exact sequence 0 -> (0:f)(-1) -> A(-1) -> A -> A/fA -> 0 read
-    # on Hilbert series at t = 1 gives l(A/fA) = e(A) + l(0:f) when dim A = 1.
-    # So f is regular exactly when e(A) = e(R[z]/in Q_n) equals dim R/K_n.
-    if not all(g.is_homogeneous() for g in wb.ideal_Q.gens):
-        return False, "Q has a generator that is not a form"
+    # unprojection, which checks the grading) has finite length, so 0 :_A f
+    # has too, and 0 -> (0:f)(-1) -> A(-1) -> A -> A/fA -> 0 read on Hilbert
+    # series at t = 1 gives l(A/fA) = e(A) + l(0:f) when dim A = 1.  So f is
+    # regular exactly when e(A) = e(R[z]/in Q_n) equals dim R/K_n.
     try:
-        e = multiplicity(wb.gb_Q)
+        e = wb.multiplicity_Q
     except ValueError as exc:
         return False, str(exc)
     if e != len(wb.staircase_K):
@@ -905,10 +922,13 @@ def _claim_appendix_regularity(wb: Workbench):
 
 
 def _claim_appendix_krull(wb: Workbench):
-    gbs = (wb.gb_L, wb.prev.gb_K, wb.gb_Q)
-    dims = tuple(krull_dim_monomial(gb) for gb in gbs)
-    if dims != (0, 0, 1):
-        return False, f"Krull dimensions of in(L), in(K), in(Q) are {dims}"
+    # in(L) and in(K_{n-1}) have dimension 0: their certificates count finite
+    # staircases.  in(Q_n) has dimension 1 when multiplicity_Q finds a free
+    # variable (at least 1) and every cut at one is Artinian (at most 1)
+    try:
+        wb.multiplicity_Q
+    except ValueError as exc:
+        return False, str(exc)
     return True, None
 
 
@@ -953,7 +973,7 @@ CLAIMS: dict[str, tuple] = {
         _claim_appendix_regularity,
     ),
     "appendix_krull": (3, (*_LINKED, "criterion_check"), _claim_appendix_krull),
-    "challenge": (2, _STAIRCASE, _claim_challenge),
+    "challenge": (2, (*_STAIRCASE, "symmetry_check"), _claim_challenge),
 }
 
 

@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .errors import AmbientMismatchError
 
 Monomial = tuple[int, ...]
-Coeff = "int | Fraction"
 
 
 # ---------------------------------------------------------------------------

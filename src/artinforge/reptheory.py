@@ -85,24 +85,15 @@ def act(image, nvars: int):
     return itemgetter(*inverse) if nvars > 1 else tuple
 
 
-def symmetric_generators(k: int, n: int) -> dict:
-    """(1 2) and (1 2 ... k), which generate S_k, as image tuples on n >= k
-    letters fixing the last n - k, keyed by their cycle notation; none for
-    k < 2 and one for k = 2."""
+def symmetric_generators(n: int) -> dict:
+    """(1 2) and (1 2 ... n), which generate S_n, as image tuples keyed by
+    their cycle notation; none for n < 2 and one for n = 2."""
     gens = {}
-    if k >= 2:
+    if n >= 2:
         gens["(1 2)"] = (1, 0) + tuple(range(2, n))
-    if k >= 3:
-        gens[f"(1 2 ... {k})"] = tuple(range(1, k)) + (0,) + tuple(range(k, n))
+    if n >= 3:
+        gens[f"(1 2 ... {n})"] = tuple(range(1, n)) + (0,)
     return gens
-
-
-def permutes(image: tuple[int, ...], polys) -> bool:
-    """Whether x_i -> x_image[i] permutes the set ``polys``."""
-    move = act(image, len(image))
-    before = {frozenset(g.terms.items()) for g in polys}
-    after = {frozenset((move(m), c) for m, c in g.terms.items()) for g in polys}
-    return after == before
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from artinforge.groebner import (
     GroebnerBasis,
     buchberger,
     ideal_equal,
-    krull_dim_monomial,
     substitute_ideal,
 )
 from artinforge.paperlab import (
@@ -46,7 +45,7 @@ from artinforge.reptheory import (
     trivial_character,
     xn_character,
 )
-from test_groebner import is_regular_element, top_form_basis
+from test_groebner import is_regular_element, krull_dim_monomial, top_form_basis
 from test_polyarith import yring
 
 CAP = DEFAULT_PAIR_CAP

@@ -317,7 +317,7 @@ CERTIFIED = {
     ("hilbert", "--ideal", "K"): {"sandwich_check"},
     ("socle", "--ideal", "J"): {"sandwich_check"},
     ("socle", "--ideal", "K"): {"sandwich_check", "series_check", "duality_check"},
-    ("challenge",): {"sandwich_check", "staircase_check"},
+    ("challenge",): {"sandwich_check", "staircase_check", "symmetry_check"},
     ("groebner", "--ideal", "L"): {"colength_check"},
     ("groebner", "--ideal", "L", "--order", "deglex"): {"colength_check"},
     ("groebner", "--ideal", "Q"): {"criterion_check"},

@@ -23,7 +23,6 @@ from artinforge.groebner import (
     first_nonmember,
     ideal_equal,
     ideal_member,
-    krull_dim_monomial,
     multiplicity,
     standard_monomials,
     substitute,
@@ -841,6 +840,25 @@ def test_substitute_examples():
 
 # ---------------------------------------------------------------------------
 # regularity and Krull dimension
+
+# The Krull dimension by a scan of variable subsets, which ``appendix_krull``
+# ran before it read the certified staircases and ``multiplicity``; kept as
+# that claim's reference.
+def krull_dim_monomial(gb: GroebnerBasis) -> int:
+    """Krull dimension of R/in(I) for ``gb`` a reduced basis of I: the
+    largest number of variables supporting no leading monomial entirely."""
+    nv = gb.ring.nvars
+    lms = gb.leading_monomials()
+    if (0,) * nv in lms:
+        raise ValueError("the ideal contains 1; the quotient is zero")
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
+    for size in range(nv, 0, -1):
+        for subset in combinations(range(nv), size):
+            s = set(subset)
+            if all(not sup <= s for sup in supports):
+                return size
+    return 0
+
 
 # The reverse-lex regularity test, one completion of the moved ideal, which
 # ``appendix_regularity`` ran before its multiplicity certificate; kept as

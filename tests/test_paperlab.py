@@ -21,6 +21,7 @@ from artinforge.paperlab import (
     _expected_standard_monomials,
     _k_homogeneous,
     _outside_span,
+    _unstable,
     _value_at,
     bernoulli,
     build_ideal,
@@ -43,7 +44,7 @@ from artinforge.polyarith import (
     xring,
 )
 from artinforge.quotient import QuotientAlgebra, contract, equivariant_graded_trace, graded_traces
-from artinforge.errors import EquivarianceError, ResourceLimitError
+from artinforge.errors import ResourceLimitError
 from artinforge.groebner import standard_monomials
 from artinforge.reptheory import (
     ClassFunction,
@@ -56,10 +57,12 @@ from artinforge.reptheory import (
 )
 from test_groebner import (
     is_regular_element,
+    krull_dim_monomial,
     reference_is_regular_element,
     top_form_basis,
 )
 from test_polyarith import yring
+from test_reptheory import padded, permutes
 
 
 # ---------------------------------------------------------------------------
@@ -1399,6 +1402,7 @@ J_CLAIMS = sorted(claims_resting_on("sandwich_check"))
         ("criterion_check", {"appendix_regularity", "appendix_krull"}),
         ("prev.sandwich_check", {"appendix_colon", "appendix_krull"}),
         ("staircase_check", {"prop3_basis", "thm3", "challenge"}),
+        ("symmetry_check", {"challenge"}),
     ],
 )
 def test_a_failed_certificate_fails_exactly_the_claims_resting_on_it(certificate, claims):
@@ -1557,17 +1561,31 @@ def test_thm3_fixed_point_traces_equal_the_table_traces(n):
 
 
 def test_thm3_needs_J_stable_under_the_smaller_symmetric_group():
+    # J_4 + <x1*x4> is not S_3-stable: its staircase lost x1*x4 and x1*x4^2
+    # but kept x2*x4, so it is no longer {m(T, s)}, which depends only on |T|
     wb = Workbench(4)
     wb.sandwich_check = None
     ring = wb.ideal_K.ring
     bigger = buchberger(Ideal(ring, wb.gb_J.elements + (ring.poly("x1*x4"),)))
     wb.gb_J, wb.staircase_K = bigger, standard_monomials(bigger)
-    wb.staircase_check = None  # the staircase lost x1*x4
+    assert not permutes(padded(symmetric_generators(3)["(1 2)"], 4), bigger.elements)
     report = verify("thm3", 4, wb)
     assert (report.status, report.witness) == (
         "fail",
-        "(1 2) does not permute the generators of J_4",
+        "0 unexpected and 2 missing standard monomials",
     )
+    assert report.witness == wb.staircase_check
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_S_n_minus_1_permutes_the_generators_of_J(n, monkeypatch):
+    # thm3 reads the S_{n-1}-stability of J_n off staircase_check; the
+    # generator-set test it ran before agrees
+    monkeypatch.setattr(paperlab, "SUPPORTED_RANGE", (2, 9))
+    wb = Workbench(n)
+    assert verify("thm3", n, wb).status == "pass"
+    for image in symmetric_generators(n - 1).values():
+        assert permutes(padded(image, n), wb.gb_J.elements)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -1577,7 +1595,7 @@ def test_challenge_fixed_points_equal_the_table_traces(n):
     wb = Workbench(n)
     q = QuotientAlgebra(buchberger(wb.ideal_K))
     lams, _, reps = zip(*conjugacy_classes(n))
-    traces = graded_traces(q, reps, symmetric_generators(n, n).values())
+    traces = graded_traces(q, reps, symmetric_generators(n).values())
     series = challenge_series(wb)
     assert type(series) is tuple and len(series) == len(q.basis.by_degree)
     for d, cf in enumerate(series):
@@ -1585,11 +1603,52 @@ def test_challenge_fixed_points_equal_the_table_traces(n):
 
 
 def test_challenge_rejects_a_K_that_S_n_does_not_fix():
+    # (1 2) sends x1 to x2, which no generator of degree 1 spans; the claim
+    # fails with the witness and raises nothing
     wb = Workbench(4)
     ring = wb.ideal_K.ring
     wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1"),))
-    with pytest.raises(EquivarianceError):
-        challenge_series(wb)
+    wb.sandwich_check = wb.staircase_check = None  # the sandwich refuses x1 first
+    _fails_with(wb, "symmetry_check", "K_4 is not invariant under (1 2)")
+    assert claims_resting_on("symmetry_check") == {"challenge"}
+    # a generator set that (1 2) permutes but the 4-cycle does not
+    wb = Workbench(4)
+    wb.ideal_K = Ideal(ring, wb.ideal_K.gens + (ring.poly("x1*x2 + x3^2"),))
+    assert wb.symmetry_check == "K_4 is not invariant under (1 2 ... 4)"
+
+
+def _images_are_members(ideal: Ideal) -> bool:
+    """Exact S_n-invariance: the images of the generators under (1 2) and
+    (1 2 ... n) lie in the ideal, by the completed basis."""
+    n, gb = ideal.ring.nvars, buchberger(ideal)
+    moves = [act(image, n) for image in symmetric_generators(n).values()]
+    images = [
+        Polynomial(n, {move(m): c for m, c in g.terms.items()})
+        for move in moves
+        for g in ideal.gens
+    ]
+    return all(groebner.ideal_member(f, gb) for f in images)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_span_test_agrees_with_exact_membership(n):
+    i, k = build_ideal("I", n), _k_homogeneous(n)
+    cases = [i, k, Ideal(i.ring, i.gens[2:] + i.gens[:2])]
+    if n >= 3:  # the ideals of the point tests
+        x = [i.ring.var(name) for name in i.ring.names]
+        cases += [
+            Ideal(i.ring, i.gens[1:]),
+            Ideal(i.ring, i.gens + ((x[0] - x[1]) * (x[-2] - x[-1]),)),
+        ]
+    for ideal in cases:
+        assert (_unstable(ideal.gens, n) is None) == _images_are_members(ideal)
+    assert _unstable(i.gens, n) is _unstable(k.gens, n) is None
+    if n >= 3:
+        # the converse can fail: x1*f2 lies in I_n, and (1 2) sends it to
+        # x2*f1, which is in I_n but outside the span of degree n
+        swapped = Ideal(i.ring, i.gens + (x[0] * i.gens[1],))
+        assert _images_are_members(swapped)
+        assert _unstable(swapped.gens, n) == "(1 2)"
 
 
 def test_challenge_refuses_a_basis_whose_normal_forms_are_not_monomials():
@@ -1678,9 +1737,43 @@ def test_regularity_checks_every_step_of_its_certificate():
             "fail",
             "Q at z -> xn and K differ in degree 2",
         )
+    # a generator that is not a form fails the unprojection, which checks
+    # the grading that the regularity argument reads
     wb = Workbench(4)
     wb.ideal_Q = Ideal(ring, wb.ideal_Q.gens + (ring.poly("z^3 - x4*z"),))
-    wb.unprojection_check = wb.criterion_check = None
-    report = verify("appendix_regularity", 4, wb)
-    assert report.status == "fail"
-    assert report.witness == "Q has a generator that is not a form"
+    wb.criterion_check = None
+    _fails_with(wb, "unprojection_check", "Q or K has a generator that is not a form")
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_appendix_krull_agrees_with_the_subset_scan(n):
+    wb = Workbench(n)
+    assert verify("appendix_krull", n, wb).status == "pass"
+    gbs = (wb.gb_L, wb.prev.gb_K, wb.gb_Q)
+    assert tuple(krull_dim_monomial(gb) for gb in gbs) == (0, 0, 1)
+
+
+def test_appendix_krull_refuses_a_Q_basis_of_dimension_zero():
+    # pure powers of x4 and z leave no free variable: in(Q) has dimension 0
+    wb = Workbench(4)
+    ring = wb.ideal_Q.ring
+    powers = (ring.poly("x4^6"), ring.poly("z^6"))
+    wb.gb_Q = buchberger(Ideal(ring, wb.ideal_Q.gens + powers))
+    wb.criterion_check = None
+    assert krull_dim_monomial(wb.gb_Q) == 0
+    report = verify("appendix_krull", 4, wb)
+    assert (report.status, report.witness) == ("fail", "R/in(I) has dimension 0, not 1")
+
+
+def test_a_full_registry_reads_one_multiplicity_per_workbench(monkeypatch):
+    calls = []
+    real = paperlab.multiplicity
+    monkeypatch.setattr(
+        paperlab, "multiplicity", lambda gb: calls.append(gb) or real(gb)
+    )
+    workbenches = [Workbench(n) for n in range(2, 8)]
+    for wb in workbenches:
+        for claim in CLAIMS:
+            assert verify(claim, wb.n, wb).status in ("pass", "skipped")
+    assert len(calls) == len(workbenches) - 1  # none at n = 2, below the appendix
+    assert [gb.ring.nvars for gb in calls] == [n + 1 for n in range(3, 8)]

@@ -1,7 +1,10 @@
 """Static checks on the package source that no linter runs here."""
 
 import ast
+from functools import cached_property
 from pathlib import Path
+
+from artinforge import paperlab
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "artinforge"
@@ -145,18 +148,32 @@ def _reads(tree: ast.Module, module: str) -> set:
 
 
 def _definitions(tree: ast.Module) -> dict:
+    """name -> node of each top-level function, class, and name assigned."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {node.name: node for node in tree.body if isinstance(node, defs)}
+    out = {}
+    for node in tree.body:
+        if isinstance(node, defs):
+            out[node.name] = node
+        elif isinstance(node, ast.Assign):
+            out.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out[node.target.id] = node
+    return out
 
 
 def _unreferenced(sources: dict) -> set:
-    """(module, name) of each top-level function or class that no other
-    line of ``sources`` (module stem -> source text) reads and that
-    ``__init__`` does not export."""
+    """(module, name) of each top-level function, class or assigned name
+    that no other line of ``sources`` (module stem -> source text) reads and
+    that ``__init__`` does not export; ``__init__``'s own dunders, such as
+    ``__version__``, are the package's metadata."""
     defined, reads = set(), set()
     for module, text in sources.items():
         tree = ast.parse(text)
-        defined |= {(module, name) for name in _definitions(tree)}
+        defined |= {
+            (module, name)
+            for name in _definitions(tree)
+            if not (module == "__init__" and name.startswith("__"))
+        }
         reads |= _reads(tree, module)
     return defined - reads
 
@@ -175,7 +192,8 @@ def test_the_check_sees_a_definition_nothing_reads():
             "def reached():\n    return 3\n\n"
             "def recursive(k):\n    return recursive(k - 1) if k else used()\n\n"
             "def dead():\n    pass\n\n"
-            "class Dead:\n    pass\n"
+            "class Dead:\n    pass\n\n"
+            "Alias = int\nREAD: int = 1\nUNREAD: int = READ\nCoeff = 'int | Fraction'\n"
         ),
         # an attribute counts only on a package module: obj.dead and x.read
         # read neither a.dead nor b.read
@@ -185,9 +203,71 @@ def test_the_check_sees_a_definition_nothing_reads():
             "def read():\n    pass\n"
         ),
     }
+    sources["__init__"] += "__version__ = '0'\n__all__ = []\nVERSION = __version__\n"
     assert _unreferenced(sources) == {
         ("a", "recursive"),
         ("a", "dead"),
         ("a", "Dead"),
+        ("a", "Alias"),
+        ("a", "UNREAD"),
+        ("a", "Coeff"),
         ("b", "read"),
+        ("__init__", "VERSION"),
     }
+
+
+# ---------------------------------------------------------------------------
+# claims and certificates
+
+def _certificates_read_by_claims(tree: ast.Module) -> set:
+    """(claim function, certificate) for each attribute or string ending in
+    ``_check`` that a top-level ``_claim_*`` function of ``tree`` reads."""
+    return {
+        (fn.name, node.attr if isinstance(node, ast.Attribute) else node.value)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_claim_")
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Attribute) and node.attr.endswith("_check"))
+        or (isinstance(node, ast.Constant) and str(node.value).endswith("_check"))
+    }
+
+
+def test_no_claim_function_reads_a_certificate():
+    # verify reads each claim's certificates from its CLAIMS entry; a claim
+    # body that read one would decide its hypothesis a second time
+    tree = ast.parse((SRC / "paperlab.py").read_text())
+    assert _certificates_read_by_claims(tree) == set()
+
+
+def test_the_check_sees_a_claim_reading_a_certificate():
+    tree = ast.parse(
+        "def _claim_a(wb):\n    return wb.b_check\n\n"
+        "def helper(wb):\n    return wb.c_check\n\n"
+        "def _claim_d(wb):\n    return getattr(wb.prev, 'e_check'), wb.checked\n"
+    )
+    assert _certificates_read_by_claims(tree) == {
+        ("_claim_a", "b_check"),
+        ("_claim_d", "e_check"),
+    }
+
+
+def _unnamed_certificates(workbench: type, claims: dict) -> set:
+    """Each ``*_check`` of ``workbench`` that no entry of ``claims`` names,
+    directly or through ``prev``."""
+    named = {c.rpartition(".")[2] for _, certs, _ in claims.values() for c in certs}
+    return {name for name in vars(workbench) if name.endswith("_check")} - named
+
+
+def test_every_certificate_is_named_by_a_claim():
+    assert _unnamed_certificates(paperlab.Workbench, paperlab.CLAIMS) == set()
+
+
+def test_the_check_sees_a_certificate_no_claim_names():
+    class Bench:
+        a_check = cached_property(lambda self: None)
+        b_check = cached_property(lambda self: None)
+        c_check = cached_property(lambda self: None)
+        checked = cached_property(lambda self: None)
+
+    claims = {"x": (2, ("prev.a_check",), None), "y": (3, ("c_check",), None)}
+    assert _unnamed_certificates(Bench, claims) == {"b_check"}
