@@ -11,8 +11,9 @@ stderr.  The other commands print Workbench artefacts once the certificates
 each rests on pass (``paperlab.first_witness``, as in ``verify``; ``socle
 --ideal K`` and ``challenge`` read those of their claims in ``CLAIMS``); a
 witness exits 1 with one stderr line.  ``buchberger`` runs only for
-``groebner --ideal I`` and for lex or deglex, within ``--pair-cap`` (unset:
-its default), which in ``verify`` bounds the colon target of appendix_colon.
+``groebner --ideal I`` and for lex or deglex, and in ``verify`` for the colon
+target of appendix_colon, so only these two take ``--pair-cap`` (unset: its
+default).  A value that a command would drop is a usage error.
 
 Exit codes: 0 pass, 1 a failed claim or certificate, 2 usage error, 3 pair cap.
 """
@@ -61,19 +62,11 @@ def _arg(*flags, **options):
     return flags, options
 
 
-# every subcommand takes these first
-_COMMON = (
-    _arg("--format", choices=("text", "json"), default="text", help="output format"),
-    _arg(
-        "--pair-cap",
-        default=None,
-        help="S-pair queue bound, a positive integer (default: 10^6)",
-    ),
-    _arg(
-        "--allow-large-n",
-        action="store_true",
-        help="permit n = 8 (computations grow steeply)",
-    ),
+# every subcommand takes --format first; only verify and groebner, the two
+# that complete a basis, take --pair-cap
+_FORMAT = _arg("--format", choices=("text", "json"), default="text", help="output format")
+_PAIR_CAP = _arg(
+    "--pair-cap", help="S-pair queue bound, a positive integer (default: 10^6)"
 )
 _N = _arg("--n", type=int, required=True)
 
@@ -92,24 +85,21 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     for name in names:
         _, help_text, *arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        for flags, options in (*_COMMON, *arguments):
+        for flags, options in (_FORMAT, *arguments):
             p.add_argument(*flags, **options)
     return parser
 
 
-def _check_n(parser, args, values) -> None:
+def _check_n(parser, values) -> None:
     lo, hi = paperlab.SUPPORTED_RANGE
     for n in values:
         if not lo <= n <= hi:
             parser.error(f"n={n} outside the supported range {lo}..{hi}")
-        if n == hi and not args.allow_large_n:
-            parser.error(f"n={n} requires --allow-large-n")
 
 
-def _resolve_cap(parser, args) -> "int | None":
+def _resolve_cap(parser, text) -> "int | None":
     """``--pair-cap``, else None for ``buchberger``'s default; anything but a
     positive integer is a usage error."""
-    text = args.pair_cap
     if text is None:
         return None
     if not text.strip().isdecimal() or int(text) < 1:
@@ -119,7 +109,7 @@ def _resolve_cap(parser, args) -> "int | None":
 
 def _workbench(parser, args, certificates=("sandwich_check",)) -> paperlab.Workbench:
     """The workbench of ``--n``; exit 1 unless its ``certificates`` pass."""
-    wb = paperlab.Workbench(args.n, args.pair_cap)
+    wb = paperlab.Workbench(args.n)
     witness = paperlab.first_witness(wb, certificates)
     if witness is not None:
         parser.exit(EXIT_FAIL, f"{parser.prog}: certificate failed: {witness}\n")
@@ -131,6 +121,8 @@ def _class_value(lam, value) -> str:
 
 
 def _cmd_verify(parser, args):
+    if args.timings and args.format != "json":
+        parser.error("--timings requires --format json")
     if args.claims == "all":
         claims = sorted(paperlab.CLAIMS)
     else:
@@ -191,6 +183,8 @@ def _cmd_hilbert(parser, args):
 
 def _cmd_character(parser, args):
     n = args.n
+    if args.k is not None and args.kind != "subset":
+        parser.error("--k requires --kind subset")
     if args.kind == "xn":
         cf = reptheory.xn_character(n)
     elif args.kind == "powerset":
@@ -264,7 +258,7 @@ def _cmd_triangle(parser, args):
     return records, [" ".join(str(c) for c in row) for row in rows], EXIT_OK
 
 
-# name -> (the command, its help, the arguments it takes after the common ones)
+# name -> (the command, its help, the arguments it takes after --format)
 _COMMANDS = {
     "verify": (
         _cmd_verify,
@@ -272,6 +266,7 @@ _COMMANDS = {
         _arg("--n", type=_parse_n_range, default=range(2, 7), metavar="A..B"),
         _arg("--claims", default="all", help="comma list of claim ids or 'all'"),
         _arg("--timings", action="store_true", help="include millis in JSON reports"),
+        _PAIR_CAP,
     ),
     "groebner": (
         _cmd_groebner,
@@ -279,6 +274,7 @@ _COMMANDS = {
         _arg("--ideal", choices=("I", "J", "K", "L", "Q"), required=True),
         _N,
         _arg("--order", choices=tuple(_ORDERS), default="grevlex"),
+        _PAIR_CAP,
     ),
     "hilbert": (
         _cmd_hilbert,
@@ -320,8 +316,9 @@ def run(argv=None) -> int:
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        args.pair_cap = _resolve_cap(parser, args)
-        _check_n(parser, args, args.n if isinstance(args.n, range) else (args.n,))
+        if "pair_cap" in args:  # verify and groebner
+            args.pair_cap = _resolve_cap(parser, args.pair_cap)
+        _check_n(parser, args.n if isinstance(args.n, range) else (args.n,))
         records, lines, code = _COMMANDS[args.command][0](parser, args)
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code

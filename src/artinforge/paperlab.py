@@ -47,8 +47,8 @@ challenge and thm3 read each class's graded trace off its cycle type
 binomials that the formula rests on; thm3 reads the S_{n-1}-stability of
 J_n off that staircase, and challenge rests on symmetry_check (S_n fixes
 K_n: one span test, _unstable).  appendix_krull reads its dimensions off
-the certified staircases and multiplicity_Q.  A failed hypothesis is always
-a certificate's witness, never an exception.
+the certified staircases and dimension_check, which reads multiplicity_Q.
+A failed hypothesis is always a certificate's witness, never an exception.
 """
 
 from __future__ import annotations
@@ -728,9 +728,20 @@ class Workbench:
 
     @cached_property
     def multiplicity_Q(self) -> int:
-        """e(R[z]/in(Q_n)), read off ``gb_Q`` once ``criterion_check``
+        """e(R[z]/in(Q_n)), read off ``gb_Q`` once ``dimension_check``
         passes; ``ValueError`` unless R[z]/in(Q_n) has dimension 1."""
         return multiplicity(self.gb_Q)
+
+    @cached_property
+    def dimension_check(self) -> "str | None":
+        """None when R[z]/in(Q_n) has dimension 1, read once ``criterion_check``
+        passes: ``multiplicity`` finds a free variable (at least 1) and every
+        cut at one Artinian (at most 1); else the text of its ``ValueError``."""
+        try:
+            self.multiplicity_Q
+        except ValueError as exc:
+            return str(exc)
+        return None
 
 
 def graded_trace(n: int, lam) -> list[int]:
@@ -912,23 +923,8 @@ def _claim_appendix_regularity(wb: Workbench):
     # has too, and 0 -> (0:f)(-1) -> A(-1) -> A -> A/fA -> 0 read on Hilbert
     # series at t = 1 gives l(A/fA) = e(A) + l(0:f) when dim A = 1.  So f is
     # regular exactly when e(A) = e(R[z]/in Q_n) equals dim R/K_n.
-    try:
-        e = wb.multiplicity_Q
-    except ValueError as exc:
-        return False, str(exc)
-    if e != len(wb.staircase_K):
+    if wb.multiplicity_Q != len(wb.staircase_K):
         return False, "z - xn is a zero divisor on R[z]/Q"
-    return True, None
-
-
-def _claim_appendix_krull(wb: Workbench):
-    # in(L) and in(K_{n-1}) have dimension 0: their certificates count finite
-    # staircases.  in(Q_n) has dimension 1 when multiplicity_Q finds a free
-    # variable (at least 1) and every cut at one is Artinian (at most 1)
-    try:
-        wb.multiplicity_Q
-    except ValueError as exc:
-        return False, str(exc)
     return True, None
 
 
@@ -948,12 +944,15 @@ def _claim_challenge(wb: Workbench):
 # (dim R/I_n = c_n, with c_n distinct points of V(I_n): I_n is reduced),
 # prop3_basis (the staircase of in(K_n) = J_n is {m(T, s)}),
 # prop4_generators (top(I_n) = K_n and in(I_n) = in(K_n), so R/K_n and
-# R/J_n share the Hilbert series), thm2, inverse_system and
-# appendix_unprojection are their certificates.
+# R/J_n share the Hilbert series), thm2, inverse_system,
+# appendix_unprojection and appendix_krull (in(L_{n-1}) and in(K_{n-1})
+# have finite staircases, and R[z]/in(Q_n) has dimension 1) are their
+# certificates.
 _SANDWICH = ("sandwich_check",)
 _SERIES = (*_SANDWICH, "series_check")
 _STAIRCASE = (*_SANDWICH, "staircase_check")
 _LINKED = ("colength_check", "prev.sandwich_check")  # L_{n-1} inside K_{n-1}
+_DIMENSION = ("criterion_check", "dimension_check")  # dim R[z]/in(Q_n) = 1
 CLAIMS: dict[str, tuple] = {
     "prop2_codim": (2, _SANDWICH, _certified),
     "thm1": (2, (), _claim_thm1),
@@ -969,10 +968,10 @@ CLAIMS: dict[str, tuple] = {
     "appendix_unprojection": (3, ("unprojection_check",), _certified),
     "appendix_regularity": (
         3,
-        ("sandwich_check", "unprojection_check", "criterion_check"),
+        ("sandwich_check", "unprojection_check", *_DIMENSION),
         _claim_appendix_regularity,
     ),
-    "appendix_krull": (3, (*_LINKED, "criterion_check"), _claim_appendix_krull),
+    "appendix_krull": (3, (*_LINKED, *_DIMENSION), _certified),
     "challenge": (2, (*_STAIRCASE, "symmetry_check"), _claim_challenge),
 }
 

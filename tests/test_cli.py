@@ -84,7 +84,11 @@ def test_verify_without_claim_ids_is_usage_error(capsys, value):
 def test_verify_rejects_out_of_range_n(capsys):
     assert run(capsys, "verify", "--n", "1..3")[0] == 2
     assert run(capsys, "verify", "--n", "9")[0] == 2
-    assert run(capsys, "verify", "--n", "8", "--claims", "thm1")[0] == 2
+    # n = 8, the top of the range, needs no flag; a range past it is refused
+    assert run(capsys, "verify", "--n", "8", "--claims", "thm1")[0] == 0
+    assert run(capsys, "verify", "--n", "7..9", "--claims", "thm1") == (
+        2, "", "artinforge: error: n=9 outside the supported range 2..8\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -127,8 +131,7 @@ def test_pair_cap_exhaustion_exits_3(capsys):
 def test_a_pair_cap_of_one_bounds_only_the_colon_target(capsys):
     claims = ",".join(c for c in paperlab.CLAIMS if c != "appendix_colon")
     code, out, err = run(
-        capsys, "verify", "--n", "2..8", "--allow-large-n", "--claims", claims,
-        "--pair-cap", "1",
+        capsys, "verify", "--n", "2..8", "--claims", claims, "--pair-cap", "1"
     )
     assert (code, err) == (0, "90 pass, 0 fail, 8 skipped\n")
 
@@ -298,12 +301,40 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+# the arguments of one run of each command at n = 8, the top of the range
+AT_THE_TOP = {
+    "verify": ("--n", "8", "--claims", "thm1"),
+    "groebner": ("--ideal", "K", "--n", "8"),
+    "hilbert": ("--ideal", "K", "--n", "8"),
+    "character": ("--kind", "xn", "--n", "8"),
+    "socle": ("--ideal", "J", "--n", "8"),
+    "challenge": ("--n", "8"),
+    "points": ("--n", "8"),
+    "triangle": ("--n", "2..8"),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_takes_only_the_options_it_acts_on(capsys, command):
+    # no flag gates n = 8, and only the two commands that complete a basis
+    # (verify and groebner) take a pair cap
+    argv = (command, *AT_THE_TOP[command])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert run(capsys, *argv, "--allow-large-n") == (
+        2, "", "artinforge: error: unrecognized arguments: --allow-large-n\n"
+    )
+    capped = run(capsys, *argv, "--pair-cap", "1")
+    if command in ("verify", "groebner"):
+        assert capped == (0, out, err)
+    else:
+        assert capped == (
+            2, "", "artinforge: error: unrecognized arguments: --pair-cap 1\n"
+        )
+
+
 # ---------------------------------------------------------------------------
 # the dump subcommands read the workbench's certified artefacts
-
-def _n_argv(n):
-    return ("--n", str(n), "--allow-large-n") if n == 8 else ("--n", str(n))
-
 
 # each command that prints a closed form, its staircase or a claim's
 # verdict, with the certificates it reads: socle --ideal K and challenge
@@ -368,15 +399,17 @@ def test_the_grevlex_artefacts_complete_nothing(capsys, monkeypatch, n):
         ("challenge",),
     ]
     for command in commands:
-        code, out, err = run(capsys, *command, *_n_argv(n))
+        code, out, err = run(capsys, *command, "--n", str(n))
         assert (code, err) == (0, "") and out, command
-        assert run(capsys, *command, *_n_argv(n), "--pair-cap", "1") == (0, out, err)
+        if command[0] == "groebner":  # the others take no pair cap
+            capped = run(capsys, *command, "--n", str(n), "--pair-cap", "1")
+            assert capped == (0, out, err), command
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_groebner_I_still_completes_within_the_pair_cap(capsys, n):
     code, out, err = run(
-        capsys, "groebner", "--ideal", "I", *_n_argv(n), "--pair-cap", "1"
+        capsys, "groebner", "--ideal", "I", "--n", str(n), "--pair-cap", "1"
     )
     assert (code, out) == (3, "")
     assert err == "resource limit: pair queue exceeded the cap of 1 pairs\n"

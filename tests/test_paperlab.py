@@ -1400,6 +1400,7 @@ J_CLAIMS = sorted(claims_resting_on("sandwich_check"))
         ("unprojection_check", {"appendix_unprojection", "appendix_regularity"}),
         ("colength_check", {"appendix_colon", "appendix_krull"}),
         ("criterion_check", {"appendix_regularity", "appendix_krull"}),
+        ("dimension_check", {"appendix_regularity", "appendix_krull"}),
         ("prev.sandwich_check", {"appendix_colon", "appendix_krull"}),
         ("staircase_check", {"prop3_basis", "thm3", "challenge"}),
         ("symmetry_check", {"challenge"}),

@@ -251,6 +251,32 @@ def test_the_check_sees_a_claim_reading_a_certificate():
     }
 
 
+def _claims_catching(tree: ast.Module) -> set:
+    """Each top-level ``_claim_*`` function of ``tree`` that has a ``try``."""
+    return {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_claim_")
+        if any(isinstance(node, ast.Try) for node in ast.walk(fn))
+    }
+
+
+def test_no_claim_function_catches_an_exception():
+    # a failed hypothesis is a certificate's witness (dimension_check holds
+    # the ValueError of multiplicity_Q), never an exception a claim catches
+    tree = ast.parse((SRC / "paperlab.py").read_text())
+    assert _claims_catching(tree) == set()
+
+
+def test_the_check_sees_a_claim_catching_an_exception():
+    tree = ast.parse(
+        "def _claim_a(wb):\n    try:\n        wb.e\n    except ValueError:\n        pass\n\n"
+        "def helper(wb):\n    try:\n        wb.e\n    finally:\n        pass\n\n"
+        "def _claim_b(wb):\n    return wb.e\n"
+    )
+    assert _claims_catching(tree) == {"_claim_a"}
+
+
 def _unnamed_certificates(workbench: type, claims: dict) -> set:
     """Each ``*_check`` of ``workbench`` that no entry of ``claims`` names,
     directly or through ``prev``."""
